@@ -209,7 +209,7 @@ def _cmd_unlearn(args) -> int:
     seed_m = derive_seed(args.seed, "method", args.method)
     if args.method == "retrain":
         model, _ = retrain(d_r, config.pretrain.with_seed(seed_m),
-                           forbidden_ids=frozenset(int(i) for i in d_f.ids))
+                           forbidden_ids=d_f.ids)
     else:
         if args.model is None:
             raise ValidationError("--model is required for unlearning methods")

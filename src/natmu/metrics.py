@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import MetricSetMismatchError, ValidationError
-from .nn import Model, forward, predict_logits, softmax
+from .nn import Model, predict_logits, softmax
 
 KL_SMOOTHING_EPS = 1e-6
 
@@ -32,12 +32,6 @@ def entropies(model: Model, ds: Dataset) -> np.ndarray:
     """Prediction entropy in nats for every instance; each in [0, ln K]."""
     p = softmax(predict_logits(model, ds.pixels).astype(np.float64))
     return -np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0).sum(axis=1)
-
-
-def prediction_entropy(model: Model, x: np.ndarray) -> float:
-    logits = forward(model, np.asarray(x)[None, :])[0].astype(np.float64)
-    p = softmax(logits)
-    return float(-np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0).sum())
 
 
 # ---------------------------------------------------------------------------

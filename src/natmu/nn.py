@@ -6,31 +6,50 @@ optimizers, and a cosine-to-zero schedule. Everything is seeded and
 single-threaded, so training is a pure function of (initial model, dataset,
 config.seed). Evaluation over a frozen model is read-only and safe to share.
 
+Parameter arena: all of a model's parameters live in one contiguous vector,
+``Model.flat``, in the order W0, b0, W1, b1, ... (each weight row-major,
+out x in); ``Model.layers`` holds views into it. Gradients are a model of
+the same layout (`Model.zeros_like`), so an optimizer step updates the
+whole arena with a few in-place vector operations, and `train` reuses one
+gradient arena for every step.
+
 Checkpoint format: magic ``NMU1``, little-endian u32 layer count, then per
-layer u32 (in_dim, out_dim), then per layer the raw little-endian f32 weight
-matrix (row-major, out x in) followed by the f32 bias vector.
+layer u32 (in_dim, out_dim), then the arena's bytes as little-endian f32:
+per layer the weight matrix (row-major, out x in) followed by the bias.
 """
 
 import math
 import struct
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CheckpointFormatError, ShapeMismatchError, ValidationError
+from .errors import CheckpointFormatError, DivergenceError, ShapeMismatchError, ValidationError
 
 MAGIC = b"NMU1"
 
 
-@dataclass
-class Layer:
+class Layer(NamedTuple):
     weight: np.ndarray  # (out, in)
     bias: np.ndarray    # (out,)
 
 
-@dataclass
 class Model:
-    layers: list[Layer]
+    """Dense layers whose weights and biases are views into one arena."""
+
+    def __init__(self, layers: list[Layer]):
+        """A model holding copies of `layers` in a new arena."""
+        self.flat = np.concatenate([p.ravel() for lyr in layers for p in lyr])
+        self.layers = _arena_views(self.flat, [lyr.weight.shape for lyr in layers])
+
+    @classmethod
+    def on_arena(cls, flat: np.ndarray, shapes) -> "Model":
+        """A model of (out, in) weight shapes whose layers are views into `flat`."""
+        model = cls.__new__(cls)
+        model.flat = flat
+        model.layers = _arena_views(flat, shapes)
+        return model
 
     @property
     def input_dim(self) -> int:
@@ -44,15 +63,34 @@ class Model:
     def dims(self) -> list[int]:
         return [self.input_dim] + [lyr.weight.shape[0] for lyr in self.layers]
 
+    @property
+    def shapes(self) -> list[tuple[int, int]]:
+        return [lyr.weight.shape for lyr in self.layers]
+
     def copy(self) -> "Model":
-        return Model([Layer(l.weight.copy(), l.bias.copy()) for l in self.layers])
+        return Model.on_arena(self.flat.copy(), self.shapes)
+
+    def zeros_like(self) -> "Model":
+        """An all-zero arena of this model's layout, e.g. for gradients."""
+        return Model.on_arena(np.zeros_like(self.flat), self.shapes)
 
     def params(self) -> list[np.ndarray]:
-        out = []
-        for lyr in self.layers:
-            out.append(lyr.weight)
-            out.append(lyr.bias)
-        return out
+        return [p for lyr in self.layers for p in lyr]
+
+
+def _arena_views(flat: np.ndarray, shapes) -> list[Layer]:
+    layers, off = [], 0
+    for out_dim, in_dim in shapes:
+        weight = flat[off:off + out_dim * in_dim].reshape(out_dim, in_dim)
+        off += out_dim * in_dim
+        layers.append(Layer(weight, flat[off:off + out_dim]))
+        off += out_dim
+    return layers
+
+
+def _glorot(rng, fan_out: int, fan_in: int) -> np.ndarray:
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
 def init_model(dims: list[int], seed: int, dtype=np.float32) -> Model:
@@ -60,22 +98,14 @@ def init_model(dims: list[int], seed: int, dtype=np.float32) -> Model:
     if len(dims) < 2:
         raise ValidationError("model needs at least input and output dims")
     rng = np.random.default_rng(seed)
-    layers = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weight = rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dtype)
-        bias = np.zeros(fan_out, dtype=dtype)
-        layers.append(Layer(weight, bias))
-    return Model(layers)
+    return Model([Layer(_glorot(rng, fan_out, fan_in).astype(dtype), np.zeros(fan_out, dtype))
+                  for fan_in, fan_out in zip(dims[:-1], dims[1:])])
 
 
 def reinit_layer(model: Model, index: int, seed: int) -> None:
     """Re-initialize one layer in place with the standard init."""
     lyr = model.layers[index]
-    fan_out, fan_in = lyr.weight.shape
-    rng = np.random.default_rng(seed)
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    lyr.weight[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+    lyr.weight[...] = _glorot(np.random.default_rng(seed), *lyr.weight.shape)
     lyr.bias[...] = 0.0
 
 
@@ -85,21 +115,17 @@ def reinit_layer(model: Model, index: int, seed: int) -> None:
 
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """Logits (B, K) for a pixel batch (B, d)."""
+    return _forward_cached(model, batch)[0]
+
+
+def _forward_cached(model: Model, batch: np.ndarray):
+    """Logits and every layer's input (kept for backprop) for a pixel batch."""
     x = np.atleast_2d(np.asarray(batch))
     if x.shape[1] != model.input_dim:
         raise ShapeMismatchError(
             f"batch has {x.shape[1]} features, model expects {model.input_dim}"
         )
-    h = x.astype(model.layers[0].weight.dtype, copy=False)
-    for lyr in model.layers[:-1]:
-        h = np.maximum(h @ lyr.weight.T + lyr.bias, 0.0)
-    last = model.layers[-1]
-    return h @ last.weight.T + last.bias
-
-
-def _forward_cached(model: Model, x: np.ndarray):
-    """Forward pass keeping hidden activations for backprop."""
-    acts = [x]
+    acts = [x.astype(model.flat.dtype, copy=False)]
     for lyr in model.layers[:-1]:
         acts.append(np.maximum(acts[-1] @ lyr.weight.T + lyr.bias, 0.0))
     last = model.layers[-1]
@@ -115,100 +141,75 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def loss_hard(logits: np.ndarray, label: int) -> float:
-    """Cross entropy of one sample: -ln softmax(logits)[label]."""
-    return float(-log_softmax(logits)[..., label].squeeze())
-
-
-def loss_soft(logits: np.ndarray, target: np.ndarray, temperature: float = 1.0) -> float:
-    """Temperature-scaled KL from a target distribution to the model.
-
-    T^2 * KL(target || softmax(logits / T)); zero exactly when the target
-    equals the tempered softmax of the logits.
-    """
-    target = np.asarray(target, dtype=np.float64)
-    if temperature <= 0:
-        raise ValidationError(f"temperature must be > 0, got {temperature}")
-    if target.ndim != 1 or abs(target.sum() - 1.0) > 1e-5 or (target < 0).any():
-        raise ValidationError("soft target must be a probability distribution")
-    logp = log_softmax(np.asarray(logits, dtype=np.float64) / temperature)
-    q = target
-    ent = np.where(q > 0, q * np.log(np.where(q > 0, q, 1.0)), 0.0).sum()
-    return float(temperature ** 2 * (ent - (q * logp).sum()))
-
-
-def _batch_mean_loss(model: Model, x, labels, soft_targets, temperature):
-    logits = forward(model, x)
-    if soft_targets is None:
-        lp = log_softmax(logits)
-        return float(-lp[np.arange(len(labels)), labels].mean())
-    lp = log_softmax(logits / temperature)
-    q = soft_targets
-    ent = np.where(q > 0, q * np.log(np.where(q > 0, q, 1.0)), 0.0).sum(axis=1)
-    return float((temperature ** 2 * (ent - (q * lp).sum(axis=1))).mean())
-
-
 # ---------------------------------------------------------------------------
 # backward
 
 
 def backward(model: Model, batch: np.ndarray, labels=None, soft_targets=None,
-             temperature: float = 1.0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Mean-loss gradients, one (dW, db) pair per layer.
+             temperature: float = 1.0, out: Model | None = None) -> tuple[float, Model]:
+    """Batch mean loss and its gradients, as (loss, gradient arena).
 
-    Hard labels give cross-entropy gradients; soft targets give gradients of
-    the T^2-scaled KL loss. Shapes mirror the model exactly.
+    Hard labels give cross-entropy; soft targets give the T^2-scaled KL
+    from the targets to the tempered softmax. The gradients are written
+    into `out`, an arena of the model's layout (a new one if None).
     """
-    x = np.atleast_2d(np.asarray(batch)).astype(model.layers[0].weight.dtype, copy=False)
-    if x.shape[1] != model.input_dim:
-        raise ShapeMismatchError(
-            f"batch has {x.shape[1]} features, model expects {model.input_dim}"
-        )
-    n = x.shape[0]
-    logits, acts = _forward_cached(model, x)
+    logits, acts = _forward_cached(model, batch)
+    n = len(logits)
+    # softmax(z) = e / total and log_softmax(z) = shifted - log(total)
+    z = logits if soft_targets is None else logits / temperature
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    p = e / total
     if soft_targets is None:
-        delta = softmax(logits)
-        delta[np.arange(n), np.asarray(labels)] -= 1.0
+        rows, labels = np.arange(n), np.asarray(labels)
+        loss = float((np.log(total[:, 0]) - shifted[rows, labels]).sum()) / n
+        delta = p
+        delta[rows, labels] -= 1.0
         delta /= n
     else:
-        p = softmax(logits / temperature)
+        q = soft_targets
+        ent = np.where(q > 0, q * np.log(np.where(q > 0, q, 1.0)), 0.0).sum(axis=1)
+        cross = (q * (shifted - np.log(total))).sum(axis=1)
+        loss = float((temperature ** 2 * (ent - cross)).sum()) / n
         delta = (temperature * (p - soft_targets) / n).astype(logits.dtype)
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
+    if out is None:
+        out = model.zeros_like()
     for i in range(len(model.layers) - 1, -1, -1):
-        lyr = model.layers[i]
-        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        grad_w, grad_b = out.layers[i]
+        np.matmul(delta.T, acts[i], out=grad_w)
+        delta.sum(axis=0, out=grad_b)
         if i > 0:
-            delta = (delta @ lyr.weight) * (acts[i] > 0)
-    return grads
+            delta = (delta @ model.layers[i].weight) * (acts[i] > 0)
+    return loss, out
 
 
 # ---------------------------------------------------------------------------
 # optimizers and schedule
 
 
+# Both optimizers update the whole arena in place through scratch allocated
+# on the first step. Each element takes the operations of the per-array form
+# in the comments in the same order, so the results are bit-identical to it.
+
+
 class SgdMomentum:
     def __init__(self, momentum: float = 0.9):
         self.momentum = momentum
         self.velocity = None
+        self._scratch = None
 
-    def step(self, model: Model, grads, lr: float, weight_decay: float):
-        params = model.params()
-        flat = [g for pair in grads for g in pair]
+    def step(self, model: Model, grads: Model, lr: float, weight_decay: float):
+        p, g = model.flat, grads.flat
         if self.velocity is None:
-            self.velocity = [np.zeros_like(p) for p in params]
-        for p, g, v in zip(params, flat, self.velocity):
-            v *= self.momentum
-            v += g
-            p -= lr * v
-            if weight_decay:
-                p -= lr * weight_decay * p
+            self.velocity, self._scratch = np.zeros_like(p), np.empty_like(p)
+        v, s = self.velocity, self._scratch
+        v *= self.momentum
+        v += g
+        p -= np.multiply(v, lr, out=s)  # p -= lr * v
+        if weight_decay:
+            p -= np.multiply(p, lr * weight_decay, out=s)  # p -= lr * wd * p
 
 
 class AdamW:
@@ -221,24 +222,29 @@ class AdamW:
         self.t = 0
         self.m = None
         self.v = None
+        self._scratch = None
 
-    def step(self, model: Model, grads, lr: float, weight_decay: float):
-        params = model.params()
-        flat = [g for pair in grads for g in pair]
+    def step(self, model: Model, grads: Model, lr: float, weight_decay: float):
+        p, g = model.flat, grads.flat
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m, self.v = np.zeros_like(p), np.zeros_like(p)
+            self._scratch = (np.empty_like(p), np.empty_like(p))
+        m, v = self.m, self.v
+        s, d = self._scratch
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, flat, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-            if weight_decay:
-                p -= lr * weight_decay * p
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=s)  # m += (1 - b1) * g
+        v *= self.beta2
+        v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=s), g, out=s)  # (1 - b2) * g * g
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.multiply(np.divide(m, c1, out=s), lr, out=s)
+        np.sqrt(np.divide(v, c2, out=d), out=d)
+        d += self.eps
+        p -= np.divide(s, d, out=s)
+        if weight_decay:
+            p -= np.multiply(p, lr * weight_decay, out=s)  # p -= lr * wd * p
 
 
 OPTIMIZERS = {"sgd": SgdMomentum, "adamw": AdamW}
@@ -301,16 +307,37 @@ def predict_logits(model: Model, pixels: np.ndarray, chunk: int = 4096) -> np.nd
     return np.concatenate(outs, axis=0) if outs else np.zeros((0, model.class_count))
 
 
+class Ascent(NamedTuple):
+    """A stream `train` ascends on alongside its dataset (NegGrad+): each
+    step also takes a batch of `data` and subtracts `alpha` times its
+    gradient. Batches of min(batch_size, len(data)) cycle through `data`
+    from its start each epoch, in an order reshuffled per epoch from `seed`."""
+
+    data: object  # a Dataset
+    alpha: float
+    seed: int
+
+
+def _backward_on(model: Model, dataset, idx, temperature: float, out: Model) -> float:
+    soft = None if dataset.soft_labels is None else dataset.soft_labels[idx]
+    loss, _ = backward(model, dataset.pixels[idx], labels=dataset.labels[idx],
+                       soft_targets=soft, temperature=temperature, out=out)
+    return loss
+
+
 def train(model: Model, dataset, config: TrainConfig, trace_correctness: bool = False,
-          *, temperature: float = 1.0, epoch_callback=None, audit_log=None):
+          *, temperature: float = 1.0, epoch_callback=None, batch_callback=None,
+          ascent: Ascent | None = None):
     """Mini-batch training; returns (trained copy, TrainingTrace or None).
 
     The input model is never mutated. Batch order and all updates derive
-    from config.seed, so identical inputs reproduce bit-identical parameters.
-    Soft-labeled datasets are trained with the tempered KL loss.
+    from config.seed (and ascent.seed), so identical inputs reproduce
+    bit-identical parameters. Soft-labeled datasets are trained with the
+    tempered KL loss. A step whose loss (descent minus alpha times ascent)
+    is not finite raises DivergenceError before the update.
 
-    epoch_callback(epoch_index, model) fires after each epoch; audit_log, if
-    given a list, receives the instance id of every sample consumed.
+    epoch_callback(epoch_index, model) fires after each epoch;
+    batch_callback(ids) gets each batch's instance ids before its step.
     """
     n = len(dataset)
     if n == 0:
@@ -323,23 +350,34 @@ def train(model: Model, dataset, config: TrainConfig, trace_correctness: bool = 
 
     rng = np.random.default_rng(config.seed)
     opt = OPTIMIZERS[config.optimizer]()
+    grads = model.zeros_like()
     bs = config.batch_size
-    steps_per_epoch = (n + bs - 1) // bs
-    total_steps = config.epochs * steps_per_epoch
-    soft = dataset.soft_labels
+    if ascent is not None:
+        ascent_rng = np.random.default_rng(ascent.seed)
+        ascent_grads = model.zeros_like()
+        n_f, bf = len(ascent.data), min(bs, len(ascent.data))
+    total_steps = config.epochs * ((n + bs - 1) // bs)
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        if ascent is not None:
+            order_f = ascent_rng.permutation(n_f)
         for start in range(0, n, bs):
             idx = order[start:start + bs]
-            if audit_log is not None:
-                audit_log.extend(int(i) for i in dataset.ids[idx])
+            if batch_callback is not None:
+                batch_callback(dataset.ids[idx])
             lr = cosine_lr(step, total_steps, config.base_lr)
-            if soft is None:
-                grads = backward(model, dataset.pixels[idx], labels=dataset.labels[idx])
-            else:
-                grads = backward(model, dataset.pixels[idx], soft_targets=soft[idx],
-                                 temperature=temperature)
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = _backward_on(model, dataset, idx, temperature, grads)
+                if ascent is not None:
+                    idx_f = order_f[(start // bs * bf + np.arange(bf)) % n_f]
+                    loss_f = _backward_on(model, ascent.data, idx_f, temperature,
+                                          ascent_grads)
+                    ascent_grads.flat *= ascent.alpha  # grads -= alpha * ascent_grads
+                    grads.flat -= ascent_grads.flat
+                    loss -= ascent.alpha * loss_f
+            if not math.isfinite(loss):
+                raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             opt.step(model, grads, lr, config.weight_decay)
             step += 1
         if trace_correctness:
@@ -359,12 +397,9 @@ def save_model(model: Model, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(model.layers)))
-        for lyr in model.layers:
-            out_dim, in_dim = lyr.weight.shape
+        for out_dim, in_dim in model.shapes:
             fh.write(struct.pack("<II", in_dim, out_dim))
-        for lyr in model.layers:
-            fh.write(lyr.weight.astype("<f4").tobytes(order="C"))
-            fh.write(lyr.bias.astype("<f4").tobytes(order="C"))
+        fh.write(model.flat.astype("<f4", copy=False).tobytes())
 
 
 def load_model(path: str) -> Model:
@@ -386,19 +421,12 @@ def load_model(path: str) -> Model:
     for (in_a, out_a), (in_b, _) in zip(shapes, shapes[1:]):
         if out_a != in_b:
             raise CheckpointFormatError("checkpoint layer dims do not chain")
-    layers = []
-    for in_dim, out_dim in shapes:
-        need = 4 * (in_dim * out_dim + out_dim)
-        if off + need > len(blob):
-            raise CheckpointFormatError(f"truncated checkpoint payload in {path}")
-        weight = np.frombuffer(blob, dtype="<f4", count=in_dim * out_dim, offset=off)
-        off += 4 * in_dim * out_dim
-        bias = np.frombuffer(blob, dtype="<f4", count=out_dim, offset=off)
-        off += 4 * out_dim
-        layers.append(Layer(weight.reshape(out_dim, in_dim).copy(), bias.copy()))
-    if off != len(blob):
+    need = 4 * sum(in_dim * out_dim + out_dim for in_dim, out_dim in shapes)
+    if off + need > len(blob):
+        raise CheckpointFormatError(f"truncated checkpoint payload in {path}")
+    if off + need != len(blob):
         raise CheckpointFormatError(f"trailing bytes in checkpoint {path}")
-    model = Model(layers)
-    if not all(np.isfinite(p).all() for p in model.params()):
+    flat = np.frombuffer(blob, dtype="<f4", offset=off).copy()
+    if not np.isfinite(flat).all():
         raise CheckpointFormatError(f"non-finite parameters in checkpoint {path}")
-    return model
+    return Model.on_arena(flat, [(out_dim, in_dim) for in_dim, out_dim in shapes])

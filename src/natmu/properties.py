@@ -167,12 +167,13 @@ def finite_difference_grads(model: nn.Model, x, labels=None, soft=None,
 
 def max_relative_gradient_error(model: nn.Model, x, labels=None, soft=None,
                                 temperature: float = 1.0) -> float:
-    analytic = nn.backward(model, x, labels=labels, soft_targets=soft,
-                           temperature=temperature)
-    flat_analytic = [g for pair in analytic for g in pair]
+    """Worst relative error of backward's loss and gradients (f64 oracle)."""
+    loss, grads = nn.backward(model, x, labels=labels, soft_targets=soft,
+                              temperature=temperature)
     numeric = finite_difference_grads(model, x, labels, soft, temperature)
-    worst = 0.0
-    for a, f in zip(flat_analytic, numeric):
+    straight = _straightline_loss(model, x, labels, soft, temperature)
+    worst = abs(loss - straight) / max(abs(straight), 1e-6)
+    for a, f in zip(grads.params(), numeric):
         denom = np.maximum(np.abs(f), 1e-6)
         worst = max(worst, float((np.abs(a - f) / denom).max()))
     return worst

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -377,7 +377,6 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path,
                           class_index=config.forget_class, scope=config.forget_scope,
                           seed=stage_seeds["forget"])
     d_f, d_r = split_forget(train_ds, spec, trace)
-    forbidden = frozenset(int(i) for i in d_f.ids)
 
     curves = ["method,epoch,fa,ra"]
 
@@ -391,15 +390,10 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path,
     t0 = time.perf_counter()
     retrain_seed = derive_seed(root, "method", "retrain")
     stage_seeds["method:retrain"] = retrain_seed
-    model_r, batch_log = retrain(d_r, config.pretrain.with_seed(retrain_seed),
-                                 forbidden_ids=forbidden,
-                                 epoch_callback=curve_recorder("retrain"))
+    model_r, audit = retrain(d_r, config.pretrain.with_seed(retrain_seed),
+                             forbidden_ids=d_f.ids, epoch_callback=curve_recorder("retrain"))
     clocks["method:retrain"] = time.perf_counter() - t0
-    manifest["retrain_audit"][str(root)] = {
-        "batches_logged": len(batch_log),
-        "forbidden_ids": len(forbidden),
-        "violations": len(set(batch_log) & forbidden),
-    }
+    manifest["retrain_audit"][str(root)] = audit
 
     reports = {"retrain": evaluate_model(model_r, d_r, d_f, test_ds, spec, kl=0.0)}
     for method in config.methods:
@@ -414,7 +408,7 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path,
             config=config.unlearn, params=config.params_for(method),
             seed=seed_m, epoch_callback=curve_recorder(method))
         model_u = UNLEARN_METHODS[method](request)
-        d_ul = unlearning_dataset(method, replace(request, epoch_callback=None))
+        d_ul = unlearning_dataset(method, request)  # the set the method built
         kl = None if d_ul is None else kl_avg(model_r, d_ul)
         reports[method] = evaluate_model(model_u, d_r, d_f, test_ds, spec, kl=kl)
         clocks[f"method:{method}"] = time.perf_counter() - t0

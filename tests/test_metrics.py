@@ -16,6 +16,12 @@ def fixed_logits_model(logits, input_dim=2):
                               logits.copy())])
 
 
+def entropy_of(model):
+    """Prediction entropy of one (all-zero) input."""
+    return float(metrics.entropies(model, tiny_dataset(np.zeros((1, 2)), [0],
+                                                       k=model.class_count))[0])
+
+
 def tiny_dataset(pixels, labels, k, soft=None):
     pixels = np.asarray(pixels, dtype=np.float32)
     return data.Dataset(pixels=pixels, labels=np.asarray(labels, dtype=np.int64),
@@ -59,17 +65,17 @@ class TestAccuracy:
 class TestEntropy:
     def test_uniform_output_ten_classes(self):
         model = fixed_logits_model(np.zeros(10))
-        assert metrics.prediction_entropy(model, np.zeros(2)) == pytest.approx(
+        assert entropy_of(model) == pytest.approx(
             LN10, abs=1e-9)
 
     def test_one_hot_limit(self):
         model = fixed_logits_model([200.0, 0.0, 0.0])
-        assert metrics.prediction_entropy(model, np.zeros(2)) == pytest.approx(
+        assert entropy_of(model) == pytest.approx(
             0.0, abs=1e-12)
 
     def test_two_point_distribution(self):
         model = fixed_logits_model([3.0, 3.0, -200.0])
-        assert metrics.prediction_entropy(model, np.zeros(2)) == pytest.approx(
+        assert entropy_of(model) == pytest.approx(
             LN2, abs=1e-9)
 
     def test_bounds_over_random_models(self):
@@ -77,7 +83,7 @@ class TestEntropy:
         for _ in range(50):
             k = int(rng.integers(2, 8))
             model = fixed_logits_model(rng.normal(0, 50, size=k))
-            h = metrics.prediction_entropy(model, np.zeros(2))
+            h = entropy_of(model)
             assert 0.0 <= h <= math.log(k) + 1e-12
 
 

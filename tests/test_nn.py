@@ -1,13 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 
 from natmu import nn
-from natmu.data import synth_blobs
+from natmu.data import Dataset, synth_blobs
 from natmu.errors import (
     CheckpointFormatError,
+    DivergenceError,
     ShapeMismatchError,
     ValidationError,
 )
+from natmu.methods import MethodParams
 
 LN10 = 2.3025850929940457
 
@@ -90,18 +94,29 @@ class TestSoftmax:
             assert (p >= 0.0).all()
 
 
+def soft_loss(logits, target, temperature):
+    """backward's loss for one sample of an f64 fixed-logits model."""
+    logits = np.asarray(logits, dtype=np.float64)
+    model = nn.Model([nn.Layer(np.zeros((len(logits), 1)), logits.copy())])
+    loss, _ = nn.backward(model, np.ones((1, 1)), soft_targets=np.asarray(target)[None],
+                          temperature=temperature)
+    return loss
+
+
 class TestLosses:
     def test_hard_loss_uniform_ten_classes(self):
-        assert nn.loss_hard(np.zeros(10), 3) == pytest.approx(LN10, abs=1e-7)
+        loss, _ = nn.backward(make_fixed_logits_model(np.zeros(10)), np.ones((1, 1)),
+                              labels=np.array([3]))
+        assert loss == pytest.approx(LN10, abs=1e-7)
 
     def test_soft_loss_zero_at_matching_target(self):
         logits = np.array([0.5, -1.0, 2.0])
         target = nn.softmax(logits / 2.0)
-        assert nn.loss_soft(logits, target, temperature=2.0) == pytest.approx(0.0, abs=1e-9)
+        assert soft_loss(logits, target, temperature=2.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_soft_loss_reference_value(self):
-        got = nn.loss_soft(np.array([0.5, -1.0, 2.0]),
-                           np.array([0.2, 0.3, 0.5]), temperature=2.0)
+        got = soft_loss(np.array([0.5, -1.0, 2.0]),
+                        np.array([0.2, 0.3, 0.5]), temperature=2.0)
         assert got == pytest.approx(0.39329091916294506, abs=1e-10)
 
     def test_soft_loss_nonnegative_random(self):
@@ -110,28 +125,33 @@ class TestLosses:
             k = int(rng.integers(2, 8))
             q = rng.random(k)
             q /= q.sum()
-            assert nn.loss_soft(rng.normal(size=k), q, float(rng.uniform(0.2, 5))) >= 0.0
+            assert soft_loss(rng.normal(size=k), q, float(rng.uniform(0.2, 5))) >= 0.0
 
     def test_invalid_distribution_rejected(self):
+        # train takes soft targets from a Dataset, whose validate() checks them
+        ds = Dataset(pixels=np.zeros((1, 1), dtype=np.float32),
+                     labels=np.zeros(1, dtype=np.int64), height=1, width=1, channels=1,
+                     k=3, soft_labels=np.array([[0.5, 0.2, 0.2]], dtype=np.float32))
         with pytest.raises(ValidationError):
-            nn.loss_soft(np.zeros(3), np.array([0.5, 0.2, 0.2]))
+            ds.validate()
 
     def test_nonpositive_temperature_rejected(self):
+        # methods take the distillation temperature from MethodParams
         with pytest.raises(ValidationError):
-            nn.loss_soft(np.zeros(3), np.full(3, 1 / 3), temperature=0.0)
+            MethodParams(temperature=0.0)
 
 
 class TestBackward:
     def test_zero_input_bias_free_weight_gradients_zero(self):
         model = nn.init_model([4, 3, 2], seed=5)
-        grads = nn.backward(model, np.zeros((6, 4)), labels=np.zeros(6, dtype=int))
-        for dw, _ in grads:
+        _, grads = nn.backward(model, np.zeros((6, 4)), labels=np.zeros(6, dtype=int))
+        for dw, _ in grads.layers:
             assert (dw == 0.0).all()
 
     def test_perfect_prediction_gradient_vanishes(self):
         model = make_fixed_logits_model([100.0, 0.0, 0.0])
-        grads = nn.backward(model, np.ones((1, 1)), labels=np.array([0]))
-        total = sum(float(np.abs(g).sum()) for pair in grads for g in pair)
+        _, grads = nn.backward(model, np.ones((1, 1)), labels=np.array([0]))
+        total = sum(float(np.abs(g).sum()) for g in grads.params())
         assert total < 1e-6
 
     def test_against_finite_differences(self):
@@ -140,11 +160,13 @@ class TestBackward:
         model = nn.init_model([3, 2, 3], seed=21, dtype=np.float64)
         x = rng.normal(size=(4, 3))
         labels = rng.integers(0, 3, size=4)
-        analytic = [g for pair in nn.backward(model, x, labels=labels) for g in pair]
+        _, grads = nn.backward(model, x, labels=labels)
+        analytic = grads.params()
 
         def loss():
-            logits = nn.forward(model, x)
-            lp = nn.log_softmax(logits)
+            z = nn.forward(model, x)
+            z = z - z.max(axis=1, keepdims=True)
+            lp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
             return float(-lp[np.arange(4), labels].mean())
 
         h = 1e-4
@@ -162,10 +184,108 @@ class TestBackward:
 
     def test_gradient_shapes_mirror_model(self):
         model = nn.init_model([5, 4, 3], seed=1)
-        grads = nn.backward(model, np.zeros((2, 5)), labels=np.array([0, 1]))
-        for (dw, db), lyr in zip(grads, model.layers):
+        _, grads = nn.backward(model, np.zeros((2, 5)), labels=np.array([0, 1]))
+        for (dw, db), lyr in zip(grads.layers, model.layers):
             assert dw.shape == lyr.weight.shape
             assert db.shape == lyr.bias.shape
+
+
+def reference_step(optimizer, params, grads, state, lr, weight_decay):
+    """The per-array optimizer steps the whole-arena ones must reproduce."""
+    if optimizer == "sgd":
+        for p, g, v in zip(params, grads, state.setdefault("v", [np.zeros_like(p) for p in params])):
+            v *= 0.9
+            v += g
+            p -= lr * v
+            if weight_decay:
+                p -= lr * weight_decay * p
+        return
+    state["t"] = state.get("t", 0) + 1
+    c1, c2 = 1.0 - 0.9 ** state["t"], 1.0 - 0.999 ** state["t"]
+    moments = state.setdefault("mv", [(np.zeros_like(p), np.zeros_like(p)) for p in params])
+    for p, g, (m, v) in zip(params, grads, moments):
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+        if weight_decay:
+            p -= lr * weight_decay * p
+
+
+class TestArena:
+    def test_parameters_share_one_contiguous_buffer(self):
+        model = nn.init_model([6, 5, 4], seed=1)
+        assert model.flat.ndim == 1 and model.flat.flags.c_contiguous
+        assert model.flat.size == sum(p.size for p in model.params())
+        for p in model.params():
+            assert np.shares_memory(p, model.flat)
+        # payload order W0, b0, W1, b1
+        assert np.array_equal(model.flat, np.concatenate([p.ravel() for p in model.params()]))
+
+    def test_copy_is_independent(self):
+        model = nn.init_model([6, 5, 4], seed=1)
+        before = model.flat.copy()
+        clone = model.copy()
+        assert not np.shares_memory(clone.flat, model.flat)
+        assert all(np.shares_memory(p, clone.flat) for p in clone.params())
+        clone.layers[0].weight[0, 0] += 1.0
+        clone.layers[1].bias[...] = 7.0
+        assert np.array_equal(model.flat, before)
+        model.flat[...] = 0.0
+        assert clone.layers[1].bias[0] == 7.0
+
+    def test_reinit_layer_writes_through_to_arena(self):
+        model = nn.init_model([6, 5, 4], seed=1)
+        model.layers[-1].bias[...] = 1.0
+        before = model.flat.copy()
+        nn.reinit_layer(model, -1, seed=9)
+        last = model.layers[-1]
+        tail = last.weight.size + last.bias.size
+        assert np.array_equal(model.flat[:-tail], before[:-tail])
+        assert np.array_equal(model.flat[-tail:],
+                              np.concatenate([last.weight.ravel(), last.bias]))
+        assert (model.flat[-last.bias.size:] == 0.0).all()
+        assert not np.array_equal(model.flat[-tail:-last.bias.size],
+                                  before[-tail:-last.bias.size])
+
+    def test_backward_writes_into_the_given_gradient_arena(self):
+        rng = np.random.default_rng(2)
+        model = nn.init_model([6, 5, 4], seed=1)
+        x, labels = rng.random((8, 6)), rng.integers(0, 4, 8)
+        buf = model.zeros_like()
+        loss, grads = nn.backward(model, x, labels=labels, out=buf)
+        fresh_loss, fresh = nn.backward(model, x, labels=labels)
+        assert grads is buf and loss == fresh_loss
+        assert np.array_equal(buf.flat, fresh.flat)
+
+    @pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_step_bit_equal_to_per_array_reference(self, optimizer, weight_decay):
+        rng = np.random.default_rng(3)
+        model = nn.init_model([23, 11, 5], seed=4)
+        ref_params = [p.copy() for p in model.params()]
+        opt, state = nn.OPTIMIZERS[optimizer](), {}
+        for step in range(8):
+            grads = model.zeros_like()
+            scale = 10.0 ** rng.integers(-4, 1)
+            grads.flat[...] = rng.normal(0.0, scale, size=grads.flat.size)
+            lr = nn.cosine_lr(step, 8, 3e-2)
+            opt.step(model, grads, lr, weight_decay)
+            reference_step(optimizer, ref_params, grads.params(), state, lr, weight_decay)
+            for got, want in zip(model.params(), ref_params):
+                assert np.array_equal(got, want)
+
+    def test_save_model_bytes_match_hand_built_checkpoint(self, tmp_path):
+        model = nn.init_model([6, 5, 4], seed=10)
+        model.layers[0].bias[...] = np.linspace(-1.0, 1.0, 5)
+        want = b"NMU1" + struct.pack("<I", 2) + struct.pack("<IIII", 6, 5, 5, 4)
+        for lyr in model.layers:
+            want += struct.pack(f"<{lyr.weight.size}f", *lyr.weight.ravel())
+            want += struct.pack(f"<{lyr.bias.size}f", *lyr.bias)
+        path = tmp_path / "model.nmu"
+        nn.save_model(model, str(path))
+        assert path.read_bytes() == want
 
 
 class TestSchedule:
@@ -231,9 +351,17 @@ class TestTrain:
         model = nn.init_model([9, 4, 2], seed=6)
         cfg = nn.TrainConfig(epochs=2, batch_size=7, base_lr=1e-2, seed=1)
         log = []
-        nn.train(model, ds, cfg, audit_log=log)
+        nn.train(model, ds, cfg, batch_callback=log.extend)
         assert len(log) == 2 * len(ds)
         assert sorted(set(log)) == sorted(ds.ids.tolist())
+
+    def test_non_finite_loss_stops_training(self):
+        ds = synth_blobs(3, 10, 3, 3, 1, spread=0.3, seed=5)
+        model = nn.init_model([9, 4, 3], seed=6)
+        model.layers[0].weight[0, 0] = np.inf
+        cfg = nn.TrainConfig(epochs=1, batch_size=8, base_lr=1e-2, seed=1)
+        with pytest.raises(DivergenceError):
+            nn.train(model, ds, cfg)
 
     def test_empty_dataset_rejected(self):
         ds = synth_blobs(2, 1, 3, 3, 1, spread=0.1, seed=0).subset(np.array([], dtype=int))

@@ -33,8 +33,9 @@ def test_gradient_check_detects_broken_backward(monkeypatch):
     real = nn.backward
 
     def broken(*args, **kwargs):
-        grads = real(*args, **kwargs)
-        return [(dw * 1.01, db) for dw, db in grads]
+        loss, grads = real(*args, **kwargs)
+        grads.layers[0].weight[...] *= 1.01
+        return loss, grads
 
     monkeypatch.setattr(nn, "backward", broken)
     result = properties.check_gradient_oracle(num_models=3)

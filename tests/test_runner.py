@@ -1,5 +1,9 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +263,26 @@ class TestEvaluateModel:
         assert report.fa_test is not None
         assert [name for name, _ in report.gap_metrics()] == \
             ["TA", "RA", "FATrain", "FATest", "MIA"]
+
+
+class TestBlasThreads:
+    def test_csvs_identical_across_blas_thread_counts(self, tmp_path):
+        # desk-sized layers, so BLAS has work to split across threads
+        cfg = MINI_CONFIG.replace("k = 6", "k = 10").replace("per_class = 25", "per_class = 40")
+        cfg = cfg.replace("height = 5", "height = 16").replace("width = 5", "width = 16")
+        cfg = cfg.replace("seeds = 1,2", "seeds = 1")
+        (tmp_path / "blas.cfg").write_text(cfg)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            outs[threads] = tmp_path / f"threads_{threads}"
+            subprocess.run([sys.executable, "-m", "natmu.cli", "run", "--config",
+                            str(tmp_path / "blas.cfg"), "--out-dir", str(outs[threads])],
+                           env=env, check=True, capture_output=True)
+        csvs = sorted(p.relative_to(outs["1"]) for p in outs["1"].rglob("*.csv"))
+        assert len(csvs) == 7  # five reports, curves, aggregate
+        for rel in csvs:
+            assert filecmp.cmp(outs["1"] / rel, outs["2"] / rel, shallow=False), rel
