@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 validation error (bad inputs or config),
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -13,22 +14,14 @@ import numpy as np
 
 from . import __version__, builder, data, masks, metrics, nn
 from .errors import NatmuError, ValidationError
-from .methods import (
-    METHOD_NAMES,
-    UNLEARN_METHODS,
-    UnlearnRequest,
-    retrain,
-    unlearning_dataset,
-)
+from .methods import METHOD_NAMES, UNLEARN_METHODS, natmu_finetune_set, unlearning_dataset
 from .runner import (
     evaluate_model,
     load_config,
-    materialize_data,
-    pretrain_model,
+    prepare_seed,
     run_experiment,
     write_report_csv,
 )
-from .seeding import derive_seed
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -72,36 +65,33 @@ def build_parser() -> _Parser:
     dump.add_argument("--edge-len", type=int, default=None)
     dump.add_argument("--out", required=True)
 
-    pre = sub.add_parser("pretrain", help="train the original model")
-    pre.add_argument("--config", required=True)
-    pre.add_argument("--seed", type=int, default=1)
+    # the stage commands rebuild one root seed's pipeline from these two
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--config", required=True)
+    seeded.add_argument("--seed", type=int, default=1)
+
+    pre = sub.add_parser("pretrain", parents=[seeded], help="train the original model")
     pre.add_argument("--out", required=True)
     pre.add_argument("--trace", default=None,
                      help="write per-sample correct-epoch counts as JSON")
 
-    build = sub.add_parser("build", help="construct an unlearning fine-tuning dataset")
-    build.add_argument("--config", required=True)
+    build = sub.add_parser("build", parents=[seeded], help="construct natmu's fine-tuning set")
     build.add_argument("--model", required=True)
-    build.add_argument("--variant", choices=builder.VARIANTS, default=builder.NATMU)
-    build.add_argument("--n", type=int, default=4)
-    build.add_argument("--delta", type=float, default=-0.031)
-    build.add_argument("--mask-family", choices=masks.MASK_FAMILIES,
-                       default=masks.GRADUAL)
-    build.add_argument("--seed", type=int, default=1)
+    build.add_argument("--variant", choices=builder.VARIANTS)
+    build.add_argument("--n", type=int)
+    build.add_argument("--delta", type=float)
+    build.add_argument("--mask-family", choices=masks.MASK_FAMILIES)
     build.add_argument("--out", required=True)
     build.add_argument("--provenance", default=None, help="JSON-lines sidecar path")
 
-    un = sub.add_parser("unlearn", help="run one unlearning method")
+    un = sub.add_parser("unlearn", parents=[seeded], help="run one unlearning method")
     un.add_argument("--method", choices=METHOD_NAMES, required=True)
-    un.add_argument("--config", required=True)
     un.add_argument("--model", default=None,
                     help="original model checkpoint (not needed for retrain)")
-    un.add_argument("--seed", type=int, default=1)
     un.add_argument("--out", required=True)
 
-    ev = sub.add_parser("evaluate", help="metrics report against a retrain reference")
-    ev.add_argument("--config", required=True)
-    ev.add_argument("--seed", type=int, default=1)
+    ev = sub.add_parser("evaluate", parents=[seeded],
+                        help="metrics report against a retrain reference")
     ev.add_argument("--model", required=True)
     ev.add_argument("--retrain", required=True)
     ev.add_argument("--method", choices=METHOD_NAMES, default=None,
@@ -120,19 +110,6 @@ def build_parser() -> _Parser:
                      help="skip the desk-scale pipeline checks")
     chk.add_argument("--workdir", default=None)
     return parser
-
-
-def _split_for(config, root_seed):
-    train_ds, test_ds = materialize_data(config, derive_seed(root_seed, "dataset"))
-    spec = data.ForgettingSpec(
-        mode=config.forget_mode, ratio=config.forget_ratio,
-        class_index=config.forget_class, scope=config.forget_scope,
-        seed=derive_seed(root_seed, "forget"))
-    trace = None
-    if config.forget_mode == "difficult":
-        _, trace = pretrain_model(config, train_ds, root_seed, with_trace=True)
-    d_f, d_r = data.split_forget(train_ds, spec, trace)
-    return train_ds, test_ds, d_f, d_r, spec
 
 
 def _cmd_dataset(args) -> int:
@@ -163,13 +140,12 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    config = load_config(args.config)
-    train_ds, _ = materialize_data(config, derive_seed(args.seed, "dataset"))
-    model, trace = pretrain_model(config, train_ds, args.seed,
-                                  with_trace=args.trace is not None)
-    nn.save_model(model, args.out)
+    prep = prepare_seed(load_config(args.config), args.seed,
+                        with_trace=args.trace is not None)
+    nn.save_model(prep.original, args.out)
     print(f"wrote model to {args.out}")
     if args.trace is not None:
+        trace = prep.trace
         payload = {"ids": trace.ids.tolist(), "counts": trace.counts.tolist(),
                    "epochs": trace.epochs}
         Path(args.trace).write_text(json.dumps(payload), encoding="ascii")
@@ -179,20 +155,18 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_build(args) -> int:
     config = load_config(args.config)
-    _, _, d_f, d_r, _ = _split_for(config, args.seed)
-    model = nn.load_model(args.model)
-    mask_set = masks.build_mask_set(args.mask_family, d_f.height, d_f.width,
-                                    args.delta)
-    build_seed = derive_seed(derive_seed(args.seed, "method", "natmu"), "build")
-    instances = builder.build_unlearning_set(d_f, d_r, model, mask_set,
-                                             variant=args.variant, seed=build_seed,
-                                             n=args.n)
-    finetune = builder.build_finetune_dataset(d_r, instances, n=args.n)
+    overrides = {key: getattr(args, key) for key in ("variant", "n", "delta", "mask_family")
+                 if getattr(args, key) is not None}
+    config.method_params["natmu"] = dataclasses.replace(config.params_for("natmu"),
+                                                        **overrides)
+    prep = prepare_seed(config, args.seed)
+    finetune = natmu_finetune_set(prep.request("natmu", nn.load_model(args.model)))
     data.save_raw(finetune.data, args.out)
-    print(f"wrote {len(finetune)} instances ({len(instances)} unlearning) to {args.out}")
+    print(f"wrote {len(finetune)} instances ({len(finetune.instances)} unlearning) "
+          f"to {args.out}")
     if args.provenance is not None:
         with open(args.provenance, "w", encoding="ascii") as fh:
-            for inst in instances:
+            for inst in finetune.instances:
                 fh.write(json.dumps({
                     "forget_index": inst.forget_id,
                     "remaining_index": inst.remaining_id,
@@ -204,19 +178,13 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_unlearn(args) -> int:
-    config = load_config(args.config)
-    _, _, d_f, d_r, _ = _split_for(config, args.seed)
-    seed_m = derive_seed(args.seed, "method", args.method)
+    if args.method != "retrain" and args.model is None:
+        raise ValidationError("--model is required for unlearning methods")
+    prep = prepare_seed(load_config(args.config), args.seed)
     if args.method == "retrain":
-        model, _ = retrain(d_r, config.pretrain.with_seed(seed_m),
-                           forbidden_ids=d_f.ids)
+        model, _ = prep.retrain()
     else:
-        if args.model is None:
-            raise ValidationError("--model is required for unlearning methods")
-        original = nn.load_model(args.model)
-        request = UnlearnRequest(model=original, d_f=d_f, d_r=d_r,
-                                 config=config.unlearn,
-                                 params=config.params_for(args.method), seed=seed_m)
+        request = prep.request(args.method, nn.load_model(args.model))
         model = UNLEARN_METHODS[args.method](request)
     nn.save_model(model, args.out)
     print(f"wrote {args.method} model to {args.out}")
@@ -224,27 +192,20 @@ def _cmd_unlearn(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config = load_config(args.config)
-    _, test_ds, d_f, d_r, spec = _split_for(config, args.seed)
+    prep = prepare_seed(load_config(args.config), args.seed)
     model = nn.load_model(args.model)
     model_r = nn.load_model(args.retrain)
-    kl = None
-    if args.method == "retrain":
-        kl = 0.0
-    elif args.method in UNLEARN_METHODS:
-        request = UnlearnRequest(model=model, d_f=d_f, d_r=d_r,
-                                 config=config.unlearn,
-                                 params=config.params_for(args.method),
-                                 seed=derive_seed(args.seed, "method", args.method))
-        d_ul = unlearning_dataset(args.method, request)
-        if d_ul is not None:
-            kl = metrics.kl_avg(model_r, d_ul)
-    report = evaluate_model(model, d_r, d_f, test_ds, spec, kl=kl)
-    reference = evaluate_model(model_r, d_r, d_f, test_ds, spec, kl=0.0)
+    kl = 0.0 if args.method == "retrain" else None
+    if args.method in UNLEARN_METHODS:
+        # the set the method trained on was built from the original model
+        d_ul = unlearning_dataset(args.method, prep.request(args.method))
+        kl = None if d_ul is None else metrics.kl_avg(model_r, d_ul)
+    report = evaluate_model(model, prep.d_r, prep.d_f, prep.test, prep.spec, kl=kl)
+    reference = evaluate_model(model_r, prep.d_r, prep.d_f, prep.test, prep.spec, kl=0.0)
     write_report_csv(Path(args.out), report, reference)
     print(f"wrote report to {args.out}")
     if args.hist_prefix is not None:
-        for name, subset in (("forget", d_f), ("test", test_ds)):
+        for name, subset in (("forget", prep.d_f), ("test", prep.test)):
             counts, edges = metrics.entropy_histogram(model, subset, args.hist_bins)
             path = f"{args.hist_prefix}_{name}.csv"
             with open(path, "w", encoding="ascii") as fh:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import MetricSetMismatchError, ValidationError
-from .nn import Model, predict_logits, softmax
+from .nn import Model, plogp, predict_logits, softmax
 
 KL_SMOOTHING_EPS = 1e-6
 
@@ -31,7 +31,7 @@ def accuracy(model: Model, ds: Dataset) -> float:
 def entropies(model: Model, ds: Dataset) -> np.ndarray:
     """Prediction entropy in nats for every instance; each in [0, ln K]."""
     p = softmax(predict_logits(model, ds.pixels).astype(np.float64))
-    return -np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0).sum(axis=1)
+    return -plogp(p)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def plogp(p: np.ndarray) -> np.ndarray:
+    """Row sums of p * log(p) with 0 * log(0) = 0: each row's entropy, negated."""
+    return np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0).sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # backward
 
@@ -169,9 +174,8 @@ def backward(model: Model, batch: np.ndarray, labels=None, soft_targets=None,
         delta /= n
     else:
         q = soft_targets
-        ent = np.where(q > 0, q * np.log(np.where(q > 0, q, 1.0)), 0.0).sum(axis=1)
         cross = (q * (shifted - np.log(total))).sum(axis=1)
-        loss = float((temperature ** 2 * (ent - cross)).sum()) / n
+        loss = float((temperature ** 2 * (plogp(q) - cross)).sum()) / n
         delta = (temperature * (p - soft_targets) / n).astype(logits.dtype)
 
     if out is None:
@@ -418,6 +422,8 @@ def load_model(path: str) -> Model:
             shapes.append((in_dim, out_dim))
     except struct.error as exc:
         raise CheckpointFormatError(f"truncated checkpoint header in {path}") from exc
+    if not shapes:
+        raise CheckpointFormatError(f"checkpoint {path} has no layers")
     for (in_a, out_a), (in_b, _) in zip(shapes, shapes[1:]):
         if out_a != in_b:
             raise CheckpointFormatError("checkpoint layer dims do not chain")

@@ -10,12 +10,14 @@ only in the manifest, never in CSVs.
 """
 
 import configparser
+import contextlib
 import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .methods import (
     retrain,
     unlearning_dataset,
 )
-from .nn import Model, TrainConfig, init_model, train
+from .nn import Model, TrainConfig, TrainingTrace, init_model, train
 from .seeding import derive_seed
 
 
@@ -133,31 +135,29 @@ def _config_dict(cfg: TrainConfig) -> dict:
 # config file parsing
 
 
-def _parse_train_section(section) -> TrainConfig:
-    return TrainConfig(
-        epochs=section.getint("epochs", 5),
-        batch_size=section.getint("batch_size", 64),
-        base_lr=section.getfloat("base_lr", 1e-3),
-        weight_decay=section.getfloat("weight_decay", 0.0),
-        optimizer=section.get("optimizer", "adamw"),
-    )
+# field type -> the configparser getter that reads it
+_GETTERS = {int: "getint", float: "getfloat", bool: "getboolean", str: "get"}
 
 
-def _parse_method_params(section) -> MethodParams:
-    kwargs = {}
-    for key in ("n", "cutmix_edge"):
-        if key in section:
-            kwargs[key] = section.getint(key)
-    for key in ("delta", "temperature", "ascent_coefficient"):
-        if key in section:
-            kwargs[key] = section.getfloat(key)
-    for key in ("mask_family", "variant"):
-        if key in section:
-            kwargs[key] = section.get(key)
-    for key in ("shuffle_masks", "reinit_final_layer"):
-        if key in section:
-            kwargs[key] = section.getboolean(key)
-    return MethodParams(**kwargs)
+def _read_section(section, default):
+    """`default` with each field the section sets, read at the field's type;
+    a missing key keeps its default."""
+    values = {}
+    for f in fields(default):
+        if f.name in section and f.name != "seed":  # seeds fan out from the run seed
+            kind = next(t for t in (f.type, *get_args(f.type)) if t in _GETTERS)
+            values[f.name] = getattr(section, _GETTERS[kind])(f.name)
+    return replace(default, **values)
+
+
+def _parse_method_params(method: str, section) -> MethodParams:
+    if method not in METHOD_NAMES:
+        raise ConfigError(f"unknown method section [method.{method}]; "
+                          f"expected one of {METHOD_NAMES}")
+    unknown = sorted(set(section) - {f.name for f in fields(MethodParams)})
+    if unknown:
+        raise ConfigError(f"unknown keys in [method.{method}]: {', '.join(unknown)}")
+    return _read_section(section, MethodParams())
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -179,16 +179,7 @@ def _config_from_parser(parser) -> ExperimentConfig:
         sec = parser["dataset"]
         kind = sec.get("kind", "synth")
         if kind == "synth":
-            spread = sec.getfloat("spread") if "spread" in sec else None
-            cfg.synth = SynthSpec(
-                k=sec.getint("k", 10),
-                per_class=sec.getint("per_class", 500),
-                test_per_class=sec.getint("test_per_class", 100),
-                height=sec.getint("height", 16),
-                width=sec.getint("width", 16),
-                channels=sec.getint("channels", 1),
-                spread=spread,
-            )
+            cfg.synth = _read_section(sec, SynthSpec())
         elif kind == "uds":
             cfg.synth = None
             cfg.train_path = sec.get("train_path")
@@ -198,15 +189,15 @@ def _config_from_parser(parser) -> ExperimentConfig:
         if "superclass_map" in sec:
             cfg.superclass_map = [int(x) for x in sec["superclass_map"].split(",")]
     if "pretrain" in parser:
-        cfg.pretrain = _parse_train_section(parser["pretrain"])
+        cfg.pretrain = _read_section(parser["pretrain"], cfg.pretrain)
     if "unlearn" in parser:
-        cfg.unlearn = _parse_train_section(parser["unlearn"])
+        cfg.unlearn = _read_section(parser["unlearn"], cfg.unlearn)
     if "forget" in parser:
         sec = parser["forget"]
-        cfg.forget_mode = sec.get("mode", "random")
-        cfg.forget_ratio = sec.getfloat("ratio", 0.01)
-        cfg.forget_class = sec.getint("class_index", 0)
-        cfg.forget_scope = sec.get("scope", "full")
+        cfg.forget_mode = sec.get("mode", cfg.forget_mode)
+        cfg.forget_ratio = sec.getfloat("ratio", cfg.forget_ratio)
+        cfg.forget_class = sec.getint("class_index", cfg.forget_class)
+        cfg.forget_scope = sec.get("scope", cfg.forget_scope)
     if "run" in parser:
         sec = parser["run"]
         if "seeds" in sec:
@@ -216,7 +207,8 @@ def _config_from_parser(parser) -> ExperimentConfig:
         cfg.output_dir = sec.get("output_dir", cfg.output_dir)
     for name in parser.sections():
         if name.startswith("method."):
-            cfg.method_params[name.split(".", 1)[1]] = _parse_method_params(parser[name])
+            method = name.split(".", 1)[1]
+            cfg.method_params[method] = _parse_method_params(method, parser[name])
     return cfg
 
 
@@ -249,20 +241,85 @@ def pretrain_model(config: ExperimentConfig, train_ds: Dataset, root_seed: int,
                  trace_correctness=with_trace)
 
 
+@dataclass
+class PreparedSeed:
+    """A root seed's data, split and stage seeds, as `run` and the stage CLI use them."""
+
+    config: ExperimentConfig
+    root: int
+    train: Dataset
+    test: Dataset
+    spec: ForgettingSpec
+    d_f: Dataset
+    d_r: Dataset
+    stage_seeds: dict
+    trace: TrainingTrace | None = None
+    model_o: Model | None = None
+
+    @property
+    def original(self) -> Model:
+        """The pretrained model; trained on first use unless the split needed it."""
+        if self.model_o is None:
+            self.model_o, _ = pretrain_model(self.config, self.train, self.root)
+        return self.model_o
+
+    def method_seed(self, method: str) -> int:
+        return derive_seed(self.root, "method", method)
+
+    def request(self, method: str, model: Model | None = None,
+                epoch_callback=None) -> UnlearnRequest:
+        """`method`'s unlearning request; `model` defaults to the original."""
+        return UnlearnRequest(
+            model=self.original if model is None else model, d_f=self.d_f, d_r=self.d_r,
+            config=self.config.unlearn, params=self.config.params_for(method),
+            seed=self.method_seed(method), epoch_callback=epoch_callback)
+
+    def retrain(self, epoch_callback=None):
+        """The retrain oracle on the remaining set: (model, audit)."""
+        return retrain(self.d_r, self.config.pretrain.with_seed(self.method_seed("retrain")),
+                       forbidden_ids=self.d_f.ids, epoch_callback=epoch_callback)
+
+
+def prepare_seed(config: ExperimentConfig, root: int,
+                 stage=lambda name: contextlib.nullcontext(),
+                 with_trace: bool = False) -> PreparedSeed:
+    """Data, forgetting split and stage seeds of one root seed. The original
+    model is pretrained here, with its trace, when the split ranks samples by
+    it (difficult mode) or `with_trace` is set; otherwise on first use.
+    `stage(name)` is a context manager around each step."""
+    seeds = {name: derive_seed(root, name) for name in ("dataset", "pretrain", "forget")}
+    with stage("dataset"):
+        train_ds, test_ds = materialize_data(config, seeds["dataset"])
+    model_o = trace = None
+    if with_trace or config.forget_mode == "difficult":
+        with stage("pretrain"):
+            model_o, trace = pretrain_model(config, train_ds, root, with_trace=True)
+    with stage("forget"):
+        spec = ForgettingSpec(mode=config.forget_mode, ratio=config.forget_ratio,
+                              class_index=config.forget_class, scope=config.forget_scope,
+                              seed=seeds["forget"])
+        d_f, d_r = split_forget(train_ds, spec, trace)
+    return PreparedSeed(config, root, train_ds, test_ds, spec, d_f, d_r, seeds,
+                        trace, model_o)
+
+
 def _fmt(value) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def write_report_csv(path: Path, report: MetricsReport, reference: MetricsReport):
+def write_report_csv(path: Path, report: MetricsReport, reference: MetricsReport) -> dict:
+    """Write the report's rows; returns their values and gaps by metric name."""
+    values, ref = dict(report.gap_metrics()), dict(reference.gap_metrics())
     gaps = metric_gaps(report, reference)
-    ref = dict(reference.gap_metrics())
+    values["KL_avg"], ref["KL_avg"] = report.kl, 0.0
+    gaps["KL_avg"] = None if report.kl is None else abs(report.kl - 0.0)
     lines = ["metric,value,retrain_value,gap"]
-    for name, value in report.gap_metrics():
+    for name, value in values.items():
         lines.append(f"{name},{_fmt(value)},{_fmt(ref[name])},{_fmt(gaps[name])}")
-    kl_gap = None if report.kl is None else abs(report.kl - 0.0)
-    lines.append(f"KL_avg,{_fmt(report.kl)},{_fmt(0.0)},{_fmt(kl_gap)}")
-    lines.append(f"Avg.Gap,,,{_fmt(avg_gap(report, reference))}")
+    values["Avg.Gap"] = gaps["Avg.Gap"] = avg_gap(report, reference)
+    lines.append(f"Avg.Gap,,,{_fmt(gaps['Avg.Gap'])}")
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return {"values": values, "gaps": gaps}
 
 
 def _aggregate_rows(per_seed: dict, methods, class_wise: bool):
@@ -321,24 +378,32 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
         "retrain_audit": {},
         "status": "running",
     }
-    stage_box = ["setup"]
+    failing = ["setup"]  # the stage a failure is reported at
+
+    @contextlib.contextmanager
+    def stage(name):
+        """Time `name` into the manifest (summed over entries); a failure inside
+        reports it."""
+        failing[0] = name
+        t0 = time.perf_counter()
+        yield
+        clock = manifest["wall_clock"]
+        clock[name] = clock.get(name, 0.0) + time.perf_counter() - t0
+
     try:
         per_seed_rows = {}
         for root in config.seeds:
-            per_seed_rows[root] = _run_one_seed(config, root, out_root, manifest,
-                                                stage_box)
-        stage_box[0] = "aggregate"
-        t0 = time.perf_counter()
-        class_wise = config.forget_mode == "class"
-        methods = list(dict.fromkeys(["retrain", *config.methods]))
-        rows = _aggregate_rows(per_seed_rows, methods, class_wise)
-        agg_path = out_root / "aggregate.csv"
-        agg_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        manifest["files"].append(str(agg_path.relative_to(out_root)))
-        manifest["wall_clock"]["aggregate"] = time.perf_counter() - t0
+            per_seed_rows[root] = _run_one_seed(config, root, out_root, manifest, stage)
+        with stage("aggregate"):
+            class_wise = config.forget_mode == "class"
+            methods = list(dict.fromkeys(["retrain", *config.methods]))
+            rows = _aggregate_rows(per_seed_rows, methods, class_wise)
+            agg_path = out_root / "aggregate.csv"
+            agg_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            manifest["files"].append(str(agg_path.relative_to(out_root)))
         manifest["status"] = "complete"
     except Exception as exc:
-        manifest["status"] = f"failed at {stage_box[0]}: {exc}"
+        manifest["status"] = f"failed at {failing[0]}: {exc}"
         _write_manifest(out_root, manifest)
         raise
     _write_manifest(out_root, manifest)
@@ -351,32 +416,17 @@ def _write_manifest(out_root: Path, manifest: dict) -> None:
 
 
 def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path,
-                  manifest: dict, stage_box: list) -> dict:
+                  manifest: dict, run_stage) -> dict:
     seed_dir = out_root / f"seed_{root}"
     seed_dir.mkdir(parents=True, exist_ok=True)
-    stage_seeds = {
-        "dataset": derive_seed(root, "dataset"),
-        "pretrain": derive_seed(root, "pretrain"),
-        "forget": derive_seed(root, "forget"),
-    }
-    clocks = {}
 
-    stage_box[0] = f"seed{root}/dataset"
-    t0 = time.perf_counter()
-    train_ds, test_ds = materialize_data(config, stage_seeds["dataset"])
-    clocks["dataset"] = time.perf_counter() - t0
+    def stage(name):
+        return run_stage(f"seed{root}/{name}")
 
-    stage_box[0] = f"seed{root}/pretrain"
-    t0 = time.perf_counter()
-    with_trace = config.forget_mode == "difficult"
-    model_o, trace = pretrain_model(config, train_ds, root, with_trace=with_trace)
-    clocks["pretrain"] = time.perf_counter() - t0
-
-    stage_box[0] = f"seed{root}/forget"
-    spec = ForgettingSpec(mode=config.forget_mode, ratio=config.forget_ratio,
-                          class_index=config.forget_class, scope=config.forget_scope,
-                          seed=stage_seeds["forget"])
-    d_f, d_r = split_forget(train_ds, spec, trace)
+    prep = prepare_seed(config, root, stage)
+    d_f, d_r = prep.d_f, prep.d_r
+    with stage("pretrain"):
+        prep.original  # trained here, so no method's clock counts it
 
     curves = ["method,epoch,fa,ra"]
 
@@ -386,52 +436,31 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path,
                           f"{accuracy(model, d_r):.6f}")
         return cb
 
-    stage_box[0] = f"seed{root}/method:retrain"
-    t0 = time.perf_counter()
-    retrain_seed = derive_seed(root, "method", "retrain")
-    stage_seeds["method:retrain"] = retrain_seed
-    model_r, audit = retrain(d_r, config.pretrain.with_seed(retrain_seed),
-                             forbidden_ids=d_f.ids, epoch_callback=curve_recorder("retrain"))
-    clocks["method:retrain"] = time.perf_counter() - t0
+    with stage("method:retrain"):
+        model_r, audit = prep.retrain(curve_recorder("retrain"))
     manifest["retrain_audit"][str(root)] = audit
 
-    reports = {"retrain": evaluate_model(model_r, d_r, d_f, test_ds, spec, kl=0.0)}
+    reports = {"retrain": evaluate_model(model_r, d_r, d_f, prep.test, prep.spec, kl=0.0)}
     for method in config.methods:
         if method == "retrain":
             continue
-        stage_box[0] = f"seed{root}/method:{method}"
-        t0 = time.perf_counter()
-        seed_m = derive_seed(root, "method", method)
-        stage_seeds[f"method:{method}"] = seed_m
-        request = UnlearnRequest(
-            model=model_o, d_f=d_f, d_r=d_r,
-            config=config.unlearn, params=config.params_for(method),
-            seed=seed_m, epoch_callback=curve_recorder(method))
-        model_u = UNLEARN_METHODS[method](request)
-        d_ul = unlearning_dataset(method, request)  # the set the method built
-        kl = None if d_ul is None else kl_avg(model_r, d_ul)
-        reports[method] = evaluate_model(model_u, d_r, d_f, test_ds, spec, kl=kl)
-        clocks[f"method:{method}"] = time.perf_counter() - t0
+        with stage(f"method:{method}"):
+            request = prep.request(method, epoch_callback=curve_recorder(method))
+            model_u = UNLEARN_METHODS[method](request)
+            d_ul = unlearning_dataset(method, request)  # the set the method built
+            kl = None if d_ul is None else kl_avg(model_r, d_ul)
+            reports[method] = evaluate_model(model_u, d_r, d_f, prep.test, prep.spec, kl=kl)
 
-    stage_box[0] = f"seed{root}/reports"
     rows = {}
-    for method, report in reports.items():
-        path = seed_dir / f"report_{method}.csv"
-        write_report_csv(path, report, reports["retrain"])
-        manifest["files"].append(str(path.relative_to(out_root)))
-        values = dict(report.gap_metrics())
-        values["KL_avg"] = report.kl
-        values["Avg.Gap"] = avg_gap(report, reports["retrain"])
-        gaps = metric_gaps(report, reports["retrain"])
-        gaps["KL_avg"] = None if report.kl is None else abs(report.kl)
-        gaps["Avg.Gap"] = values["Avg.Gap"]
-        rows[method] = {"values": values, "gaps": gaps}
+    with stage("reports"):
+        for method, report in reports.items():
+            path = seed_dir / f"report_{method}.csv"
+            rows[method] = write_report_csv(path, report, reports["retrain"])
+            manifest["files"].append(str(path.relative_to(out_root)))
+        curve_path = seed_dir / "curves.csv"
+        curve_path.write_text("\n".join(curves) + "\n", encoding="ascii")
+        manifest["files"].append(str(curve_path.relative_to(out_root)))
 
-    curve_path = seed_dir / "curves.csv"
-    curve_path.write_text("\n".join(curves) + "\n", encoding="ascii")
-    manifest["files"].append(str(curve_path.relative_to(out_root)))
-
-    manifest["stage_seeds"][str(root)] = stage_seeds
-    for name, value in clocks.items():
-        manifest["wall_clock"][f"seed{root}:{name}"] = value
+    manifest["stage_seeds"][str(root)] = {**prep.stage_seeds, **{
+        f"method:{m}": prep.method_seed(m) for m in ("retrain", *config.methods)}}
     return rows

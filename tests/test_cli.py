@@ -1,3 +1,4 @@
+import filecmp
 import json
 
 import numpy as np
@@ -178,6 +179,31 @@ class TestPipelineCommands:
     def test_bad_argument_is_validation_error(self):
         assert cli.main(["unlearn", "--method", "ssd", "--config", "x",
                          "--out", "y"]) == cli.EXIT_VALIDATION
+
+
+class TestStageRunParity:
+    @pytest.mark.parametrize("mode", ["random", "difficult"])
+    def test_stage_reports_equal_run_reports(self, tmp_path, mode):
+        # every way into the pipeline gives the same report for (config, seed)
+        methods = ("retrain", "amnesiac", "badteacher", "neggrad", "natmu")
+        path = tmp_path / "exp.cfg"
+        path.write_text(CONFIG.replace("mode = random", f"mode = {mode}")
+                        .replace("methods = retrain,natmu", "methods = " + ",".join(methods)))
+        common = ["--config", str(path), "--seed", "1"]
+        original = str(tmp_path / "original.nmu")
+        assert cli.main(["pretrain", *common, "--out", original]) == 0
+        for method in methods:
+            model = [] if method == "retrain" else ["--model", original]
+            assert cli.main(["unlearn", "--method", method, *common, *model,
+                             "--out", str(tmp_path / f"{method}.nmu")]) == 0
+        assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path / "run")]) == 0
+        for method in methods:
+            report = tmp_path / f"report_{method}.csv"
+            assert cli.main(["evaluate", *common, "--model", str(tmp_path / f"{method}.nmu"),
+                             "--retrain", str(tmp_path / "retrain.nmu"), "--method", method,
+                             "--out", str(report)]) == 0
+            assert filecmp.cmp(report, tmp_path / "run" / "seed_1" / f"report_{method}.csv",
+                               shallow=False), method
 
 
 class TestCheckCommand:

@@ -395,6 +395,12 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             nn.load_model(str(path))
 
+    def test_zero_layer_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "empty.nmu"
+        path.write_bytes(b"NMU1" + struct.pack("<I", 0))
+        with pytest.raises(CheckpointFormatError):
+            nn.load_model(str(path))
+
     def test_truncated_payload_rejected(self, tmp_path):
         model = nn.init_model([6, 5, 4], seed=10)
         path = tmp_path / "model.nmu"

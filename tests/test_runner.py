@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,22 @@ class TestConfigParsing:
         cfg = runner.load_config(str(path))
         assert cfg.unlearn.epochs == 5  # reference run length
         assert cfg.synth.k == 10
+
+    def test_partial_section_keeps_experiment_defaults(self, tmp_path):
+        path = tmp_path / "partial.cfg"
+        path.write_text("[unlearn]\nepochs = 2\n[pretrain]\nbase_lr = 0.01\n")
+        cfg = runner.load_config(str(path))
+        default = runner.ExperimentConfig()
+        assert cfg.unlearn == replace(default.unlearn, epochs=2)
+        assert cfg.pretrain == replace(default.pretrain, base_lr=0.01)
+
+    @pytest.mark.parametrize("text", ["[method.nattmu]\nn = 3\n",
+                                      "[method.natmu]\ndetla = 0.5\n"])
+    def test_unknown_method_section_or_key_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            runner.load_config(str(path))
 
     def test_hash_tracks_semantic_fields_only(self, mini_config):
         base = mini_config.hash()
