@@ -14,8 +14,9 @@ import numpy as np
 
 from . import __version__, builder, data, masks, metrics, nn
 from .errors import NatmuError, ValidationError
-from .methods import METHOD_NAMES, UNLEARN_METHODS, natmu_finetune_set, unlearning_dataset
+from .methods import METHOD_NAMES, UNLEARN_METHODS, natmu_finetune_set
 from .runner import (
+    SynthSpec,
     evaluate_model,
     load_config,
     prepare_seed,
@@ -44,12 +45,9 @@ def build_parser() -> _Parser:
     ds_sub = ds.add_subparsers(dest="dataset_command", required=True)
     synth = ds_sub.add_parser("synth")
     synth.add_argument("--out", required=True)
-    synth.add_argument("--k", type=int, default=10)
-    synth.add_argument("--per-class", type=int, default=500)
-    synth.add_argument("--height", type=int, default=16)
-    synth.add_argument("--width", type=int, default=16)
-    synth.add_argument("--channels", type=int, default=1)
-    synth.add_argument("--spread", type=float, default=data.DEFAULT_SPREAD)
+    for flag in ("k", "per_class", "height", "width", "channels", "spread"):
+        synth.add_argument("--" + flag.replace("_", "-"), type=type(getattr(SynthSpec, flag)),
+                           default=getattr(SynthSpec, flag))
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--split", choices=("train", "test"), default="train")
     inspect = ds_sub.add_parser("inspect")
@@ -197,8 +195,7 @@ def _cmd_evaluate(args) -> int:
     model_r = nn.load_model(args.retrain)
     kl = 0.0 if args.method == "retrain" else None
     if args.method in UNLEARN_METHODS:
-        # the set the method trained on was built from the original model
-        d_ul = unlearning_dataset(args.method, prep.request(args.method))
+        d_ul = prep.unlearning_set(args.method)
         kl = None if d_ul is None else metrics.kl_avg(model_r, d_ul)
     report = evaluate_model(model, prep.d_r, prep.d_f, prep.test, prep.spec, kl=kl)
     reference = evaluate_model(model_r, prep.d_r, prep.d_f, prep.test, prep.spec, kl=0.0)

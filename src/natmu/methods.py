@@ -57,7 +57,7 @@ class MethodParams:
 
 @dataclass
 class UnlearnRequest:
-    model: Model
+    model: Model | None  # None: only for the sets outside SETS_FROM_MODEL
     d_f: Dataset
     d_r: Dataset
     config: TrainConfig
@@ -242,6 +242,7 @@ UNLEARN_METHODS = {
 }
 
 METHOD_NAMES = ("retrain",) + tuple(UNLEARN_METHODS)
+SETS_FROM_MODEL = ("natmu", "badteacher")  # unlearning sets that read the request's model
 
 
 def unlearning_dataset(method: str, request: UnlearnRequest) -> Dataset | None:

@@ -290,11 +290,8 @@ def check_mia_oracle() -> CheckResult:
 
 
 def desk_scale_config(out_dir: str) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    cfg.methods = ("retrain", "amnesiac", "natmu")
-    cfg.seeds = (1, 2, 3)
-    cfg.output_dir = out_dir
-    return cfg
+    return ExperimentConfig(methods=("retrain", "amnesiac", "natmu"), seeds=(1, 2, 3),
+                            output_dir=out_dir)
 
 
 def _read_report(path: Path) -> dict:

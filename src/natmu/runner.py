@@ -15,14 +15,15 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import get_args
+from typing import get_args, get_origin
 
 import numpy as np
 
 from . import __version__
 from .data import (
+    DEFAULT_SPREAD,
     Dataset,
     ForgettingSpec,
     forgetting_test_subset,
@@ -43,6 +44,7 @@ from .metrics import (
 )
 from .methods import (
     METHOD_NAMES,
+    SETS_FROM_MODEL,
     UNLEARN_METHODS,
     MethodParams,
     UnlearnRequest,
@@ -62,7 +64,7 @@ class SynthSpec:
     height: int = 16
     width: int = 16
     channels: int = 1
-    spread: float | None = None  # None -> data.DEFAULT_SPREAD
+    spread: float = DEFAULT_SPREAD
 
 
 @dataclass
@@ -79,45 +81,42 @@ class ExperimentConfig:
     forget_ratio: float = 0.01
     forget_class: int = 0
     forget_scope: str = "full"
-    methods: tuple = ("retrain",)
-    method_params: dict = field(default_factory=dict)
-    seeds: tuple = (1,)
+    methods: tuple[str, ...] = ("retrain",)
+    method_params: dict[str, MethodParams] = field(default_factory=dict)
+    seeds: tuple[int, ...] = (1,)
     output_dir: str = "out"
 
     def validate(self) -> None:
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
-        if not self.methods:
-            raise ConfigError("need at least one method")
-        for m in self.methods:
+        """Every check a run makes before any data is made or model trained."""
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"need one or more distinct seeds, got {list(self.seeds)}")
+        if not self.methods or len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"need one or more distinct methods, got {list(self.methods)}")
+        for m in (*self.methods, *self.method_params):
             if m not in METHOD_NAMES:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHOD_NAMES}")
-        if self.synth is None and not (self.train_path and self.test_path):
-            raise ConfigError("dataset must be synth parameters or UDS paths")
-        if self.train_path and not Path(self.train_path).exists():
-            raise ConfigError(f"train dataset not found: {self.train_path}")
-        if self.test_path and not Path(self.test_path).exists():
-            raise ConfigError(f"test dataset not found: {self.test_path}")
-        if self.forget_mode not in ("random", "class", "difficult"):
-            raise ConfigError(f"unknown forgetting mode {self.forget_mode!r}")
+        paths = [path for path in (self.train_path, self.test_path) if path]
+        if len(paths) != (2 if self.synth is None else 0):
+            raise ConfigError("a synth dataset takes no train_path or test_path; "
+                              "kind = uds needs both")
+        for path in paths:
+            if not Path(path).exists():
+                raise ConfigError(f"dataset not found: {path}")
+        self.forget_spec()
+
+    def forget_spec(self, seed: int = 0) -> ForgettingSpec:
+        return ForgettingSpec(mode=self.forget_mode, ratio=self.forget_ratio,
+                              class_index=self.forget_class, scope=self.forget_scope,
+                              seed=seed)
 
     def params_for(self, method: str) -> MethodParams:
         return self.method_params.get(method, MethodParams())
 
     def semantic_dict(self) -> dict:
-        d = {
-            "synth": None if self.synth is None else vars(self.synth),
-            "train_path": self.train_path,
-            "test_path": self.test_path,
-            "superclass_map": self.superclass_map,
-            "pretrain": _config_dict(self.pretrain),
-            "unlearn": _config_dict(self.unlearn),
-            "forget": [self.forget_mode, self.forget_ratio, self.forget_class,
-                       self.forget_scope],
-            "methods": list(self.methods),
-            "method_params": {m: vars(p) for m, p in sorted(self.method_params.items())},
-            "seeds": list(self.seeds),
-        }
+        """Every field but the output directory; training seeds fan out from
+        the run seeds, so the train sections carry none."""
+        d = asdict(self)
+        del d["output_dir"], d["pretrain"]["seed"], d["unlearn"]["seed"]
         return d
 
     def hash(self) -> str:
@@ -125,90 +124,90 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _config_dict(cfg: TrainConfig) -> dict:
-    d = vars(cfg).copy()
-    d.pop("seed")  # seeds fan out from the run seed, not the section
-    return d
-
-
 # ---------------------------------------------------------------------------
 # config file parsing
 
 
-# field type -> the configparser getter that reads it
-_GETTERS = {int: "getint", float: "getfloat", bool: "getboolean", str: "get"}
+# section -> key -> ExperimentConfig field; [dataset] also takes `kind` and,
+# under kind = synth, SynthSpec's fields
+_EXPERIMENT_KEYS = {
+    "dataset": {"train_path": "train_path", "test_path": "test_path",
+                "superclass_map": "superclass_map"},
+    "forget": {"mode": "forget_mode", "ratio": "forget_ratio",
+               "class_index": "forget_class", "scope": "forget_scope"},
+    "run": {"seeds": "seeds", "methods": "methods", "output_dir": "output_dir"},
+}
+_SECTIONS = ("pretrain", "unlearn", *_EXPERIMENT_KEYS)
 
 
-def _read_section(section, default):
-    """`default` with each field the section sets, read at the field's type;
-    a missing key keeps its default."""
+def _value(text: str, kind):
+    """`text` read at field type `kind`; `X | None` reads as X, a list or
+    tuple as comma-separated items."""
+    args = [a for a in get_args(kind) if a not in (type(None), Ellipsis)]
+    if get_origin(kind) in (list, tuple):
+        return get_origin(kind)(_value(item.strip(), args[0]) for item in text.split(","))
+    if args:
+        return _value(text, args[0])
+    if kind is bool:
+        if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"not a boolean: {text!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    return kind(text)
+
+
+def _take(section: dict, target, keys: dict | None = None):
+    """`target` with each field that `section` sets through `keys` (key ->
+    field; default: every field by its own name), read at the field's type.
+    The keys read leave `section`, so what stays there is unknown."""
+    types = {f.name: f.type for f in fields(target)}
+    keys = keys or {name: name for name in types if name != "seed"}  # seeds fan out from [run]
     values = {}
-    for f in fields(default):
-        if f.name in section and f.name != "seed":  # seeds fan out from the run seed
-            kind = next(t for t in (f.type, *get_args(f.type)) if t in _GETTERS)
-            values[f.name] = getattr(section, _GETTERS[kind])(f.name)
-    return replace(default, **values)
-
-
-def _parse_method_params(method: str, section) -> MethodParams:
-    if method not in METHOD_NAMES:
-        raise ConfigError(f"unknown method section [method.{method}]; "
-                          f"expected one of {METHOD_NAMES}")
-    unknown = sorted(set(section) - {f.name for f in fields(MethodParams)})
-    if unknown:
-        raise ConfigError(f"unknown keys in [method.{method}]: {', '.join(unknown)}")
-    return _read_section(section, MethodParams())
+    for key in [key for key in keys if key in section]:
+        text = section.pop(key)
+        try:
+            values[keys[key]] = _value(text, types[keys[key]])
+        except ValueError as exc:
+            raise ConfigError(f"{key} = {text}: {exc}") from exc
+    return replace(target, **values)
 
 
 def load_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    """The experiment in the config file at `path`, checked in full: an
+    unknown section or key, or a value `validate` refuses, is a ConfigError."""
+    if not Path(path).is_file():
         raise ConfigError(f"config file not found: {path}")
+    # `;` starts a comment anywhere; no section lends the others defaults,
+    # so a [DEFAULT] section is unknown like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), default_section="")
     try:
-        cfg = _config_from_parser(parser)
-    except (ValueError, ValidationError) as exc:
+        parser.read(path, encoding="utf-8")
+        cfg = _config_from_sections({name: dict(parser[name]) for name in parser.sections()})
+        cfg.validate()
+    except (configparser.Error, ValueError, ValidationError) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
-    cfg.validate()
     return cfg
 
 
-def _config_from_parser(parser) -> ExperimentConfig:
+def _config_from_sections(sections: dict) -> ExperimentConfig:
+    for name in sections:
+        if name not in _SECTIONS and not name.startswith("method."):
+            raise ConfigError(f"unknown section [{name}]")
     cfg = ExperimentConfig()
-    if "dataset" in parser:
-        sec = parser["dataset"]
-        kind = sec.get("kind", "synth")
-        if kind == "synth":
-            cfg.synth = _read_section(sec, SynthSpec())
-        elif kind == "uds":
-            cfg.synth = None
-            cfg.train_path = sec.get("train_path")
-            cfg.test_path = sec.get("test_path")
-        else:
-            raise ConfigError(f"unknown dataset kind {kind!r}")
-        if "superclass_map" in sec:
-            cfg.superclass_map = [int(x) for x in sec["superclass_map"].split(",")]
-    if "pretrain" in parser:
-        cfg.pretrain = _read_section(parser["pretrain"], cfg.pretrain)
-    if "unlearn" in parser:
-        cfg.unlearn = _read_section(parser["unlearn"], cfg.unlearn)
-    if "forget" in parser:
-        sec = parser["forget"]
-        cfg.forget_mode = sec.get("mode", cfg.forget_mode)
-        cfg.forget_ratio = sec.getfloat("ratio", cfg.forget_ratio)
-        cfg.forget_class = sec.getint("class_index", cfg.forget_class)
-        cfg.forget_scope = sec.get("scope", cfg.forget_scope)
-    if "run" in parser:
-        sec = parser["run"]
-        if "seeds" in sec:
-            cfg.seeds = tuple(int(x) for x in sec["seeds"].split(","))
-        if "methods" in sec:
-            cfg.methods = tuple(m.strip() for m in sec["methods"].split(","))
-        cfg.output_dir = sec.get("output_dir", cfg.output_dir)
-    for name in parser.sections():
+    dataset = sections.get("dataset", {})
+    kind = dataset.pop("kind", "synth")
+    if kind not in ("synth", "uds"):
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    cfg.synth = _take(dataset, cfg.synth) if kind == "synth" else None
+    for name, keys in _EXPERIMENT_KEYS.items():
+        cfg = _take(sections.get(name, {}), cfg, keys)
+    cfg.pretrain = _take(sections.get("pretrain", {}), cfg.pretrain)
+    cfg.unlearn = _take(sections.get("unlearn", {}), cfg.unlearn)
+    for name, section in sections.items():
         if name.startswith("method."):
-            method = name.split(".", 1)[1]
-            cfg.method_params[method] = _parse_method_params(method, parser[name])
+            cfg.method_params[name[len("method."):]] = _take(section, MethodParams())
+    unknown = [f"[{name}] {key}" for name, section in sections.items() for key in section]
+    if unknown:
+        raise ConfigError(f"unknown keys: {', '.join(unknown)}")
     return cfg
 
 
@@ -219,11 +218,10 @@ def _config_from_parser(parser) -> ExperimentConfig:
 def materialize_data(config: ExperimentConfig, data_seed: int) -> tuple[Dataset, Dataset]:
     if config.synth is not None:
         s = config.synth
-        kwargs = {} if s.spread is None else {"spread": s.spread}
-        train_ds = synth_blobs(s.k, s.per_class, s.height, s.width, s.channels,
-                               seed=data_seed, split="train", **kwargs)
-        test_ds = synth_blobs(s.k, s.test_per_class, s.height, s.width, s.channels,
-                              seed=data_seed, split="test", **kwargs)
+        train_ds = synth_blobs(s.k, s.per_class, s.height, s.width, s.channels, s.spread,
+                               seed=data_seed, split="train")
+        test_ds = synth_blobs(s.k, s.test_per_class, s.height, s.width, s.channels, s.spread,
+                              seed=data_seed, split="test")
     else:
         train_ds = load_raw(config.train_path, split="train")
         test_ds = load_raw(config.test_path, split="test")
@@ -266,13 +264,20 @@ class PreparedSeed:
     def method_seed(self, method: str) -> int:
         return derive_seed(self.root, "method", method)
 
-    def request(self, method: str, model: Model | None = None,
+    def request(self, method: str, model: Model | None,
                 epoch_callback=None) -> UnlearnRequest:
-        """`method`'s unlearning request; `model` defaults to the original."""
+        """`method`'s unlearning request on `model`: the original model, or
+        None to build an unlearning set that never reads it."""
         return UnlearnRequest(
-            model=self.original if model is None else model, d_f=self.d_f, d_r=self.d_r,
+            model=model, d_f=self.d_f, d_r=self.d_r,
             config=self.config.unlearn, params=self.config.params_for(method),
             seed=self.method_seed(method), epoch_callback=epoch_callback)
+
+    def unlearning_set(self, method: str) -> Dataset | None:
+        """The relabeled set `method` trains on in `run` (None if it has
+        none); the original model is trained for it only if the set reads it."""
+        model = self.original if method in SETS_FROM_MODEL else None
+        return unlearning_dataset(method, self.request(method, model))
 
     def retrain(self, epoch_callback=None):
         """The retrain oracle on the remaining set: (model, audit)."""
@@ -295,9 +300,7 @@ def prepare_seed(config: ExperimentConfig, root: int,
         with stage("pretrain"):
             model_o, trace = pretrain_model(config, train_ds, root, with_trace=True)
     with stage("forget"):
-        spec = ForgettingSpec(mode=config.forget_mode, ratio=config.forget_ratio,
-                              class_index=config.forget_class, scope=config.forget_scope,
-                              seed=seeds["forget"])
+        spec = config.forget_spec(seeds["forget"])
         d_f, d_r = split_forget(train_ds, spec, trace)
     return PreparedSeed(config, root, train_ds, test_ds, spec, d_f, d_r, seeds,
                         trace, model_o)
@@ -369,6 +372,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
     out_root = Path(out_dir or os.environ.get("OUTPUT_DIR", config.output_dir))
     out_root.mkdir(parents=True, exist_ok=True)
     manifest = {
+        "config": config.semantic_dict(),
         "config_hash": config.hash(),
         "version": __version__,
         "seeds": list(config.seeds),
@@ -445,7 +449,7 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path,
         if method == "retrain":
             continue
         with stage(f"method:{method}"):
-            request = prep.request(method, epoch_callback=curve_recorder(method))
+            request = prep.request(method, prep.original, curve_recorder(method))
             model_u = UNLEARN_METHODS[method](request)
             d_ul = unlearning_dataset(method, request)  # the set the method built
             kl = None if d_ul is None else kl_avg(model_r, d_ul)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from natmu import cli, data, masks
+from natmu import cli, data, masks, runner
 
 CONFIG = """
 [dataset]
@@ -59,6 +59,12 @@ class TestDatasetCommands:
         captured = capsys.readouterr().out
         assert "N=15" in captured and "K=3" in captured
         assert "class 2: 5" in captured
+
+    def test_synth_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["dataset", "synth", "--out", "x.uds"])
+        spec = runner.SynthSpec()
+        for flag in ("k", "per_class", "height", "width", "channels", "spread"):
+            assert getattr(args, flag) == getattr(spec, flag), flag
 
     def test_inspect_bad_file_exits_validation(self, tmp_path, capsys):
         bad = tmp_path / "junk.uds"
@@ -160,6 +166,21 @@ class TestPipelineCommands:
                   if r.startswith("KL_avg")][0]
         assert kl_row.split(",")[1] == ""
 
+    @pytest.mark.parametrize("method, pretrains", [
+        ("amnesiac", 0), ("neggrad", 0), ("badteacher", 1), ("natmu", 1)])
+    def test_evaluate_pretrains_only_for_sets_read_from_the_model(
+            self, tmp_path, config_path, monkeypatch, method, pretrains):
+        model = str(tmp_path / "m.nmu")
+        assert cli.main(["pretrain", "--config", config_path, "--out", model]) == 0
+        calls = []
+        pretrain = runner.pretrain_model
+        monkeypatch.setattr(runner, "pretrain_model",
+                            lambda *a, **k: calls.append(a) or pretrain(*a, **k))
+        assert cli.main(["evaluate", "--config", config_path, "--model", model,
+                         "--retrain", model, "--method", method,
+                         "--out", str(tmp_path / "report.csv")]) == 0
+        assert len(calls) == pretrains
+
     def test_unlearn_without_model_is_validation_error(self, tmp_path, config_path):
         assert cli.main(["unlearn", "--method", "natmu", "--config", config_path,
                          "--seed", "1", "--out", str(tmp_path / "x.nmu")]) == \
@@ -182,13 +203,26 @@ class TestPipelineCommands:
 
 
 class TestStageRunParity:
-    @pytest.mark.parametrize("mode", ["random", "difficult"])
+    # mode -> the CONFIG lines it replaces
+    MODES = {
+        "random": {},
+        "difficult": {"mode = random": "mode = difficult"},
+        # sub-class forgetting under a superclass map; 3 superclasses leave n = 2
+        "class": {"mode = random\nratio = 0.1": "mode = class\nclass_index = 4\nscope = sub",
+                  "spread = 0.5": "spread = 0.5\nsuperclass_map = 0,0,1,1,2,2",
+                  "n = 3": "n = 2"},
+    }
+
+    @pytest.mark.parametrize("mode", ["random", "difficult", "class"])
     def test_stage_reports_equal_run_reports(self, tmp_path, mode):
         # every way into the pipeline gives the same report for (config, seed)
         methods = ("retrain", "amnesiac", "badteacher", "neggrad", "natmu")
+        text = CONFIG.replace("methods = retrain,natmu", "methods = " + ",".join(methods))
+        for old, new in self.MODES[mode].items():
+            assert old in text
+            text = text.replace(old, new)
         path = tmp_path / "exp.cfg"
-        path.write_text(CONFIG.replace("mode = random", f"mode = {mode}")
-                        .replace("methods = retrain,natmu", "methods = " + ",".join(methods)))
+        path.write_text(text)
         common = ["--config", str(path), "--seed", "1"]
         original = str(tmp_path / "original.nmu")
         assert cli.main(["pretrain", *common, "--out", original]) == 0

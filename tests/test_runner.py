@@ -1,16 +1,19 @@
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from natmu import runner
+from natmu import cli, data, runner
 from natmu.errors import ConfigError, ValidationError
-from natmu.methods import MethodParams
+from natmu.methods import METHOD_NAMES, MethodParams
+
+REPO = Path(__file__).resolve().parents[1]
 
 MINI_CONFIG = """
 [dataset]
@@ -106,13 +109,84 @@ class TestConfigParsing:
         assert cfg.unlearn == replace(default.unlearn, epochs=2)
         assert cfg.pretrain == replace(default.pretrain, base_lr=0.01)
 
-    @pytest.mark.parametrize("text", ["[method.nattmu]\nn = 3\n",
-                                      "[method.natmu]\ndetla = 0.5\n"])
-    def test_unknown_method_section_or_key_rejected(self, tmp_path, text):
+    UDS = "[dataset]\nkind = uds\ntrain_path = {train}\ntest_path = {test}\n"
+    UNKNOWN = [  # (config text, the unknown name its error must give)
+        ("[method.nattmu]\nn = 3\n", "nattmu"),
+        ("[method.natmu]\ndetla = 0.5\n", "detla"),
+        ("[pretrian]\nepochs = 3\n", "pretrian"),
+        ("[dataset]\nkind = synth\nkk = 3\n", "kk"),
+        ("[pretrain]\nepocs = 99\n", "epocs"),
+        ("[unlearn]\nbase_rl = 0.1\n", "base_rl"),
+        ("[forget]\nmode = class\nclas_index = 3\n", "clas_index"),
+        ("[run]\noutdir = x\n", "outdir"),
+        ("[pretrain]\nseed = 7\n", "seed"),  # seeds fan out from [run] seeds
+        ("[dataset]\nkind = synth\ntrain_path = {train}\n", "train_path"),
+        (UDS + "k = 3\n", "k"),
+        ("[DEFAULT]\nepochs = 3\n", "DEFAULT"),
+    ]
+
+    @pytest.mark.parametrize("text, match", UNKNOWN, ids=[text for text, _ in UNKNOWN])
+    def test_unknown_method_section_or_key_rejected(self, tmp_path, text, match):
+        files = {}
+        for split in ("train", "test"):
+            files[split] = tmp_path / f"{split}.uds"
+            data.save_raw(data.synth_blobs(3, 4, 2, 2, 1, seed=1, split=split), files[split])
         path = tmp_path / "bad.cfg"
-        path.write_text(text)
-        with pytest.raises(ConfigError):
+        path.write_text(text.format(**files))
+        with pytest.raises(ConfigError, match=match):
             runner.load_config(str(path))
+        lines = text.format(**files).splitlines()
+        known = [line for line in lines if not line.startswith(f"{match} =")]
+        if len(known) < len(lines):  # without the unknown key the file loads
+            path.write_text("\n".join(known))
+            runner.load_config(str(path))
+
+    @pytest.mark.parametrize("key, value", [("seeds", (1, 2, 1)),
+                                            ("methods", ("retrain", "natmu", "natmu"))])
+    def test_duplicate_seeds_or_methods_rejected(self, tmp_path, key, value):
+        path = tmp_path / "dup.cfg"
+        path.write_text(f"[run]\n{key} = {','.join(map(str, value))}\n")
+        with pytest.raises(ConfigError, match=f"distinct {key}"):
+            runner.load_config(str(path))
+        with pytest.raises(ConfigError, match=f"distinct {key}"):
+            runner.ExperimentConfig(**{key: value}).validate()
+
+    def test_method_params_of_unknown_method_rejected_in_code(self):
+        config = runner.ExperimentConfig(method_params={"nattmu": MethodParams()})
+        with pytest.raises(ConfigError, match="nattmu"):
+            config.validate()
+
+    def test_bad_forgetting_ratio_fails_before_any_training(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner, "pretrain_model", lambda *a, **k: calls.append(a))
+        path = tmp_path / "difficult.cfg"
+        path.write_text("[forget]\nmode = difficult\nratio = 1.5\n")
+        with pytest.raises(ConfigError, match="ratio"):
+            runner.load_config(str(path))
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+        assert calls == []
+
+    def test_readme_full_surface_block_loads(self, tmp_path):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        block = readme.split("The full surface:\n\n```\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "full.cfg"
+        path.write_text(block)
+        cfg = runner.load_config(str(path))  # `;` comments included
+        assert cfg.synth.k == 10 and cfg.pretrain.optimizer == "adamw"
+        assert cfg.forget_mode == "random" and cfg.params_for("natmu").mask_family == "gradual"
+
+    def test_desk_config_is_the_default_experiment(self):
+        # the defaults reproduce the calibrated desk setup: desk.cfg adds only
+        # its [run] choices, and its method sections restate the defaults
+        desk = runner.load_config(str(REPO / "configs" / "desk.cfg"))
+        default = runner.ExperimentConfig()
+        run_fields = {"seeds", "methods", "output_dir", "method_params"}
+        for f in fields(runner.ExperimentConfig):
+            if f.name not in run_fields:
+                assert getattr(desk, f.name) == getattr(default, f.name), f.name
+        for method in METHOD_NAMES:
+            assert desk.params_for(method) == default.params_for(method), method
 
     def test_hash_tracks_semantic_fields_only(self, mini_config):
         base = mini_config.hash()
@@ -145,6 +219,14 @@ class TestRunExperiment:
         assert (out / "manifest.json").exists()
         on_disk = json.loads((out / "manifest.json").read_text())
         assert on_disk["status"] == "complete"
+
+    def test_manifest_carries_the_hashed_config(self, finished_run):
+        _, _, out = finished_run
+        manifest = json.loads((out / "manifest.json").read_text())
+        blob = json.dumps(manifest["config"], sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == manifest["config_hash"]
+        assert manifest["config"]["unlearn"]["base_lr"] == 0.003
+        assert manifest["config"]["method_params"]["natmu"]["n"] == 3
 
     def test_report_files_exist_per_seed_and_method(self, finished_run):
         _, manifest, out = finished_run
