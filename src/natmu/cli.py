@@ -71,7 +71,8 @@ def build_parser() -> _Parser:
     pre = sub.add_parser("pretrain", parents=[seeded], help="train the original model")
     pre.add_argument("--out", required=True)
     pre.add_argument("--trace", default=None,
-                     help="write per-sample correct-epoch counts as JSON")
+                     help="also write the trace record (per-sample correct-epoch "
+                          "counts) to this path")
 
     build = sub.add_parser("build", parents=[seeded], help="construct natmu's fine-tuning set")
     build.add_argument("--model", required=True)
@@ -137,17 +138,36 @@ def _cmd_mask(args) -> int:
     return EXIT_OK
 
 
+# In difficult mode the split ranks samples by the pretrain's trace. Every
+# checkpoint the stage commands write gets the record of that trace beside
+# it, and the commands given a checkpoint read the split back from there.
+RECORD_SUFFIX = ".trace.json"
+
+
+def _records(config, *checkpoints) -> list[str]:
+    """The trace records beside `checkpoints` that a difficult-mode split comes from."""
+    difficult = config.forget_mode == "difficult"
+    return [checkpoint + RECORD_SUFFIX for checkpoint in checkpoints] if difficult else []
+
+
+def _write_record(prep, path: str) -> None:
+    Path(path).write_text(json.dumps(prep.trace_record()), encoding="ascii")
+    print(f"wrote trace record to {path}")
+
+
+def _save_checkpoint(prep, model, path: str, what: str) -> None:
+    nn.save_model(model, path)
+    print(f"wrote {what} to {path}")
+    if prep.config.forget_mode == "difficult":
+        _write_record(prep, path + RECORD_SUFFIX)
+
+
 def _cmd_pretrain(args) -> int:
     prep = prepare_seed(load_config(args.config), args.seed,
                         with_trace=args.trace is not None)
-    nn.save_model(prep.original, args.out)
-    print(f"wrote model to {args.out}")
+    _save_checkpoint(prep, prep.original, args.out, "model")
     if args.trace is not None:
-        trace = prep.trace
-        payload = {"ids": trace.ids.tolist(), "counts": trace.counts.tolist(),
-                   "epochs": trace.epochs}
-        Path(args.trace).write_text(json.dumps(payload), encoding="ascii")
-        print(f"wrote trace to {args.trace}")
+        _write_record(prep, args.trace)
     return EXIT_OK
 
 
@@ -157,7 +177,7 @@ def _cmd_build(args) -> int:
                  if getattr(args, key) is not None}
     config.method_params["natmu"] = dataclasses.replace(config.params_for("natmu"),
                                                         **overrides)
-    prep = prepare_seed(config, args.seed)
+    prep = prepare_seed(config, args.seed, records=_records(config, args.model))
     finetune = natmu_finetune_set(prep.request("natmu", nn.load_model(args.model)))
     data.save_raw(finetune.data, args.out)
     print(f"wrote {len(finetune)} instances ({len(finetune.instances)} unlearning) "
@@ -178,19 +198,23 @@ def _cmd_build(args) -> int:
 def _cmd_unlearn(args) -> int:
     if args.method != "retrain" and args.model is None:
         raise ValidationError("--model is required for unlearning methods")
-    prep = prepare_seed(load_config(args.config), args.seed)
-    if args.method == "retrain":
+    config = load_config(args.config)
+    if args.method == "retrain":  # no checkpoint to read a split from
+        prep = prepare_seed(config, args.seed)
         model, _ = prep.retrain()
     else:
+        prep = prepare_seed(config, args.seed, records=_records(config, args.model))
         request = prep.request(args.method, nn.load_model(args.model))
         model = UNLEARN_METHODS[args.method](request)
-    nn.save_model(model, args.out)
-    print(f"wrote {args.method} model to {args.out}")
+    _save_checkpoint(prep, model, args.out, f"{args.method} model")
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    prep = prepare_seed(load_config(args.config), args.seed)
+    if args.hist_bins < 1:
+        raise ValidationError(f"--hist-bins must be >= 1, got {args.hist_bins}")
+    config = load_config(args.config)
+    prep = prepare_seed(config, args.seed, records=_records(config, args.model, args.retrain))
     model = nn.load_model(args.model)
     model_r = nn.load_model(args.retrain)
     kl = 0.0 if args.method == "retrain" else None

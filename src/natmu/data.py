@@ -169,6 +169,18 @@ def load_raw(path: str, split: str = "train") -> Dataset:
 # synthetic data
 
 
+def check_synth(k: int, height: int, width: int, channels: int, spread: float,
+                **per_class: int) -> None:
+    """The synth parameters' rules, checked before any data is made;
+    `per_class` gives each per-class sample count by its name."""
+    least = {"k": (k, 2), **{name: (n, 1) for name, n in per_class.items()},
+             "height": (height, 1), "width": (width, 1), "channels": (channels, 1),
+             "spread": (spread, 0)}
+    for name, (value, bound) in least.items():
+        if not value >= bound:
+            raise ValidationError(f"synth {name} must be >= {bound}, got {value}")
+
+
 def synth_blobs(k: int, per_class: int, height: int, width: int, channels: int,
                 spread: float = DEFAULT_SPREAD, seed: int = 0,
                 split: str = "train") -> Dataset:
@@ -178,8 +190,7 @@ def synth_blobs(k: int, per_class: int, height: int, width: int, channels: int,
     drawn with the same seed share templates while sampling independent noise.
     spread 0 reproduces the template exactly.
     """
-    if k < 2:
-        raise ValidationError(f"need at least 2 classes, got {k}")
+    check_synth(k, height, width, channels, spread, per_class=per_class)
     dim = height * width * channels
     means_rng = np.random.default_rng(derive_seed(seed, "means"))
     noise_rng = np.random.default_rng(derive_seed(seed, "noise", split))
@@ -188,7 +199,7 @@ def synth_blobs(k: int, per_class: int, height: int, width: int, channels: int,
     labels = np.zeros(k * per_class, dtype=np.int64)
     for c in range(k):
         block = slice(c * per_class, (c + 1) * per_class)
-        noise = noise_rng.normal(0.0, spread, size=(per_class, dim)) if spread > 0 else 0.0
+        noise = noise_rng.normal(0.0, spread, size=(per_class, dim))
         pixels[block] = np.clip(means[c] + noise, 0.0, 1.0)
         labels[block] = c
     return Dataset(pixels=pixels, labels=labels, height=height, width=width,

@@ -204,6 +204,9 @@ class SgdMomentum:
         self.velocity = None
         self._scratch = None
 
+    def state(self) -> list[np.ndarray]:
+        return [self.velocity]
+
     def step(self, model: Model, grads: Model, lr: float, weight_decay: float):
         p, g = model.flat, grads.flat
         if self.velocity is None:
@@ -227,6 +230,9 @@ class AdamW:
         self.m = None
         self.v = None
         self._scratch = None
+
+    def state(self) -> list[np.ndarray]:
+        return [self.m, self.v]
 
     def step(self, model: Model, grads: Model, lr: float, weight_decay: float):
         p, g = model.flat, grads.flat
@@ -252,6 +258,15 @@ class AdamW:
 
 
 OPTIMIZERS = {"sgd": SgdMomentum, "adamw": AdamW}
+
+
+def _flush_subnormals(buffers) -> None:
+    """Zero the subnormal entries of optimizer state. A decaying moment that
+    reaches the subnormal range stays there (0.9 * k * 2**-149 rounds back to
+    k * 2**-149 for small k), and every later step pays the CPU's slow path
+    for it; `train` flushes once per epoch."""
+    for buf in buffers:
+        buf[np.abs(buf) < np.finfo(buf.dtype).tiny] = 0.0
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
@@ -384,6 +399,7 @@ def train(model: Model, dataset, config: TrainConfig, trace_correctness: bool = 
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             opt.step(model, grads, lr, config.weight_decay)
             step += 1
+        _flush_subnormals(opt.state())
         if trace_correctness:
             pred = predict_logits(model, dataset.pixels).argmax(axis=1)
             counts += (pred == dataset.labels).astype(np.uint32)

@@ -26,13 +26,14 @@ from .data import (
     DEFAULT_SPREAD,
     Dataset,
     ForgettingSpec,
+    check_synth,
     forgetting_test_subset,
     load_raw,
     split_forget,
     synth_blobs,
     to_superclass,
 )
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, MissingTraceError, ValidationError
 from .metrics import (
     MetricsReport,
     accuracy,
@@ -95,6 +96,10 @@ class ExperimentConfig:
         for m in (*self.methods, *self.method_params):
             if m not in METHOD_NAMES:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHOD_NAMES}")
+        if self.synth is not None:
+            s = self.synth
+            check_synth(s.k, s.height, s.width, s.channels, s.spread,
+                        per_class=s.per_class, test_per_class=s.test_per_class)
         paths = [path for path in (self.train_path, self.test_path) if path]
         if len(paths) != (2 if self.synth is None else 0):
             raise ConfigError("a synth dataset takes no train_path or test_path; "
@@ -239,6 +244,48 @@ def pretrain_model(config: ExperimentConfig, train_ds: Dataset, root_seed: int,
                  trace_correctness=with_trace)
 
 
+def _trace_key(config: ExperimentConfig, root: int, train_ds: Dataset) -> dict:
+    """What the pretrain's trace is a function of: the root seed, the resolved
+    [pretrain] section and the training set (its hash and its ids)."""
+    digest = hashlib.sha256(json.dumps([len(train_ds), train_ds.height, train_ds.width,
+                                        train_ds.channels, train_ds.k]).encode())
+    digest.update(train_ds.pixels.astype("<f4", copy=False).tobytes())
+    digest.update(train_ds.labels.astype("<i8", copy=False).tobytes())
+    return {"seed": root, "pretrain": config.semantic_dict()["pretrain"],
+            "data_sha256": digest.hexdigest(), "ids": train_ds.ids.tolist()}
+
+
+def _read_trace_records(paths, key: dict) -> TrainingTrace:
+    """The trace in the trace records at `paths` (see
+    `PreparedSeed.trace_record`). Each must match `key` and hold the same
+    counts, or a ValidationError names the file and the key."""
+    trace, epochs = None, key["pretrain"]["epochs"]
+    for path in paths:
+        try:
+            record = json.loads(Path(path).read_text(encoding="ascii"))
+        except FileNotFoundError as exc:
+            raise MissingTraceError(f"trace record not found: {path}") from exc
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"unreadable trace record {path}: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ValidationError(f"trace record {path} is not a JSON object")
+        for name, value in {**key, "epochs": epochs}.items():
+            if record.get(name) != value:
+                raise ValidationError(f"trace record {path}: {name} does not match "
+                                      f"the config and seed")
+        counts = record.get("counts")
+        if not (isinstance(counts, list) and len(counts) == len(key["ids"])
+                and all(type(c) is int and 0 <= c <= epochs for c in counts)):
+            raise ValidationError(f"trace record {path}: counts must hold one count "
+                                  f"in [0, epochs] per id")
+        if trace is None:
+            trace = TrainingTrace(np.array(key["ids"], dtype=np.int64),
+                                  np.array(counts, dtype=np.uint32), epochs)
+        elif counts != trace.counts.tolist():
+            raise ValidationError(f"trace record {path}: counts differ from {paths[0]}")
+    return trace
+
+
 @dataclass
 class PreparedSeed:
     """A root seed's data, split and stage seeds, as `run` and the stage CLI use them."""
@@ -260,6 +307,13 @@ class PreparedSeed:
         if self.model_o is None:
             self.model_o, _ = pretrain_model(self.config, self.train, self.root)
         return self.model_o
+
+    def trace_record(self) -> dict:
+        """The pretrain's trace with what it is a function of, as JSON data:
+        `seed`, `pretrain` (the resolved section), `data_sha256`, `ids`,
+        `counts` and `epochs`."""
+        return {**_trace_key(self.config, self.root, self.train),
+                "counts": self.trace.counts.tolist(), "epochs": self.trace.epochs}
 
     def method_seed(self, method: str) -> int:
         return derive_seed(self.root, "method", method)
@@ -287,16 +341,20 @@ class PreparedSeed:
 
 def prepare_seed(config: ExperimentConfig, root: int,
                  stage=lambda name: contextlib.nullcontext(),
-                 with_trace: bool = False) -> PreparedSeed:
-    """Data, forgetting split and stage seeds of one root seed. The original
-    model is pretrained here, with its trace, when the split ranks samples by
-    it (difficult mode) or `with_trace` is set; otherwise on first use.
-    `stage(name)` is a context manager around each step."""
+                 with_trace: bool = False, records=()) -> PreparedSeed:
+    """Data, forgetting split and stage seeds of one root seed. The trace
+    comes from the trace records at `records` when given (checked by
+    `_read_trace_records`). Otherwise the original model is pretrained here,
+    with its trace, when the split ranks samples by it (difficult mode) or
+    `with_trace` is set; else on first use. `stage(name)` is a context
+    manager around each step."""
     seeds = {name: derive_seed(root, name) for name in ("dataset", "pretrain", "forget")}
     with stage("dataset"):
         train_ds, test_ds = materialize_data(config, seeds["dataset"])
     model_o = trace = None
-    if with_trace or config.forget_mode == "difficult":
+    if records:
+        trace = _read_trace_records(records, _trace_key(config, root, train_ds))
+    elif with_trace or config.forget_mode == "difficult":
         with stage("pretrain"):
             model_o, trace = pretrain_model(config, train_ds, root, with_trace=True)
     with stage("forget"):

@@ -1,5 +1,6 @@
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,16 @@ class TestDatasetCommands:
         spec = runner.SynthSpec()
         for flag in ("k", "per_class", "height", "width", "channels", "spread"):
             assert getattr(args, flag) == getattr(spec, flag), flag
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", "1"), ("--per-class", "0"), ("--height", "0"), ("--width", "0"),
+        ("--channels", "0"), ("--spread", "-1")])
+    def test_synth_rejects_bad_parameters_before_writing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "blobs.uds"
+        assert cli.main(["dataset", "synth", "--out", str(out), flag, value]) == \
+            cli.EXIT_VALIDATION
+        assert not out.exists()
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
     def test_inspect_bad_file_exits_validation(self, tmp_path, capsys):
         bad = tmp_path / "junk.uds"
@@ -181,6 +192,18 @@ class TestPipelineCommands:
                          "--out", str(tmp_path / "report.csv")]) == 0
         assert len(calls) == pretrains
 
+    def test_bad_hist_bins_exit_before_any_work(self, tmp_path, config_path, monkeypatch):
+        model = str(tmp_path / "m.nmu")
+        assert cli.main(["pretrain", "--config", config_path, "--out", model]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "prepare_seed", lambda *a, **k: calls.append(a))
+        report = tmp_path / "report.csv"
+        assert cli.main(["evaluate", "--config", config_path, "--model", model,
+                         "--retrain", model, "--out", str(report),
+                         "--hist-prefix", str(tmp_path / "h"), "--hist-bins", "0"]) == \
+            cli.EXIT_VALIDATION
+        assert calls == [] and not report.exists()
+
     def test_unlearn_without_model_is_validation_error(self, tmp_path, config_path):
         assert cli.main(["unlearn", "--method", "natmu", "--config", config_path,
                          "--seed", "1", "--out", str(tmp_path / "x.nmu")]) == \
@@ -200,6 +223,118 @@ class TestPipelineCommands:
     def test_bad_argument_is_validation_error(self):
         assert cli.main(["unlearn", "--method", "ssd", "--config", "x",
                          "--out", "y"]) == cli.EXIT_VALIDATION
+
+
+METHODS = ("retrain", "amnesiac", "badteacher", "neggrad", "natmu")
+DIFFICULT = CONFIG.replace("mode = random", "mode = difficult")
+
+
+class TestTraceRecord:
+    """In difficult mode the split travels with each checkpoint as a trace
+    record beside it; the commands given a checkpoint read it back."""
+
+    @pytest.fixture()
+    def stage(self, tmp_path, monkeypatch):
+        path = tmp_path / "exp.cfg"
+        path.write_text(DIFFICULT)
+        original = str(tmp_path / "original.nmu")
+        assert cli.main(["pretrain", "--config", str(path), "--out", original,
+                         "--trace", str(tmp_path / "trace.json")]) == 0
+        calls = []
+        pretrain = runner.pretrain_model
+        monkeypatch.setattr(runner, "pretrain_model",
+                            lambda *a, **k: calls.append(a) or pretrain(*a, **k))
+        return {"dir": tmp_path, "config": str(path), "original": original, "calls": calls}
+
+    @staticmethod
+    def command(stage, name, seed="1", model=None, retrain=None, out=None):
+        """argv of one stage command, writing `out` (default `stage["dir"]/out`)."""
+        verb, method = name.split()
+        model = model or stage["original"]
+        argv = [verb, "--config", stage["config"], "--seed", seed,
+                "--out", out or str(stage["dir"] / "out")]
+        if verb == "build":
+            return argv + ["--model", model]
+        if verb == "unlearn":
+            return argv + ["--method", method] + ["--model", model] * (method != "retrain")
+        return argv + ["--model", model, "--retrain", retrain or model, "--method", method]
+
+    def refused(self, stage, capsys, argv, *words):
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert not (stage["dir"] / "out").exists()
+        assert stage["calls"] == []
+        err = capsys.readouterr().err
+        for word in words:
+            assert word in err, (word, err)
+
+    @pytest.mark.parametrize("name, pretrains", [
+        ("build natmu", 0),
+        *((f"unlearn {m}", int(m == "retrain")) for m in METHODS),
+        *((f"evaluate {m}", int(m in ("natmu", "badteacher"))) for m in METHODS)])
+    def test_only_commands_without_a_checkpoint_or_ranking_pretrain(
+            self, stage, name, pretrains):
+        assert cli.main(self.command(stage, name)) == 0
+        assert len(stage["calls"]) == pretrains
+
+    def test_records_beside_checkpoints_equal_the_trace_file(self, stage):
+        record = stage["original"] + cli.RECORD_SUFFIX
+        assert filecmp.cmp(record, stage["dir"] / "trace.json", shallow=False)
+        assert list(json.loads(Path(record).read_text())) == [
+            "seed", "pretrain", "data_sha256", "ids", "counts", "epochs"]
+        for name in ("unlearn natmu", "unlearn retrain"):
+            assert cli.main(self.command(stage, name)) == 0
+            assert filecmp.cmp(record, f"{stage['dir'] / 'out'}{cli.RECORD_SUFFIX}",
+                               shallow=False), name
+
+    def test_random_mode_writes_no_record(self, tmp_path, config_path):
+        original = str(tmp_path / "original.nmu")
+        assert cli.main(["pretrain", "--config", config_path, "--out", original]) == 0
+        assert not Path(original + cli.RECORD_SUFFIX).exists()
+
+    @pytest.mark.parametrize("name", ["build natmu", "unlearn neggrad", "evaluate amnesiac"])
+    def test_missing_record_refused(self, stage, capsys, name):
+        record = stage["original"] + cli.RECORD_SUFFIX
+        Path(record).unlink()
+        self.refused(stage, capsys, self.command(stage, name), record)
+
+    def test_another_seed_refused(self, stage, capsys):
+        self.refused(stage, capsys, self.command(stage, "unlearn natmu", seed="2"),
+                     stage["original"] + cli.RECORD_SUFFIX, "seed")
+
+    def test_another_pretrain_section_refused(self, stage, capsys):
+        Path(stage["config"]).write_text(DIFFICULT.replace("epochs = 4", "epochs = 3"))
+        self.refused(stage, capsys, self.command(stage, "build natmu"), "pretrain")
+
+    def test_rewritten_dataset_refused(self, tmp_path, capsys, monkeypatch):
+        files = {split: tmp_path / f"{split}.uds" for split in ("train", "test")}
+        for split, path in files.items():
+            data.save_raw(data.synth_blobs(6, 20, 4, 4, 1, seed=1, split=split), path)
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"[dataset]\nkind = uds\ntrain_path = {files['train']}\n"
+                          f"test_path = {files['test']}\n\n"
+                          + DIFFICULT[DIFFICULT.index("[pretrain]"):])
+        original = str(tmp_path / "original.nmu")
+        assert cli.main(["pretrain", "--config", str(config), "--out", original]) == 0
+        data.save_raw(data.synth_blobs(6, 20, 4, 4, 1, seed=2), files["train"])
+        stage = {"dir": tmp_path, "config": str(config), "original": original, "calls": []}
+        monkeypatch.setattr(runner, "pretrain_model",
+                            lambda *a, **k: stage["calls"].append(a))
+        self.refused(stage, capsys, self.command(stage, "unlearn amnesiac"), "data_sha256")
+
+    def test_retrain_record_of_another_split_refused(self, stage, capsys):
+        # a retrain made for seed 2, and one whose record holds other counts
+        other = str(stage["dir"] / "other.nmu")
+        assert cli.main(self.command(stage, "unlearn retrain", seed="2", out=other)) == 0
+        stage["calls"].clear()
+        self.refused(stage, capsys, self.command(stage, "evaluate neggrad", retrain=other),
+                     other + cli.RECORD_SUFFIX, "seed")
+        record = json.loads(Path(stage["original"] + cli.RECORD_SUFFIX).read_text())
+        counts = record["counts"]
+        first = next(i for i, c in enumerate(counts) if c != counts[0])
+        counts[0], counts[first] = counts[first], counts[0]
+        Path(other + cli.RECORD_SUFFIX).write_text(json.dumps(record))
+        self.refused(stage, capsys, self.command(stage, "evaluate neggrad", retrain=other),
+                     other + cli.RECORD_SUFFIX, "counts")
 
 
 class TestStageRunParity:

@@ -214,6 +214,20 @@ def reference_step(optimizer, params, grads, state, lr, weight_decay):
 
 
 class TestArena:
+    def test_train_flushes_subnormal_optimizer_state_each_epoch(self, monkeypatch):
+        tiny = np.finfo(np.float32).tiny
+        buf = np.array([tiny / 4, -tiny / 2, tiny, -tiny, 0.5, 0.0], dtype=np.float32)
+        nn._flush_subnormals([buf])
+        assert buf.tolist() == [0.0, 0.0, tiny, -tiny, 0.5, 0.0]
+        flushed = []
+        monkeypatch.setattr(nn, "_flush_subnormals", lambda bufs: flushed.append(len(bufs)))
+        ds = synth_blobs(3, 10, 3, 3, 1, spread=0.2, seed=0)
+        for optimizer, buffers in (("adamw", 2), ("sgd", 1)):
+            flushed.clear()
+            nn.train(nn.init_model([ds.dim, 4, 3], seed=1), ds,
+                     nn.TrainConfig(epochs=3, batch_size=8, optimizer=optimizer))
+            assert flushed == [buffers] * 3, optimizer
+
     def test_parameters_share_one_contiguous_buffer(self):
         model = nn.init_model([6, 5, 4], seed=1)
         assert model.flat.ndim == 1 and model.flat.flags.c_contiguous

@@ -167,6 +167,21 @@ class TestConfigParsing:
                          "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
         assert calls == []
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", "1"), ("per_class", "0"), ("test_per_class", "0"), ("height", "0"),
+        ("width", "0"), ("channels", "0"), ("spread", "-1")])
+    def test_bad_synth_parameters_fail_before_any_data(self, tmp_path, monkeypatch,
+                                                       key, value):
+        calls = []
+        monkeypatch.setattr(runner, "synth_blobs", lambda *a, **k: calls.append(a))
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[dataset]\nkind = synth\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"synth {key} must be"):
+            runner.load_config(str(path))
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+        assert calls == []
+
     def test_readme_full_surface_block_loads(self, tmp_path):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         block = readme.split("The full surface:\n\n```\n", 1)[1].split("```", 1)[0]
