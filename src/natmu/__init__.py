@@ -1,6 +1,15 @@
 """Machine unlearning toolkit: hybrid-injection unlearning, relabeling
 baselines, a retrain oracle, and an entropy-based evaluation suite."""
 
+import os
+
+# One BLAS thread unless the environment asks for another count: the models
+# are too small for a second thread to pay for itself, and results do not
+# depend on the count. BLAS reads these once, when numpy first loads.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in BLAS_THREAD_VARIABLES:
+    os.environ.setdefault(_name, "1")
+
 __version__ = "0.1.0"
 
-from . import builder, data, masks, methods, metrics, nn  # noqa: F401
+from . import builder, data, masks, methods, metrics, nn  # noqa: E402, F401

@@ -86,7 +86,8 @@ def build_parser() -> _Parser:
     un = sub.add_parser("unlearn", parents=[seeded], help="run one unlearning method")
     un.add_argument("--method", choices=METHOD_NAMES, required=True)
     un.add_argument("--model", default=None,
-                    help="original model checkpoint (not needed for retrain)")
+                    help="original model checkpoint (for retrain, optional: only "
+                         "its trace record is read)")
     un.add_argument("--out", required=True)
 
     ev = sub.add_parser("evaluate", parents=[seeded],
@@ -141,6 +142,8 @@ def _cmd_mask(args) -> int:
 # In difficult mode the split ranks samples by the pretrain's trace. Every
 # checkpoint the stage commands write gets the record of that trace beside
 # it, and the commands given a checkpoint read the split back from there.
+# An unlearned model's record also names the checkpoint it started from, so
+# `evaluate` loads the original model rather than pretraining it again.
 RECORD_SUFFIX = ".trace.json"
 
 
@@ -150,16 +153,16 @@ def _records(config, *checkpoints) -> list[str]:
     return [checkpoint + RECORD_SUFFIX for checkpoint in checkpoints] if difficult else []
 
 
-def _write_record(prep, path: str) -> None:
-    Path(path).write_text(json.dumps(prep.trace_record()), encoding="ascii")
+def _write_record(prep, path: str, source: str | None = None) -> None:
+    prep.write_trace_record(path, source)
     print(f"wrote trace record to {path}")
 
 
-def _save_checkpoint(prep, model, path: str, what: str) -> None:
+def _save_checkpoint(prep, model, path: str, what: str, source: str | None = None) -> None:
     nn.save_model(model, path)
     print(f"wrote {what} to {path}")
     if prep.config.forget_mode == "difficult":
-        _write_record(prep, path + RECORD_SUFFIX)
+        _write_record(prep, path + RECORD_SUFFIX, source)
 
 
 def _cmd_pretrain(args) -> int:
@@ -199,14 +202,17 @@ def _cmd_unlearn(args) -> int:
     if args.method != "retrain" and args.model is None:
         raise ValidationError("--model is required for unlearning methods")
     config = load_config(args.config)
-    if args.method == "retrain":  # no checkpoint to read a split from
-        prep = prepare_seed(config, args.seed)
+    # retrain reads its split from --model when given, but starts from no model
+    checkpoints = () if args.model is None else (args.model,)
+    prep = prepare_seed(config, args.seed, records=_records(config, *checkpoints))
+    if args.method == "retrain":
         model, _ = prep.retrain()
+        source = None
     else:
-        prep = prepare_seed(config, args.seed, records=_records(config, args.model))
         request = prep.request(args.method, nn.load_model(args.model))
         model = UNLEARN_METHODS[args.method](request)
-    _save_checkpoint(prep, model, args.out, f"{args.method} model")
+        source = args.model
+    _save_checkpoint(prep, model, args.out, f"{args.method} model", source)
     return EXIT_OK
 
 

@@ -22,16 +22,24 @@ def _targets(ds: Dataset) -> np.ndarray:
 
 def accuracy(model: Model, ds: Dataset) -> float:
     """Percentage of argmax predictions matching labels (ties: lowest class)."""
+    return accuracy_of_logits(predict_logits(model, ds.pixels), ds)
+
+
+def accuracy_of_logits(logits: np.ndarray, ds: Dataset) -> float:
+    """`accuracy` from a model's logits on `ds`."""
     if len(ds) == 0:
         raise ValidationError("accuracy of an empty set is undefined")
-    pred = predict_logits(model, ds.pixels).argmax(axis=1)
-    return 100.0 * float((pred == _targets(ds)).mean())
+    return 100.0 * float((logits.argmax(axis=1) == _targets(ds)).mean())
 
 
 def entropies(model: Model, ds: Dataset) -> np.ndarray:
     """Prediction entropy in nats for every instance; each in [0, ln K]."""
-    p = softmax(predict_logits(model, ds.pixels).astype(np.float64))
-    return -plogp(p)
+    return entropies_of_logits(predict_logits(model, ds.pixels))
+
+
+def entropies_of_logits(logits: np.ndarray) -> np.ndarray:
+    """`entropies` from a model's logits."""
+    return -plogp(softmax(logits.astype(np.float64)))
 
 
 # ---------------------------------------------------------------------------
@@ -81,19 +89,20 @@ def fit_entropy_threshold(member: np.ndarray, non_member: np.ndarray) -> MiaClas
     return MiaClassifier(tau=float(taus[best]), balanced_accuracy=float(acc[best]))
 
 
-def mia_fit(model: Model, d_r: Dataset, d_test: Dataset) -> MiaClassifier:
-    """Fit the entropy threshold on remaining data (members) vs test data
-    (non-members)."""
-    if len(d_r) == 0 or len(d_test) == 0:
+def mia_fit(member: np.ndarray, non_member: np.ndarray) -> MiaClassifier:
+    """Fit the entropy threshold on a model's entropies on remaining data
+    (members) vs test data (non-members)."""
+    if len(member) == 0 or len(non_member) == 0:
         raise ValidationError("MIA fit needs non-empty member and non-member sets")
-    return fit_entropy_threshold(entropies(model, d_r), entropies(model, d_test))
+    return fit_entropy_threshold(member, non_member)
 
 
-def mia_ratio(classifier: MiaClassifier, model: Model, d_f: Dataset) -> float:
-    """Percentage of forgetting samples the attack labels as members."""
-    if len(d_f) == 0:
+def mia_ratio(classifier: MiaClassifier, forget: np.ndarray) -> float:
+    """Percentage of forgetting samples the attack labels as members, from
+    the model's entropies on them."""
+    if len(forget) == 0:
         raise ValidationError("MIA ratio of an empty set is undefined")
-    return 100.0 * float(classifier.is_member(entropies(model, d_f)).mean())
+    return 100.0 * float(classifier.is_member(forget).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARIABLES, __version__
 from .data import (
     DEFAULT_SPREAD,
     Dataset,
@@ -37,7 +37,9 @@ from .errors import ConfigError, MissingTraceError, ValidationError
 from .metrics import (
     MetricsReport,
     accuracy,
+    accuracy_of_logits,
     avg_gap,
+    entropies_of_logits,
     kl_avg,
     metric_gaps,
     mia_fit,
@@ -53,7 +55,15 @@ from .methods import (
     retrain,
     unlearning_dataset,
 )
-from .nn import Model, TrainConfig, TrainingTrace, init_model, train
+from .nn import (
+    Model,
+    TrainConfig,
+    TrainingTrace,
+    init_model,
+    load_model,
+    predict_logits,
+    train,
+)
 from .seeding import derive_seed
 
 
@@ -255,11 +265,34 @@ def _trace_key(config: ExperimentConfig, root: int, train_ds: Dataset) -> dict:
             "data_sha256": digest.hexdigest(), "ids": train_ds.ids.tolist()}
 
 
-def _read_trace_records(paths, key: dict) -> TrainingTrace:
+def _file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _read_source(path: str, source) -> str:
+    """The checkpoint named by the `source` key of the trace record at
+    `path`: it must exist and hash as recorded, or a ValidationError names
+    the record and the key."""
+    if not (isinstance(source, dict) and isinstance(source.get("path"), str)
+            and isinstance(source.get("sha256"), str)):
+        raise ValidationError(f"trace record {path}: source must hold a path and a sha256")
+    checkpoint = Path(path).parent / source["path"]
+    try:
+        digest = _file_sha256(checkpoint)
+    except OSError as exc:  # a missing file too
+        raise ValidationError(f"trace record {path}: source unreadable: {exc}") from exc
+    if digest != source["sha256"]:
+        raise ValidationError(f"trace record {path}: source {checkpoint} does not match "
+                              f"its sha256; the checkpoint changed after the record")
+    return str(checkpoint)
+
+
+def _read_trace_records(paths, key: dict) -> tuple[TrainingTrace, str | None]:
     """The trace in the trace records at `paths` (see
-    `PreparedSeed.trace_record`). Each must match `key` and hold the same
-    counts, or a ValidationError names the file and the key."""
-    trace, epochs = None, key["pretrain"]["epochs"]
+    `PreparedSeed.write_trace_record`), and the checkpoint that the first
+    record's `source` names (None without one). Each record must match `key`
+    and hold the same counts, or a ValidationError names the file and the key."""
+    trace, source, epochs = None, None, key["pretrain"]["epochs"]
     for path in paths:
         try:
             record = json.loads(Path(path).read_text(encoding="ascii"))
@@ -281,9 +314,11 @@ def _read_trace_records(paths, key: dict) -> TrainingTrace:
         if trace is None:
             trace = TrainingTrace(np.array(key["ids"], dtype=np.int64),
                                   np.array(counts, dtype=np.uint32), epochs)
+            if "source" in record:
+                source = _read_source(path, record["source"])
         elif counts != trace.counts.tolist():
             raise ValidationError(f"trace record {path}: counts differ from {paths[0]}")
-    return trace
+    return trace, source
 
 
 @dataclass
@@ -300,20 +335,31 @@ class PreparedSeed:
     stage_seeds: dict
     trace: TrainingTrace | None = None
     model_o: Model | None = None
+    original_path: str | None = None
 
     @property
     def original(self) -> Model:
-        """The pretrained model; trained on first use unless the split needed it."""
+        """The pretrained model; on first use, loaded from `original_path`
+        when a trace record named it, else trained, unless the split needed it."""
         if self.model_o is None:
-            self.model_o, _ = pretrain_model(self.config, self.train, self.root)
+            if self.original_path is not None:
+                self.model_o = load_model(self.original_path)
+            else:
+                self.model_o, _ = pretrain_model(self.config, self.train, self.root)
         return self.model_o
 
-    def trace_record(self) -> dict:
-        """The pretrain's trace with what it is a function of, as JSON data:
-        `seed`, `pretrain` (the resolved section), `data_sha256`, `ids`,
-        `counts` and `epochs`."""
-        return {**_trace_key(self.config, self.root, self.train),
-                "counts": self.trace.counts.tolist(), "epochs": self.trace.epochs}
+    def write_trace_record(self, path: str, source: str | None = None) -> None:
+        """Write the pretrain's trace with what it is a function of to `path`
+        as a JSON object: `seed`, `pretrain` (the resolved section),
+        `data_sha256`, `ids`, `counts` and `epochs`. `source`, the checkpoint
+        the model at hand started from, adds a `source` key: that file's path
+        relative to the record's directory and the SHA-256 of its bytes."""
+        record = {**_trace_key(self.config, self.root, self.train),
+                  "counts": self.trace.counts.tolist(), "epochs": self.trace.epochs}
+        if source is not None:
+            record["source"] = {"path": os.path.relpath(source, Path(path).parent),
+                                "sha256": _file_sha256(source)}
+        Path(path).write_text(json.dumps(record), encoding="ascii")
 
     def method_seed(self, method: str) -> int:
         return derive_seed(self.root, "method", method)
@@ -344,16 +390,18 @@ def prepare_seed(config: ExperimentConfig, root: int,
                  with_trace: bool = False, records=()) -> PreparedSeed:
     """Data, forgetting split and stage seeds of one root seed. The trace
     comes from the trace records at `records` when given (checked by
-    `_read_trace_records`). Otherwise the original model is pretrained here,
-    with its trace, when the split ranks samples by it (difficult mode) or
-    `with_trace` is set; else on first use. `stage(name)` is a context
-    manager around each step."""
+    `_read_trace_records`), and the original model from the checkpoint the
+    first record names as its `source`, if any. Otherwise the original model
+    is pretrained here, with its trace, when the split ranks samples by it
+    (difficult mode) or `with_trace` is set; else on first use. `stage(name)`
+    is a context manager around each step."""
     seeds = {name: derive_seed(root, name) for name in ("dataset", "pretrain", "forget")}
     with stage("dataset"):
         train_ds, test_ds = materialize_data(config, seeds["dataset"])
-    model_o = trace = None
+    model_o = trace = original_path = None
     if records:
-        trace = _read_trace_records(records, _trace_key(config, root, train_ds))
+        trace, original_path = _read_trace_records(records,
+                                                   _trace_key(config, root, train_ds))
     elif with_trace or config.forget_mode == "difficult":
         with stage("pretrain"):
             model_o, trace = pretrain_model(config, train_ds, root, with_trace=True)
@@ -361,7 +409,7 @@ def prepare_seed(config: ExperimentConfig, root: int,
         spec = config.forget_spec(seeds["forget"])
         d_f, d_r = split_forget(train_ds, spec, trace)
     return PreparedSeed(config, root, train_ds, test_ds, spec, d_f, d_r, seeds,
-                        trace, model_o)
+                        trace, model_o, original_path)
 
 
 def _fmt(value) -> str:
@@ -403,14 +451,17 @@ def _aggregate_rows(per_seed: dict, methods, class_wise: bool):
 
 def evaluate_model(model: Model, d_r: Dataset, d_f: Dataset, test_ds: Dataset,
                    spec: ForgettingSpec | None = None, kl: float | None = None) -> MetricsReport:
-    """Metrics of one model against the standard splits."""
-    clf = mia_fit(model, d_r, test_ds)
-    fa = accuracy(model, d_f)
+    """Metrics of one model against the standard splits, from one forward
+    pass over each."""
+    logits_r, logits_f, logits_test = (predict_logits(model, ds.pixels)
+                                       for ds in (d_r, d_f, test_ds))
+    clf = mia_fit(entropies_of_logits(logits_r), entropies_of_logits(logits_test))
+    fa = accuracy_of_logits(logits_f, d_f)
     report = MetricsReport(
-        ta=accuracy(model, test_ds),
-        ra=accuracy(model, d_r),
+        ta=accuracy_of_logits(logits_test, test_ds),
+        ra=accuracy_of_logits(logits_r, d_r),
         fa=fa,
-        mia=mia_ratio(clf, model, d_f),
+        mia=mia_ratio(clf, entropies_of_logits(logits_f)),
         kl=kl,
     )
     if spec is not None and spec.mode == "class":
@@ -433,6 +484,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
         "config": config.semantic_dict(),
         "config_hash": config.hash(),
         "version": __version__,
+        "environment": {"blas_threads": {name: os.environ.get(name)
+                                         for name in BLAS_THREAD_VARIABLES}},
         "seeds": list(config.seeds),
         "stage_seeds": {},
         "wall_clock": {},

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 from pathlib import Path
 
@@ -256,7 +257,7 @@ class TestTraceRecord:
         if verb == "build":
             return argv + ["--model", model]
         if verb == "unlearn":
-            return argv + ["--method", method] + ["--model", model] * (method != "retrain")
+            return argv + ["--method", method, "--model", model]
         return argv + ["--model", model, "--retrain", retrain or model, "--method", method]
 
     def refused(self, stage, capsys, argv, *words):
@@ -269,22 +270,76 @@ class TestTraceRecord:
 
     @pytest.mark.parametrize("name, pretrains", [
         ("build natmu", 0),
-        *((f"unlearn {m}", int(m == "retrain")) for m in METHODS),
+        *((f"unlearn {m}", 0) for m in METHODS),
+        # the pretrain checkpoint's record names no source to rank categories with
         *((f"evaluate {m}", int(m in ("natmu", "badteacher"))) for m in METHODS)])
-    def test_only_commands_without_a_checkpoint_or_ranking_pretrain(
-            self, stage, name, pretrains):
+    def test_only_evaluate_of_the_pretrain_checkpoint_pretrains(self, stage, name, pretrains):
         assert cli.main(self.command(stage, name)) == 0
         assert len(stage["calls"]) == pretrains
 
     def test_records_beside_checkpoints_equal_the_trace_file(self, stage):
         record = stage["original"] + cli.RECORD_SUFFIX
         assert filecmp.cmp(record, stage["dir"] / "trace.json", shallow=False)
-        assert list(json.loads(Path(record).read_text())) == [
-            "seed", "pretrain", "data_sha256", "ids", "counts", "epochs"]
-        for name in ("unlearn natmu", "unlearn retrain"):
-            assert cli.main(self.command(stage, name)) == 0
-            assert filecmp.cmp(record, f"{stage['dir'] / 'out'}{cli.RECORD_SUFFIX}",
-                               shallow=False), name
+        original = json.loads(Path(record).read_text())
+        assert list(original) == ["seed", "pretrain", "data_sha256", "ids", "counts", "epochs"]
+        out = f"{stage['dir'] / 'out'}{cli.RECORD_SUFFIX}"
+        assert cli.main(self.command(stage, "unlearn retrain")) == 0
+        assert filecmp.cmp(record, out, shallow=False)
+        # an unlearned model's record also names the checkpoint it started from
+        assert cli.main(self.command(stage, "unlearn natmu")) == 0
+        sha256 = hashlib.sha256(Path(stage["original"]).read_bytes()).hexdigest()
+        assert json.loads(Path(out).read_text()) == {
+            **original, "source": {"path": "original.nmu", "sha256": sha256}}
+
+    def unlearned(self, stage, method):
+        """`method`'s unlearned checkpoint of the original model."""
+        path = str(stage["dir"] / f"{method}.nmu")
+        assert cli.main(self.command(stage, f"unlearn {method}", out=path)) == 0
+        return path
+
+    @pytest.mark.parametrize("method", ["natmu", "badteacher"])
+    def test_evaluate_loads_the_source_in_place_of_a_pretrain(self, stage, method):
+        model = self.unlearned(stage, method)
+        assert cli.main(self.command(stage, f"evaluate {method}", model=model)) == 0
+        assert stage["calls"] == []
+        # the same report as from a pretrain, which a record without source makes
+        record = Path(model + cli.RECORD_SUFFIX)
+        record.write_text(json.dumps({key: value for key, value in
+                                      json.loads(record.read_text()).items()
+                                      if key != "source"}))
+        pretrained = str(stage["dir"] / "pretrained.csv")
+        assert cli.main(self.command(stage, f"evaluate {method}", model=model,
+                                     out=pretrained)) == 0
+        assert len(stage["calls"]) == 1
+        assert filecmp.cmp(stage["dir"] / "out", pretrained, shallow=False)
+
+    def test_moved_run_directory_keeps_its_sources(self, stage):
+        model = self.unlearned(stage, "natmu")
+        moved = stage["dir"] / "moved"
+        moved.mkdir()
+        for name in ("exp.cfg", "original.nmu", "natmu.nmu",
+                     "original.nmu" + cli.RECORD_SUFFIX, "natmu.nmu" + cli.RECORD_SUFFIX):
+            (stage["dir"] / name).rename(moved / name)
+        stage["config"] = str(moved / "exp.cfg")
+        assert not Path(model).exists()
+        assert cli.main(self.command(stage, "evaluate natmu",
+                                     model=str(moved / "natmu.nmu"))) == 0
+        assert stage["calls"] == []
+
+    @pytest.mark.parametrize("fault", ["missing", "changed"])
+    @pytest.mark.parametrize("name", ["evaluate natmu", "evaluate badteacher",
+                                      "evaluate amnesiac"])
+    def test_bad_source_refused(self, stage, capsys, fault, name):
+        model = self.unlearned(stage, name.split()[1])
+        original = Path(stage["original"])
+        if fault == "missing":
+            original.unlink()
+        else:
+            blob = bytearray(original.read_bytes())
+            blob[-1] ^= 1
+            original.write_bytes(bytes(blob))
+        self.refused(stage, capsys, self.command(stage, name, model=model),
+                     model + cli.RECORD_SUFFIX, "source")
 
     def test_random_mode_writes_no_record(self, tmp_path, config_path):
         original = str(tmp_path / "original.nmu")
@@ -324,7 +379,10 @@ class TestTraceRecord:
     def test_retrain_record_of_another_split_refused(self, stage, capsys):
         # a retrain made for seed 2, and one whose record holds other counts
         other = str(stage["dir"] / "other.nmu")
-        assert cli.main(self.command(stage, "unlearn retrain", seed="2", out=other)) == 0
+        argv = self.command(stage, "unlearn retrain", seed="2", out=other)
+        assert argv[-2:] == ["--model", stage["original"]]
+        assert cli.main(argv[:-2]) == 0  # without --model, a pretrain gives the split
+        assert len(stage["calls"]) == 1
         stage["calls"].clear()
         self.refused(stage, capsys, self.command(stage, "evaluate neggrad", retrain=other),
                      other + cli.RECORD_SUFFIX, "seed")

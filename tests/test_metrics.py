@@ -128,15 +128,15 @@ class TestMia:
         d_f = tiny_dataset(np.zeros((4, 2)), [0] * 4, k=2)
         accept = metrics.MiaClassifier(tau=float("inf"), balanced_accuracy=0.5)
         reject = metrics.MiaClassifier(tau=float("-inf"), balanced_accuracy=0.5)
-        assert metrics.mia_ratio(accept, model, d_f) == 100.0
-        assert metrics.mia_ratio(reject, model, d_f) == 0.0
+        assert metrics.mia_ratio(accept, metrics.entropies(model, d_f)) == 100.0
+        assert metrics.mia_ratio(reject, metrics.entropies(model, d_f)) == 0.0
 
     def test_mia_fit_needs_data(self):
         model = fixed_logits_model([1.0, 0.0])
         empty = tiny_dataset(np.zeros((0, 2)), [], k=2)
         full = tiny_dataset(np.zeros((3, 2)), [0, 1, 0], k=2)
         with pytest.raises(ValidationError):
-            metrics.mia_fit(model, empty, full)
+            metrics.mia_fit(metrics.entropies(model, empty), metrics.entropies(model, full))
 
 
 def kl_fixture_model():

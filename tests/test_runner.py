@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from natmu import cli, data, runner
+from natmu import BLAS_THREAD_VARIABLES, cli, data, runner
 from natmu.errors import ConfigError, ValidationError
 from natmu.methods import METHOD_NAMES, MethodParams
 
@@ -388,15 +388,21 @@ class TestBlasThreads:
         (tmp_path / "blas.cfg").write_text(cfg)
         src = str(Path(__file__).resolve().parents[1] / "src")
         outs = {}
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        # unset, natmu pins one thread; a count the environment sets wins
+        for threads in ("unset", "2"):
+            env = {name: value for name, value in os.environ.items()
+                   if name not in BLAS_THREAD_VARIABLES}
+            if threads != "unset":
+                env.update(dict.fromkeys(BLAS_THREAD_VARIABLES, threads))
+            env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
             outs[threads] = tmp_path / f"threads_{threads}"
             subprocess.run([sys.executable, "-m", "natmu.cli", "run", "--config",
                             str(tmp_path / "blas.cfg"), "--out-dir", str(outs[threads])],
                            env=env, check=True, capture_output=True)
-        csvs = sorted(p.relative_to(outs["1"]) for p in outs["1"].rglob("*.csv"))
+            manifest = json.loads((outs[threads] / "manifest.json").read_text())
+            assert manifest["environment"]["blas_threads"] == dict.fromkeys(
+                BLAS_THREAD_VARIABLES, "1" if threads == "unset" else threads)
+        csvs = sorted(p.relative_to(outs["2"]) for p in outs["2"].rglob("*.csv"))
         assert len(csvs) == 7  # five reports, curves, aggregate
         for rel in csvs:
-            assert filecmp.cmp(outs["1"] / rel, outs["2"] / rel, shallow=False), rel
+            assert filecmp.cmp(outs["unset"] / rel, outs["2"] / rel, shallow=False), rel
