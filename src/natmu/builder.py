@@ -6,9 +6,11 @@ the forgetting sample with each drawn instance through a weighting mask.
 The blended sample takes the drawn instance's label. Merging the remaining
 set with all such instances yields the fine-tuning dataset.
 
-Construction is a pure function of its inputs: every forgetting sample gets
-its own RNG stream keyed by id, so output does not depend on iteration
-order beyond the order of the returned list.
+The hybrids are built as columns: one batched forward ranks the categories
+of every forgetting sample and one broadcast expression blends them all.
+Construction is a pure function of its inputs: every forgetting sample draws
+its picks and its masks from its own RNG streams keyed by id, so a sample's
+hybrids do not depend on the order of the forgetting set.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ import numpy as np
 from .data import Dataset, concat
 from .errors import CategoryExhaustedError, ShapeMismatchError, ValidationError
 from .masks import WeightingMask
-from .nn import Model, forward
+from .nn import Model, predict_logits
 from .seeding import derive_seed
 
 NATMU = "natmu"
@@ -28,151 +30,116 @@ SEGMENTATION_ONLY = "segmentation_only"
 VARIANTS = (NATMU, MULTI_LABEL, SEGMENTATION_ONLY)
 
 
-@dataclass
-class UnlearningInstance:
-    pixels: np.ndarray
-    label: int          # reassigned category, never the original label
-    forget_id: int
-    remaining_id: int
-    mask_index: int
+@dataclass(frozen=True)
+class HybridSet:
+    """n hybrids per forgetting sample, in forgetting-set order. Row i of
+    `data` blends forgetting instance `forget_ids[i]` with remaining instance
+    `remaining_ids[i]` through mask `mask_index[i]` of the mask set, and
+    takes that remaining instance's label, never the forgetting sample's."""
+
+    data: Dataset
+    forget_ids: np.ndarray
+    remaining_ids: np.ndarray
+    mask_index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.data)
 
 
-def inject(x_f: np.ndarray, x_r: np.ndarray, mask: WeightingMask,
-           channels: int = 1) -> np.ndarray:
-    """Blend two flattened images: x_f where the mask is 1, x_r where it is 0."""
-    weights = mask.flat(channels)
-    if x_f.shape != x_r.shape or x_f.shape != weights.shape:
+def inject(x_f: np.ndarray, x_r: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Blend flattened images: x_f where the weight is 1, x_r where it is 0.
+    x_f and x_r broadcast to the shape of `weights`, which the result takes."""
+    try:
+        shape = np.broadcast_shapes(x_f.shape, x_r.shape, weights.shape)
+    except ValueError:
+        shape = None
+    if shape != weights.shape:
         raise ShapeMismatchError(
-            f"inject shapes differ: {x_f.shape}, {x_r.shape}, mask {weights.shape}"
+            f"inject shapes differ: {x_f.shape}, {x_r.shape}, weights {weights.shape}"
         )
-    return (x_f * weights + x_r * (1.0 - weights)).astype(np.float32)
+    return (x_f * weights + x_r * (1.0 - weights)).astype(np.float32, copy=False)
 
 
-def select_remaining(model_o: Model, x_f: np.ndarray, y_f: int, d_r: Dataset,
-                     n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Pick n remaining instances from the top predicted categories of x_f.
+def select_remaining(model_o: Model, d_f: Dataset, d_r: Dataset, n: int,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pick n remaining instances for each forgetting sample from its top
+    predicted categories.
 
     Categories are ranked by descending logit under the original model
-    (ties by ascending class index), skipping the original label and any
+    (ties by ascending class index), skipping the sample's label and any
     category absent from the remaining set. One instance per category is
-    drawn uniformly. Returns (position in d_r, category) pairs in rank order.
+    drawn uniformly, from the sample's stream (seed, "select", id). Returns
+    (positions in d_r, categories), each of shape (len(d_f), n), in rank order.
     """
-    if n > d_r.k - 1:
-        raise ValidationError(f"n={n} exceeds K-1={d_r.k - 1} selectable categories")
-    logits = forward(model_o, x_f[None, :])[0]
-    picks: list[tuple[int, int]] = []
-    for c in np.argsort(-logits, kind="stable"):
-        c = int(c)
-        if c == y_f:
-            continue
-        candidates = d_r.class_indices(c)
-        if len(candidates) == 0:
-            continue
-        pos = int(candidates[rng.integers(len(candidates))])
-        picks.append((pos, c))
-        if len(picks) == n:
-            return picks
-    raise CategoryExhaustedError(
-        f"only {len(picks)} of {n} categories have remaining instances"
-    )
+    if not 1 <= n <= d_r.k - 1:
+        raise ValidationError(f"n={n} must be in 1..K-1={d_r.k - 1} selectable categories")
+    ranked = np.argsort(-predict_logits(model_o, d_f.pixels), axis=1, kind="stable")
+    members = [d_r.class_indices(c) for c in range(d_r.k)]
+    positions = np.zeros((len(d_f), n), dtype=np.int64)
+    categories = np.zeros((len(d_f), n), dtype=np.int64)
+    for i, (fid, label) in enumerate(zip(d_f.ids.tolist(), d_f.labels.tolist())):
+        picked = [c for c in ranked[i].tolist() if c != label and len(members[c])][:n]
+        if len(picked) < n:
+            raise CategoryExhaustedError(
+                f"only {len(picked)} of {n} categories have remaining instances"
+            )
+        rng = np.random.default_rng(derive_seed(seed, "select", fid))
+        positions[i] = [members[c][rng.integers(len(members[c]))] for c in picked]
+        categories[i] = picked
+    return positions, categories
 
 
-def _mask_plan(n: int, family_size: int, rng: np.random.Generator) -> list[int]:
-    """Indices into the mask family for one forgetting sample."""
+def _mask_plan(n: int, family_size: int, seed: int, shuffle: bool) -> np.ndarray:
+    """Indices into the mask family for one forgetting sample, drawn from
+    its stream `seed`."""
+    rng = np.random.default_rng(seed)
     if n == family_size:
-        return list(range(n))
-    if n < family_size:
-        return sorted(int(i) for i in rng.choice(family_size, size=n, replace=False))
-    return [i % family_size for i in range(n)]
+        plan = np.arange(n)
+    elif n < family_size:
+        plan = np.sort(rng.choice(family_size, size=n, replace=False))
+    else:
+        plan = np.arange(n) % family_size
+    return plan[rng.permutation(n)] if shuffle else plan
 
 
 def build_unlearning_set(d_f: Dataset, d_r: Dataset, model_o: Model,
                          mask_set: list[WeightingMask], variant: str = NATMU,
                          seed: int = 0, n: int | None = None,
-                         shuffle_masks: bool = False) -> list[UnlearningInstance]:
-    """n instances per forgetting sample, in forgetting-set order.
+                         shuffle_masks: bool = False) -> HybridSet:
+    """n hybrids per forgetting sample, in forgetting-set order.
 
     natmu blends each forgetting sample with its selected remaining
     instances; multi_label keeps the sample unmodified and only reassigns
-    labels; segmentation_only blends against an all-zero image.
+    labels; segmentation_only blends against an all-zero image. The hybrid
+    of forgetting id f at position j of its group gets id base + f*n + j,
+    above every forgetting and remaining id, so a permuted forgetting set
+    yields the same hybrids under the same ids.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown builder variant {variant!r}")
     if n is None:
         n = len(mask_set)
-    zero = np.zeros(d_f.dim, dtype=np.float32)
-    out: list[UnlearningInstance] = []
-    for i in range(len(d_f)):
-        fid = int(d_f.ids[i])
-        x_f = d_f.pixels[i]
-        y_f = int(d_f.labels[i])
-        rng = np.random.default_rng(derive_seed(seed, "select", fid))
-        picks = select_remaining(model_o, x_f, y_f, d_r, n, rng)
-        mask_rng = np.random.default_rng(derive_seed(seed, "masks", fid))
-        plan = _mask_plan(n, len(mask_set), mask_rng)
-        if shuffle_masks:
-            plan = [plan[j] for j in mask_rng.permutation(len(plan))]
-        for (pos, category), mask_idx in zip(picks, plan):
-            mask = mask_set[mask_idx]
-            if variant == NATMU:
-                pixels = inject(x_f, d_r.pixels[pos], mask, d_f.channels)
-            elif variant == MULTI_LABEL:
-                pixels = x_f.copy()
-            else:
-                pixels = inject(x_f, zero, mask, d_f.channels)
-            out.append(UnlearningInstance(
-                pixels=pixels,
-                label=category,
-                forget_id=fid,
-                remaining_id=int(d_r.ids[pos]),
-                mask_index=mask_idx,
-            ))
-    return out
-
-
-@dataclass
-class FinetuneDataset:
-    data: Dataset                  # remaining rows first, then unlearning rows
-    is_unlearning: np.ndarray      # bool flag per row
-    instances: list[UnlearningInstance]
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def unlearning_subset(self) -> Dataset:
-        return self.data.subset(np.nonzero(self.is_unlearning)[0])
-
-
-def build_finetune_dataset(d_r: Dataset, instances: list[UnlearningInstance],
-                           n: int | None = None) -> FinetuneDataset:
-    """Remaining set followed by the unlearning instances, with bookkeeping.
-
-    Unlearning rows get ids derived from (forgetting id, position within its
-    group), so a permuted forgetting set yields the same instances under the
-    same identities.
-    """
-    if not instances:
-        flags = np.zeros(len(d_r), dtype=bool)
-        return FinetuneDataset(d_r, flags, [])
-    counts: dict[int, int] = {}
-    for inst in instances:
-        counts[inst.forget_id] = counts.get(inst.forget_id, 0) + 1
-    if n is None:
-        n = max(counts.values())
-    base = int(max(max(counts), d_r.ids.max(initial=-1))) + 1
-    seen: dict[int, int] = {}
-    ids = np.zeros(len(instances), dtype=np.int64)
-    for k, inst in enumerate(instances):
-        j = seen.get(inst.forget_id, 0)
-        seen[inst.forget_id] = j + 1
-        ids[k] = base + inst.forget_id * n + j
-    extra = Dataset(
-        pixels=np.stack([inst.pixels for inst in instances]),
-        labels=np.array([inst.label for inst in instances], dtype=np.int64),
-        height=d_r.height, width=d_r.width, channels=d_r.channels,
-        k=d_r.k, split=d_r.split, ids=ids,
+    positions, categories = select_remaining(model_o, d_f, d_r, n, seed)
+    mask_index = np.array([_mask_plan(n, len(mask_set), derive_seed(seed, "masks", fid),
+                                      shuffle_masks) for fid in d_f.ids.tolist()],
+                          dtype=np.int64).reshape(len(d_f), n)
+    if variant == MULTI_LABEL:
+        pixels = np.repeat(d_f.pixels, n, axis=0)
+    else:
+        weights = np.stack([mask.flat(d_f.channels) for mask in mask_set])[mask_index]
+        x_r = (d_r.pixels[positions] if variant == NATMU
+               else np.zeros(d_f.dim, dtype=np.float32))
+        pixels = inject(d_f.pixels[:, None, :], x_r, weights).reshape(-1, d_f.dim)
+    base = int(max(d_f.ids.max(initial=-1), d_r.ids.max(initial=-1))) + 1
+    hybrids = Dataset(
+        pixels=pixels, labels=categories.reshape(-1),
+        height=d_r.height, width=d_r.width, channels=d_r.channels, k=d_r.k,
+        split=d_r.split, ids=(base + d_f.ids[:, None] * n + np.arange(n)).reshape(-1),
     )
-    merged = concat(d_r, extra)
-    flags = np.concatenate([np.zeros(len(d_r), dtype=bool),
-                            np.ones(len(instances), dtype=bool)])
-    return FinetuneDataset(merged, flags, list(instances))
+    return HybridSet(hybrids, np.repeat(d_f.ids, n), d_r.ids[positions].reshape(-1),
+                     mask_index.reshape(-1))
+
+
+def build_finetune_dataset(d_r: Dataset, hybrids: HybridSet) -> Dataset:
+    """The remaining set followed by the hybrids."""
+    return concat(d_r, hybrids.data)

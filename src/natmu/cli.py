@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__, builder, data, masks, metrics, nn
 from .errors import NatmuError, ValidationError
-from .methods import METHOD_NAMES, UNLEARN_METHODS, natmu_finetune_set
+from .methods import METHOD_NAMES, UNLEARN_METHODS, natmu_finetune_set, natmu_hybrids
 from .runner import (
     SynthSpec,
     evaluate_model,
@@ -180,20 +180,20 @@ def _cmd_build(args) -> int:
                  if getattr(args, key) is not None}
     config.method_params["natmu"] = dataclasses.replace(config.params_for("natmu"),
                                                         **overrides)
+    config.validate()
     prep = prepare_seed(config, args.seed, records=_records(config, args.model))
-    finetune = natmu_finetune_set(prep.request("natmu", nn.load_model(args.model)))
-    data.save_raw(finetune.data, args.out)
-    print(f"wrote {len(finetune)} instances ({len(finetune.instances)} unlearning) "
-          f"to {args.out}")
+    request = prep.request("natmu", nn.load_model(args.model))
+    hybrids = natmu_hybrids(request)
+    finetune = natmu_finetune_set(request)
+    data.save_raw(finetune, args.out)
+    print(f"wrote {len(finetune)} instances ({len(hybrids)} unlearning) to {args.out}")
     if args.provenance is not None:
         with open(args.provenance, "w", encoding="ascii") as fh:
-            for inst in finetune.instances:
-                fh.write(json.dumps({
-                    "forget_index": inst.forget_id,
-                    "remaining_index": inst.remaining_id,
-                    "category": inst.label,
-                    "mask_index": inst.mask_index,
-                }) + "\n")
+            for fid, rid, category, mask in zip(
+                    hybrids.forget_ids.tolist(), hybrids.remaining_ids.tolist(),
+                    hybrids.data.labels.tolist(), hybrids.mask_index.tolist()):
+                fh.write(json.dumps({"forget_index": fid, "remaining_index": rid,
+                                     "category": category, "mask_index": mask}) + "\n")
         print(f"wrote provenance to {args.provenance}")
     return EXIT_OK
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .builder import NATMU, build_finetune_dataset, build_unlearning_set
+from .builder import NATMU, HybridSet, build_finetune_dataset, build_unlearning_set
 from .data import Dataset, concat
 from .errors import RetrainIsolationError, ValidationError
 from .masks import build_mask_set
@@ -47,6 +47,8 @@ class MethodParams:
     reinit_final_layer: bool = False
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError(f"n must be >= 1, got {self.n}")
         if self.temperature <= 0:
             raise ValidationError(f"temperature must be > 0, got {self.temperature}")
         if self.ascent_coefficient < 0:
@@ -137,22 +139,27 @@ def retrain(d_r: Dataset, config: TrainConfig, forbidden_ids=(),
 
 
 @_once_per_request
-def natmu_finetune_set(request: UnlearnRequest):
-    """The fine-tuning dataset this method trains on (deterministic)."""
+def natmu_hybrids(request: UnlearnRequest) -> HybridSet:
+    """The hybrids this method fine-tunes on (deterministic)."""
     p = request.params
     masks = build_mask_set(p.mask_family, request.d_f.height, request.d_f.width,
                            p.delta, p.cutmix_edge)
-    instances = build_unlearning_set(
+    return build_unlearning_set(
         request.d_f, request.d_r, request.model, masks, variant=p.variant,
         seed=derive_seed(request.seed, "build"), n=p.n,
         shuffle_masks=p.shuffle_masks)
-    return build_finetune_dataset(request.d_r, instances, n=p.n)
+
+
+def natmu_finetune_set(request: UnlearnRequest) -> Dataset:
+    """The fine-tuning dataset this method trains on: the remaining set,
+    then the hybrids."""
+    return build_finetune_dataset(request.d_r, natmu_hybrids(request))
 
 
 def unlearn_natmu(request: UnlearnRequest) -> Model:
     finetune = natmu_finetune_set(request)
     model = _prepare_model(request)
-    trained, _ = train(model, finetune.data, _finetune_config(request),
+    trained, _ = train(model, finetune, _finetune_config(request),
                        epoch_callback=request.epoch_callback)
     return trained
 
@@ -249,7 +256,7 @@ def unlearning_dataset(method: str, request: UnlearnRequest) -> Dataset | None:
     """The relabeled instances a method fine-tunes on, for naturalness
     evaluation; None for methods that never relabel."""
     if method == "natmu":
-        return natmu_finetune_set(request).unlearning_subset()
+        return natmu_hybrids(request).data
     if method == "amnesiac":
         return amnesiac_relabeled(request)
     if method == "badteacher":

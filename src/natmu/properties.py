@@ -100,24 +100,26 @@ def check_dataset_identity(num_specs: int = 50) -> CheckResult:
                                    ratio=float(rng.uniform(0.02, 0.3)),
                                    seed=int(rng.integers(1 << 31)))
         d_f, d_r = data.split_forget(ds, spec)
-        instances = builder.build_unlearning_set(d_f, d_r, model, mask_set,
-                                                 seed=int(rng.integers(1 << 31)))
-        finetune = builder.build_finetune_dataset(d_r, instances, n=n)
+        hybrids = builder.build_unlearning_set(d_f, d_r, model, mask_set,
+                                               seed=int(rng.integers(1 << 31)))
+        finetune = builder.build_finetune_dataset(d_r, hybrids)
         if len(finetune) != len(d_r) + n * len(d_f):
             return CheckResult("3 dataset identity", False,
                                f"case {case}: size {len(finetune)} != "
                                f"{len(d_r)} + {n}*{len(d_f)}")
-        originals = dict(zip(d_f.ids.tolist(), d_f.labels.tolist()))
-        per_sample: dict[int, list[int]] = {}
-        for inst in instances:
-            if inst.label == originals[inst.forget_id]:
-                return CheckResult("3 dataset identity", False,
-                                   f"case {case}: reassigned label equals original")
-            per_sample.setdefault(inst.forget_id, []).append(inst.label)
-        for fid, labels in per_sample.items():
-            if len(set(labels)) != len(labels):
-                return CheckResult("3 dataset identity", False,
-                                   f"case {case}: duplicate labels for sample {fid}")
+        if not np.array_equal(hybrids.forget_ids, np.repeat(d_f.ids, n)):
+            return CheckResult("3 dataset identity", False,
+                               f"case {case}: hybrids not {n} per sample in forgetting-set order")
+        labels = hybrids.data.labels.reshape(len(d_f), n)
+        if (labels == d_f.labels[:, None]).any():
+            return CheckResult("3 dataset identity", False,
+                               f"case {case}: reassigned label equals original")
+        ordered = np.sort(labels, axis=1)
+        repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        if repeated.any():
+            return CheckResult("3 dataset identity", False,
+                               f"case {case}: duplicate labels for sample "
+                               f"{d_f.ids[repeated][0]}")
     return CheckResult("3 dataset identity", True,
                        f"{num_specs} random splits: |D| = |remaining| + 4*|forget|, "
                        "reassigned labels distinct and never the original")

@@ -21,7 +21,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from . import BLAS_THREAD_VARIABLES, __version__
+from . import BLAS_THREADS, __version__
 from .data import (
     DEFAULT_SPREAD,
     Dataset,
@@ -110,6 +110,11 @@ class ExperimentConfig:
             s = self.synth
             check_synth(s.k, s.height, s.width, s.channels, s.spread,
                         per_class=s.per_class, test_per_class=s.test_per_class)
+            k = s.k if self.superclass_map is None else max(self.superclass_map, default=0) + 1
+            n = self.params_for("natmu").n
+            if "natmu" in (*self.methods, *self.method_params) and n > k - 1:
+                raise ConfigError(f"[method.natmu] n = {n} exceeds K-1 = {k - 1}, "
+                                  "the categories a hybrid can take")
         paths = [path for path in (self.train_path, self.test_path) if path]
         if len(paths) != (2 if self.synth is None else 0):
             raise ConfigError("a synth dataset takes no train_path or test_path; "
@@ -484,8 +489,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
         "config": config.semantic_dict(),
         "config_hash": config.hash(),
         "version": __version__,
-        "environment": {"blas_threads": {name: os.environ.get(name)
-                                         for name in BLAS_THREAD_VARIABLES}},
+        "environment": {"blas_threads": dict(BLAS_THREADS)},
         "seeds": list(config.seeds),
         "stage_seeds": {},
         "wall_clock": {},

@@ -205,6 +205,17 @@ class TestPipelineCommands:
             cli.EXIT_VALIDATION
         assert calls == [] and not report.exists()
 
+    @pytest.mark.parametrize("n", ["0", "6"])  # K = 6 leaves 1..5
+    def test_bad_build_n_exits_before_any_work(self, tmp_path, config_path, monkeypatch,
+                                               n):
+        calls = []
+        monkeypatch.setattr(cli, "prepare_seed", lambda *a, **k: calls.append(a))
+        out = tmp_path / "finetune.uds"
+        assert cli.main(["build", "--config", config_path, "--model",
+                         str(tmp_path / "m.nmu"), "--n", n, "--out", str(out)]) == \
+            cli.EXIT_VALIDATION
+        assert calls == [] and not out.exists()
+
     def test_unlearn_without_model_is_validation_error(self, tmp_path, config_path):
         assert cli.main(["unlearn", "--method", "natmu", "--config", config_path,
                          "--seed", "1", "--out", str(tmp_path / "x.nmu")]) == \

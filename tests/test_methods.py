@@ -100,8 +100,8 @@ class TestNatmu:
     def test_finetune_set_keeps_remaining_labels(self, world):
         _, _, d_r, _ = world
         finetune = methods.natmu_finetune_set(make_request(world))
-        assert np.array_equal(finetune.data.labels[:len(d_r)], d_r.labels)
-        assert finetune.data.soft_labels is None
+        assert np.array_equal(finetune.labels[:len(d_r)], d_r.labels)
+        assert finetune.soft_labels is None
 
     def test_default_parameters_match_reference_run(self):
         params = methods.MethodParams()
@@ -305,6 +305,6 @@ class TestUnlearningDataset:
     def test_matches_what_the_method_trained_on(self, world):
         request = make_request(world)
         a = methods.unlearning_dataset("natmu", request)
-        b = methods.natmu_finetune_set(request).unlearning_subset()
-        assert np.array_equal(a.pixels, b.pixels)
-        assert np.array_equal(a.labels, b.labels)
+        finetune = methods.natmu_finetune_set(request)
+        assert np.array_equal(a.pixels, finetune.pixels[len(request.d_r):])
+        assert np.array_equal(a.labels, finetune.labels[len(request.d_r):])

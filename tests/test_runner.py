@@ -182,6 +182,21 @@ class TestConfigParsing:
                          "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
         assert calls == []
 
+    @pytest.mark.parametrize("dataset, n", [
+        ("", "0"), ("", "10"),                           # K = 10
+        ("k = 6\nsuperclass_map = 0,0,1,1,2,2\n", "3")])  # K = 3 superclasses
+    def test_bad_natmu_n_fails_before_any_data(self, tmp_path, monkeypatch, dataset, n):
+        calls = []
+        monkeypatch.setattr(runner, "synth_blobs", lambda *a, **k: calls.append(a))
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[dataset]\n{dataset}[run]\nmethods = natmu\n"
+                        f"[method.natmu]\nn = {n}\n")
+        with pytest.raises(ConfigError, match=r"n (must be >= 1|= \d+ exceeds K-1)"):
+            runner.load_config(str(path))
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+        assert calls == []
+
     def test_readme_full_surface_block_loads(self, tmp_path):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         block = readme.split("The full surface:\n\n```\n", 1)[1].split("```", 1)[0]
@@ -314,7 +329,16 @@ class TestFailureHandling:
     def test_partial_manifest_on_stage_failure(self, mini_config, tmp_path):
         mini_config.seeds = (1,)
         mini_config.methods = ("retrain", "natmu")
-        # more categories than K-1 exist: the build stage must fail
+        # more categories than K-1 exist: over UDS files K is known only once the
+        # data is read, so the build stage must fail
+        s = mini_config.synth
+        for split, per_class in (("train", s.per_class), ("test", s.test_per_class)):
+            data.save_raw(data.synth_blobs(s.k, per_class, s.height, s.width, s.channels,
+                                           s.spread, seed=1, split=split),
+                          str(tmp_path / f"{split}.uds"))
+        mini_config.synth = None
+        mini_config.train_path = str(tmp_path / "train.uds")
+        mini_config.test_path = str(tmp_path / "test.uds")
         mini_config.method_params["natmu"] = MethodParams(n=6)
         out = tmp_path / "fail"
         with pytest.raises(ValidationError):
@@ -377,6 +401,26 @@ class TestEvaluateModel:
         assert report.fa_test is not None
         assert [name for name, _ in report.gap_metrics()] == \
             ["TA", "RA", "FATrain", "FATest", "MIA"]
+
+
+class TestBlasThreadRecord:
+    @pytest.mark.parametrize("imports, recorded", [
+        ("import numpy; from natmu import runner", None),   # BLAS read them unset
+        ("from natmu import runner; import numpy", "1")])   # natmu's defaults
+    def test_manifest_records_what_blas_read(self, tmp_path, imports, recorded):
+        cfg = MINI_CONFIG.replace("seeds = 1,2", "seeds = 1").replace(
+            "methods = retrain,amnesiac,natmu,badteacher,neggrad", "methods = retrain")
+        (tmp_path / "mini.cfg").write_text(cfg)
+        env = {name: value for name, value in os.environ.items()
+               if name not in BLAS_THREAD_VARIABLES}
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"),
+                                             os.environ.get("PYTHONPATH", "")])
+        subprocess.run([sys.executable, "-c", f"{imports}; runner.run_experiment("
+                        f"runner.load_config('mini.cfg'), 'out')"],
+                       cwd=tmp_path, env=env, check=True, capture_output=True)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["environment"]["blas_threads"] == dict.fromkeys(
+            BLAS_THREAD_VARIABLES, recorded)
 
 
 class TestBlasThreads:
