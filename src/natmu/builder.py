@@ -134,7 +134,7 @@ def build_unlearning_set(d_f: Dataset, d_r: Dataset, model_o: Model,
     hybrids = Dataset(
         pixels=pixels, labels=categories.reshape(-1),
         height=d_r.height, width=d_r.width, channels=d_r.channels, k=d_r.k,
-        split=d_r.split, ids=(base + d_f.ids[:, None] * n + np.arange(n)).reshape(-1),
+        ids=(base + d_f.ids[:, None] * n + np.arange(n)).reshape(-1),
     )
     return HybridSet(hybrids, np.repeat(d_f.ids, n), d_r.ids[positions].reshape(-1),
                      mask_index.reshape(-1))

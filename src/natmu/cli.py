@@ -139,38 +139,20 @@ def _cmd_mask(args) -> int:
     return EXIT_OK
 
 
-# In difficult mode the split ranks samples by the pretrain's trace. Every
-# checkpoint the stage commands write gets the record of that trace beside
-# it, and the commands given a checkpoint read the split back from there.
-# An unlearned model's record also names the checkpoint it started from, so
-# `evaluate` loads the original model rather than pretraining it again.
-RECORD_SUFFIX = ".trace.json"
-
-
-def _records(config, *checkpoints) -> list[str]:
-    """The trace records beside `checkpoints` that a difficult-mode split comes from."""
-    difficult = config.forget_mode == "difficult"
-    return [checkpoint + RECORD_SUFFIX for checkpoint in checkpoints] if difficult else []
-
-
-def _write_record(prep, path: str, source: str | None = None) -> None:
-    prep.write_trace_record(path, source)
-    print(f"wrote trace record to {path}")
-
-
-def _save_checkpoint(prep, model, path: str, what: str, source: str | None = None) -> None:
-    nn.save_model(model, path)
+def _wrote(what: str, path: str, records=()) -> None:
     print(f"wrote {what} to {path}")
-    if prep.config.forget_mode == "difficult":
-        _write_record(prep, path + RECORD_SUFFIX, source)
+    for record in records:
+        print(f"wrote trace record to {record}")
 
 
 def _cmd_pretrain(args) -> int:
     prep = prepare_seed(load_config(args.config), args.seed,
                         with_trace=args.trace is not None)
-    _save_checkpoint(prep, prep.original, args.out, "model")
+    records = prep.save(prep.original, args.out)
     if args.trace is not None:
-        _write_record(prep, args.trace)
+        prep.write_trace_record(args.trace)
+        records.append(args.trace)
+    _wrote("model", args.out, records)
     return EXIT_OK
 
 
@@ -181,7 +163,7 @@ def _cmd_build(args) -> int:
     config.method_params["natmu"] = dataclasses.replace(config.params_for("natmu"),
                                                         **overrides)
     config.validate()
-    prep = prepare_seed(config, args.seed, records=_records(config, args.model))
+    prep = prepare_seed(config, args.seed, checkpoints=[args.model])
     request = prep.request("natmu", nn.load_model(args.model))
     hybrids = natmu_hybrids(request)
     finetune = natmu_finetune_set(request)
@@ -203,8 +185,8 @@ def _cmd_unlearn(args) -> int:
         raise ValidationError("--model is required for unlearning methods")
     config = load_config(args.config)
     # retrain reads its split from --model when given, but starts from no model
-    checkpoints = () if args.model is None else (args.model,)
-    prep = prepare_seed(config, args.seed, records=_records(config, *checkpoints))
+    checkpoints = [] if args.model is None else [args.model]
+    prep = prepare_seed(config, args.seed, checkpoints=checkpoints)
     if args.method == "retrain":
         model, _ = prep.retrain()
         source = None
@@ -212,7 +194,7 @@ def _cmd_unlearn(args) -> int:
         request = prep.request(args.method, nn.load_model(args.model))
         model = UNLEARN_METHODS[args.method](request)
         source = args.model
-    _save_checkpoint(prep, model, args.out, f"{args.method} model", source)
+    _wrote(f"{args.method} model", args.out, prep.save(model, args.out, source))
     return EXIT_OK
 
 
@@ -220,7 +202,7 @@ def _cmd_evaluate(args) -> int:
     if args.hist_bins < 1:
         raise ValidationError(f"--hist-bins must be >= 1, got {args.hist_bins}")
     config = load_config(args.config)
-    prep = prepare_seed(config, args.seed, records=_records(config, args.model, args.retrain))
+    prep = prepare_seed(config, args.seed, checkpoints=[args.model, args.retrain])
     model = nn.load_model(args.model)
     model_r = nn.load_model(args.retrain)
     kl = 0.0 if args.method == "retrain" else None

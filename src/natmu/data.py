@@ -6,8 +6,8 @@ Pixels are stored flattened in (row, column, channel) order.
 
 Datasets are immutable after construction and safe for shared reads. Every
 instance carries a stable integer id (its index in the originating set),
-which splits preserve; ids are what the retrain audit and the difficult-
-sample trace key on.
+which splits preserve; the retrain audit keys on ids, and difficult-sample
+ranking breaks ties by them.
 """
 
 import struct
@@ -24,7 +24,6 @@ from .errors import (
     TruncatedPayloadError,
     ValidationError,
 )
-from .nn import TrainingTrace
 from .seeding import derive_seed
 
 MAGIC = b"UDS1"
@@ -44,7 +43,6 @@ class Dataset:
     width: int
     channels: int
     k: int
-    split: str = "train"
     ids: np.ndarray = None          # (N,) int64 instance identities
     soft_labels: np.ndarray = None  # (N, K) float32 rows summing to 1, or None
     subclass_labels: np.ndarray = None  # (N,) fine labels under a superclass remap
@@ -108,7 +106,7 @@ def concat(first: Dataset, second: Dataset) -> Dataset:
         pixels=np.concatenate([first.pixels, second.pixels], axis=0),
         labels=np.concatenate([first.labels, second.labels]),
         height=first.height, width=first.width, channels=first.channels,
-        k=first.k, split=first.split,
+        k=first.k,
         ids=np.concatenate([first.ids, second.ids]),
         soft_labels=soft,
     )
@@ -140,7 +138,7 @@ def save_raw(dataset: Dataset, path: str) -> None:
         fh.write(records.tobytes())
 
 
-def load_raw(path: str, split: str = "train") -> Dataset:
+def load_raw(path: str) -> Dataset:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -162,7 +160,7 @@ def load_raw(path: str, split: str = "train") -> Dataset:
     if n and (pixels.min() < 0.0 or pixels.max() > 1.0):
         raise PixelRangeError(f"pixel outside [0, 1] in {path}")
     return Dataset(pixels=pixels, labels=labels, height=height, width=width,
-                   channels=channels, k=k, split=split)
+                   channels=channels, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +201,7 @@ def synth_blobs(k: int, per_class: int, height: int, width: int, channels: int,
         pixels[block] = np.clip(means[c] + noise, 0.0, 1.0)
         labels[block] = c
     return Dataset(pixels=pixels, labels=labels, height=height, width=width,
-                   channels=channels, k=k, split=split)
+                   channels=channels, k=k)
 
 
 def to_superclass(dataset: Dataset, mapping) -> Dataset:
@@ -245,18 +243,30 @@ class ForgettingSpec:
             raise ValidationError(f"class scope must be full or sub, got {self.scope!r}")
 
 
+def forget_count(ratio: float, n: int) -> int:
+    """round(ratio * n), the size of a random or difficult forgetting set
+    drawn from n instances; a ValidationError if either side would be empty."""
+    size = int(round(ratio * n))
+    if not 1 <= size <= n - 1:
+        raise ValidationError(f"forgetting ratio {ratio} of N = {n} instances leaves "
+                              f"{'the forgetting' if size < 1 else 'the remaining'} "
+                              f"set empty")
+    return size
+
+
 def split_forget(dataset: Dataset, spec: ForgettingSpec,
-                 trace: TrainingTrace | None = None) -> tuple[Dataset, Dataset]:
+                 counts: np.ndarray | None = None) -> tuple[Dataset, Dataset]:
     """Partition a dataset into (forgetting set, remaining set).
 
-    random: round(ratio * N) instances drawn without replacement from
-    spec.seed. class: every instance of the class (fine labels for sub
-    scope). difficult: the round(ratio * N) instances with the smallest
-    correct-epoch counts in the trace, ties broken by ascending id.
+    random: `forget_count(ratio, N)` instances drawn without replacement
+    from spec.seed. class: every instance of the class (fine labels for sub
+    scope). difficult: the `forget_count(ratio, N)` instances with the
+    smallest `counts` (the pretrain's correct-epoch count of each row, in
+    row order), ties broken by ascending id.
     """
     n = len(dataset)
     if spec.mode == "random":
-        size = int(round(spec.ratio * n))
+        size = forget_count(spec.ratio, n)
         rng = np.random.default_rng(spec.seed)
         chosen = np.sort(rng.choice(n, size=size, replace=False))
     elif spec.mode == "class":
@@ -269,10 +279,11 @@ def split_forget(dataset: Dataset, spec: ForgettingSpec,
         if len(chosen) == 0:
             raise EmptyClassError(f"class {spec.class_index} has no instances")
     else:
-        if trace is None:
+        if counts is None:
             raise MissingTraceError("difficult-sample forgetting needs a training trace")
-        counts = trace.counts_for(dataset.ids)
-        size = int(round(spec.ratio * n))
+        if len(counts) != n:
+            raise ValidationError(f"{len(counts)} correct-epoch counts for {n} instances")
+        size = forget_count(spec.ratio, n)
         order = np.lexsort((dataset.ids, counts))
         chosen = np.sort(order[:size])
     mask = np.zeros(n, dtype=bool)

@@ -88,23 +88,22 @@ def _once_per_request(build):
     return once
 
 
-def _prepare_model(request: UnlearnRequest) -> Model:
-    model = request.model.copy()
+def _finetune(request: UnlearnRequest, dataset: Dataset, **train_options) -> Model:
+    """The request's model (its final layer re-initialized if the params say
+    so) trained on `dataset` from the request's fine-tuning seed."""
+    model = request.model
     if request.params.reinit_final_layer:
+        model = model.copy()
         reinit_layer(model, -1, derive_seed(request.seed, "reinit"))
-    return model
-
-
-def _finetune_config(request: UnlearnRequest) -> TrainConfig:
-    return request.config.with_seed(derive_seed(request.seed, "finetune"))
+    return train(model, dataset, request.config.with_seed(derive_seed(request.seed, "finetune")),
+                 epoch_callback=request.epoch_callback, **train_options)
 
 
 # ---------------------------------------------------------------------------
 # retrain oracle
 
 
-def retrain(d_r: Dataset, config: TrainConfig, forbidden_ids=(),
-            dims: list[int] | None = None, epoch_callback=None):
+def retrain(d_r: Dataset, config: TrainConfig, forbidden_ids=(), epoch_callback=None):
     """Train a fresh model on the remaining data only.
 
     Returns (model, audit). Every batch's instance ids are checked against
@@ -114,9 +113,7 @@ def retrain(d_r: Dataset, config: TrainConfig, forbidden_ids=(),
     """
     if len(d_r) == 0:
         raise ValidationError("cannot retrain on an empty remaining set")
-    if dims is None:
-        dims = default_dims(d_r.dim, d_r.k)
-    model = init_model(dims, derive_seed(config.seed, "init"))
+    model = init_model(default_dims(d_r.dim, d_r.k), derive_seed(config.seed, "init"))
     forbidden = frozenset(int(i) for i in forbidden_ids)  # np.isin: ~50x slower per batch
     logged = 0
 
@@ -128,10 +125,10 @@ def retrain(d_r: Dataset, config: TrainConfig, forbidden_ids=(),
                                         f"{sorted(forbidden.intersection(batch))[:5]}")
         logged += len(batch)
 
-    trained, _ = train(model, d_r, config, batch_callback=check_batch,
-                       epoch_callback=epoch_callback)
-    return trained, {"batches_logged": logged, "forbidden_ids": len(forbidden),
-                     "violations": 0}
+    model = train(model, d_r, config, batch_callback=check_batch,
+                  epoch_callback=epoch_callback)
+    return model, {"batches_logged": logged, "forbidden_ids": len(forbidden),
+                   "violations": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +154,7 @@ def natmu_finetune_set(request: UnlearnRequest) -> Dataset:
 
 
 def unlearn_natmu(request: UnlearnRequest) -> Model:
-    finetune = natmu_finetune_set(request)
-    model = _prepare_model(request)
-    trained, _ = train(model, finetune, _finetune_config(request),
-                       epoch_callback=request.epoch_callback)
-    return trained
+    return _finetune(request, natmu_finetune_set(request))
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +174,7 @@ def amnesiac_relabeled(request: UnlearnRequest) -> Dataset:
 def unlearn_amnesiac(request: UnlearnRequest) -> Model:
     if request.d_f.k < 2:
         raise ValidationError("random relabeling needs at least 2 classes")
-    finetune = concat(request.d_r, amnesiac_relabeled(request))
-    model = _prepare_model(request)
-    trained, _ = train(model, finetune, _finetune_config(request),
-                       epoch_callback=request.epoch_callback)
-    return trained
+    return _finetune(request, concat(request.d_r, amnesiac_relabeled(request)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +199,8 @@ def badteacher_targets(request: UnlearnRequest) -> tuple[Dataset, Dataset]:
 
 
 def unlearn_badteacher(request: UnlearnRequest) -> Model:
-    soft_r, soft_f = badteacher_targets(request)
-    finetune = concat(soft_r, soft_f)
-    model = _prepare_model(request)
-    trained, _ = train(model, finetune, _finetune_config(request),
-                       temperature=request.params.temperature,
-                       epoch_callback=request.epoch_callback)
-    return trained
+    return _finetune(request, concat(*badteacher_targets(request)),
+                     temperature=request.params.temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +220,7 @@ def unlearn_neggrad_plus(request: UnlearnRequest) -> Model:
         raise ValidationError("need non-empty remaining and forgetting sets")
     ascent = Ascent(request.d_f, request.params.ascent_coefficient,
                     derive_seed(request.seed, "forget_order"))
-    trained, _ = train(_prepare_model(request), request.d_r, _finetune_config(request),
-                       ascent=ascent, epoch_callback=request.epoch_callback)
-    return trained
+    return _finetune(request, request.d_r, ascent=ascent)
 
 
 UNLEARN_METHODS = {

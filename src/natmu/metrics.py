@@ -68,12 +68,6 @@ def threshold_candidates(values: np.ndarray) -> np.ndarray:
     return np.concatenate([[distinct[0] - 1.0], mids, [distinct[-1] + 1.0]])
 
 
-def balanced_accuracy(tau: float, member: np.ndarray, non_member: np.ndarray) -> float:
-    tpr = float((member < tau).mean())
-    tnr = float((non_member >= tau).mean())
-    return 0.5 * (tpr + tnr)
-
-
 def fit_entropy_threshold(member: np.ndarray, non_member: np.ndarray) -> MiaClassifier:
     """Threshold maximizing balanced accuracy; ties take the lowest tau."""
     member = np.asarray(member, dtype=np.float64)

@@ -303,23 +303,6 @@ class TrainConfig:
         return replace(self, seed=seed)
 
 
-@dataclass
-class TrainingTrace:
-    """Per-sample count of epochs in which the sample was classified correctly."""
-
-    ids: np.ndarray
-    counts: np.ndarray
-    epochs: int
-
-    def counts_for(self, ids: np.ndarray) -> np.ndarray:
-        pos = {int(i): k for k, i in enumerate(self.ids)}
-        try:
-            idx = np.array([pos[int(i)] for i in ids], dtype=np.int64)
-        except KeyError as exc:
-            raise ValidationError(f"trace does not cover instance id {exc}") from exc
-        return self.counts[idx]
-
-
 def predict_logits(model: Model, pixels: np.ndarray, chunk: int = 4096) -> np.ndarray:
     """Forward over a full array in chunks; returns (N, K) logits."""
     outs = [forward(model, pixels[i:i + chunk]) for i in range(0, len(pixels), chunk)]
@@ -344,10 +327,9 @@ def _backward_on(model: Model, dataset, idx, temperature: float, out: Model) -> 
     return loss
 
 
-def train(model: Model, dataset, config: TrainConfig, trace_correctness: bool = False,
-          *, temperature: float = 1.0, epoch_callback=None, batch_callback=None,
-          ascent: Ascent | None = None):
-    """Mini-batch training; returns (trained copy, TrainingTrace or None).
+def train(model: Model, dataset, config: TrainConfig, *, temperature: float = 1.0,
+          epoch_callback=None, batch_callback=None, ascent: Ascent | None = None) -> Model:
+    """Mini-batch training; returns the trained copy.
 
     The input model is never mutated. Batch order and all updates derive
     from config.seed (and ascent.seed), so identical inputs reproduce
@@ -355,17 +337,16 @@ def train(model: Model, dataset, config: TrainConfig, trace_correctness: bool = 
     tempered KL loss. A step whose loss (descent minus alpha times ascent)
     is not finite raises DivergenceError before the update.
 
-    epoch_callback(epoch_index, model) fires after each epoch;
+    epoch_callback(epoch_index, model) fires after each epoch's last step
+    and subnormal flush, the one place per-epoch outputs come from;
     batch_callback(ids) gets each batch's instance ids before its step.
     """
     n = len(dataset)
     if n == 0:
         raise ValidationError("cannot train on an empty dataset")
     model = model.copy()
-    counts = np.zeros(n, dtype=np.uint32) if trace_correctness else None
     if config.epochs == 0:
-        trace = TrainingTrace(dataset.ids.copy(), counts, 0) if trace_correctness else None
-        return model, trace
+        return model
 
     rng = np.random.default_rng(config.seed)
     opt = OPTIMIZERS[config.optimizer]()
@@ -400,13 +381,9 @@ def train(model: Model, dataset, config: TrainConfig, trace_correctness: bool = 
             opt.step(model, grads, lr, config.weight_decay)
             step += 1
         _flush_subnormals(opt.state())
-        if trace_correctness:
-            pred = predict_logits(model, dataset.pixels).argmax(axis=1)
-            counts += (pred == dataset.labels).astype(np.uint32)
         if epoch_callback is not None:
             epoch_callback(epoch, model)
-    trace = TrainingTrace(dataset.ids.copy(), counts, config.epochs) if trace_correctness else None
-    return model, trace
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .data import (
     Dataset,
     ForgettingSpec,
     check_synth,
+    forget_count,
     forgetting_test_subset,
     load_raw,
     split_forget,
@@ -58,10 +59,10 @@ from .methods import (
 from .nn import (
     Model,
     TrainConfig,
-    TrainingTrace,
     init_model,
     load_model,
     predict_logits,
+    save_model,
     train,
 )
 from .seeding import derive_seed
@@ -122,7 +123,9 @@ class ExperimentConfig:
         for path in paths:
             if not Path(path).exists():
                 raise ConfigError(f"dataset not found: {path}")
-        self.forget_spec()
+        spec = self.forget_spec()
+        if self.synth is not None and spec.mode != "class":
+            forget_count(spec.ratio, self.synth.k * self.synth.per_class)
 
     def forget_spec(self, seed: int = 0) -> ForgettingSpec:
         return ForgettingSpec(mode=self.forget_mode, ratio=self.forget_ratio,
@@ -243,8 +246,8 @@ def materialize_data(config: ExperimentConfig, data_seed: int) -> tuple[Dataset,
         test_ds = synth_blobs(s.k, s.test_per_class, s.height, s.width, s.channels, s.spread,
                               seed=data_seed, split="test")
     else:
-        train_ds = load_raw(config.train_path, split="train")
-        test_ds = load_raw(config.test_path, split="test")
+        train_ds = load_raw(config.train_path)
+        test_ds = load_raw(config.test_path)
     if config.superclass_map is not None:
         train_ds = to_superclass(train_ds, config.superclass_map)
         test_ds = to_superclass(test_ds, config.superclass_map)
@@ -252,11 +255,28 @@ def materialize_data(config: ExperimentConfig, data_seed: int) -> tuple[Dataset,
 
 
 def pretrain_model(config: ExperimentConfig, train_ds: Dataset, root_seed: int,
-                   with_trace: bool = False):
+                   with_trace: bool = False) -> tuple[Model, np.ndarray | None]:
+    """The original model of `root_seed` and, with `with_trace`, its trace:
+    per training row, in row order, the number of epochs after which the
+    model classified the row right (uint32; None without `with_trace`)."""
     seed = derive_seed(root_seed, "pretrain")
     model = init_model(default_dims(train_ds.dim, train_ds.k), derive_seed(seed, "init"))
-    return train(model, train_ds, config.pretrain.with_seed(seed),
-                 trace_correctness=with_trace)
+    counts = np.zeros(len(train_ds), dtype=np.uint32) if with_trace else None
+
+    def count_correct(epoch, current):
+        counts[predict_logits(current, train_ds.pixels).argmax(axis=1) == train_ds.labels] += 1
+
+    model = train(model, train_ds, config.pretrain.with_seed(seed),
+                  epoch_callback=count_correct if with_trace else None)
+    return model, counts
+
+
+# In difficult mode the split ranks samples by the pretrain's trace. Every
+# checkpoint `PreparedSeed.save` writes gets the record of that trace beside
+# it, and `prepare_seed` given checkpoints reads the split back from there.
+# An unlearned model's record also names the checkpoint it started from, so
+# the original model is loaded rather than pretrained again.
+RECORD_SUFFIX = ".trace.json"
 
 
 def _trace_key(config: ExperimentConfig, root: int, train_ds: Dataset) -> dict:
@@ -292,8 +312,8 @@ def _read_source(path: str, source) -> str:
     return str(checkpoint)
 
 
-def _read_trace_records(paths, key: dict) -> tuple[TrainingTrace, str | None]:
-    """The trace in the trace records at `paths` (see
+def _read_trace_records(paths, key: dict) -> tuple[np.ndarray, str | None]:
+    """The trace counts in the trace records at `paths` (see
     `PreparedSeed.write_trace_record`), and the checkpoint that the first
     record's `source` names (None without one). Each record must match `key`
     and hold the same counts, or a ValidationError names the file and the key."""
@@ -317,11 +337,10 @@ def _read_trace_records(paths, key: dict) -> tuple[TrainingTrace, str | None]:
             raise ValidationError(f"trace record {path}: counts must hold one count "
                                   f"in [0, epochs] per id")
         if trace is None:
-            trace = TrainingTrace(np.array(key["ids"], dtype=np.int64),
-                                  np.array(counts, dtype=np.uint32), epochs)
+            trace = np.array(counts, dtype=np.uint32)
             if "source" in record:
                 source = _read_source(path, record["source"])
-        elif counts != trace.counts.tolist():
+        elif counts != trace.tolist():
             raise ValidationError(f"trace record {path}: counts differ from {paths[0]}")
     return trace, source
 
@@ -338,7 +357,7 @@ class PreparedSeed:
     d_f: Dataset
     d_r: Dataset
     stage_seeds: dict
-    trace: TrainingTrace | None = None
+    counts: np.ndarray | None = None  # the pretrain's trace (`pretrain_model`)
     model_o: Model | None = None
     original_path: str | None = None
 
@@ -360,11 +379,21 @@ class PreparedSeed:
         the model at hand started from, adds a `source` key: that file's path
         relative to the record's directory and the SHA-256 of its bytes."""
         record = {**_trace_key(self.config, self.root, self.train),
-                  "counts": self.trace.counts.tolist(), "epochs": self.trace.epochs}
+                  "counts": self.counts.tolist(), "epochs": self.config.pretrain.epochs}
         if source is not None:
             record["source"] = {"path": os.path.relpath(source, Path(path).parent),
                                 "sha256": _file_sha256(source)}
         Path(path).write_text(json.dumps(record), encoding="ascii")
+
+    def save(self, model: Model, path: str, source: str | None = None) -> list[str]:
+        """Write `model` to the checkpoint `path` and, in difficult mode, its
+        trace record beside it (`source` as in `write_trace_record`);
+        returns the records written."""
+        save_model(model, path)
+        if self.spec.mode != "difficult":
+            return []
+        self.write_trace_record(path + RECORD_SUFFIX, source)
+        return [path + RECORD_SUFFIX]
 
     def method_seed(self, method: str) -> int:
         return derive_seed(self.root, "method", method)
@@ -392,29 +421,30 @@ class PreparedSeed:
 
 def prepare_seed(config: ExperimentConfig, root: int,
                  stage=lambda name: contextlib.nullcontext(),
-                 with_trace: bool = False, records=()) -> PreparedSeed:
-    """Data, forgetting split and stage seeds of one root seed. The trace
-    comes from the trace records at `records` when given (checked by
-    `_read_trace_records`), and the original model from the checkpoint the
-    first record names as its `source`, if any. Otherwise the original model
-    is pretrained here, with its trace, when the split ranks samples by it
-    (difficult mode) or `with_trace` is set; else on first use. `stage(name)`
-    is a context manager around each step."""
+                 with_trace: bool = False, checkpoints=()) -> PreparedSeed:
+    """Data, forgetting split and stage seeds of one root seed. In difficult
+    mode the trace comes from the records beside `checkpoints` when given
+    (checked by `_read_trace_records`), and the original model from the
+    checkpoint the first record names as its `source`, if any. Otherwise the
+    original model is pretrained here, with its trace, when the split ranks
+    samples by it (difficult mode) or `with_trace` is set; else on first use.
+    `stage(name)` is a context manager around each step."""
     seeds = {name: derive_seed(root, name) for name in ("dataset", "pretrain", "forget")}
     with stage("dataset"):
         train_ds, test_ds = materialize_data(config, seeds["dataset"])
-    model_o = trace = original_path = None
-    if records:
-        trace, original_path = _read_trace_records(records,
-                                                   _trace_key(config, root, train_ds))
-    elif with_trace or config.forget_mode == "difficult":
+    spec = config.forget_spec(seeds["forget"])
+    model_o = counts = original_path = None
+    if spec.mode == "difficult" and checkpoints:
+        counts, original_path = _read_trace_records(
+            [checkpoint + RECORD_SUFFIX for checkpoint in checkpoints],
+            _trace_key(config, root, train_ds))
+    elif with_trace or spec.mode == "difficult":
         with stage("pretrain"):
-            model_o, trace = pretrain_model(config, train_ds, root, with_trace=True)
+            model_o, counts = pretrain_model(config, train_ds, root, with_trace=True)
     with stage("forget"):
-        spec = config.forget_spec(seeds["forget"])
-        d_f, d_r = split_forget(train_ds, spec, trace)
+        d_f, d_r = split_forget(train_ds, spec, counts)
     return PreparedSeed(config, root, train_ds, test_ds, spec, d_f, d_r, seeds,
-                        trace, model_o, original_path)
+                        counts, model_o, original_path)
 
 
 def _fmt(value) -> str:
@@ -436,12 +466,12 @@ def write_report_csv(path: Path, report: MetricsReport, reference: MetricsReport
     return {"values": values, "gaps": gaps}
 
 
-def _aggregate_rows(per_seed: dict, methods, class_wise: bool):
-    names = ["TA", "RA"] + (["FATrain", "FATest"] if class_wise else ["FA"]) \
-        + ["MIA", "KL_avg", "Avg.Gap"]
+def _aggregate_rows(per_seed: dict, methods):
+    """aggregate.csv's rows from each seed's `write_report_csv` results, by
+    method, in the reports' metric order."""
     rows = ["method,metric,mean,std,gap_mean,formatted"]
     for method in methods:
-        for name in names:
+        for name in next(iter(per_seed.values()))[method]["values"]:
             values = [per_seed[s][method]["values"][name] for s in per_seed]
             gaps = [per_seed[s][method]["gaps"][name] for s in per_seed]
             if any(v is None for v in values):
@@ -514,9 +544,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
         for root in config.seeds:
             per_seed_rows[root] = _run_one_seed(config, root, out_root, manifest, stage)
         with stage("aggregate"):
-            class_wise = config.forget_mode == "class"
             methods = list(dict.fromkeys(["retrain", *config.methods]))
-            rows = _aggregate_rows(per_seed_rows, methods, class_wise)
+            rows = _aggregate_rows(per_seed_rows, methods)
             agg_path = out_root / "aggregate.csv"
             agg_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
             manifest["files"].append(str(agg_path.relative_to(out_root)))

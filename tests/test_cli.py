@@ -289,11 +289,11 @@ class TestTraceRecord:
         assert len(stage["calls"]) == pretrains
 
     def test_records_beside_checkpoints_equal_the_trace_file(self, stage):
-        record = stage["original"] + cli.RECORD_SUFFIX
+        record = stage["original"] + runner.RECORD_SUFFIX
         assert filecmp.cmp(record, stage["dir"] / "trace.json", shallow=False)
         original = json.loads(Path(record).read_text())
         assert list(original) == ["seed", "pretrain", "data_sha256", "ids", "counts", "epochs"]
-        out = f"{stage['dir'] / 'out'}{cli.RECORD_SUFFIX}"
+        out = f"{stage['dir'] / 'out'}{runner.RECORD_SUFFIX}"
         assert cli.main(self.command(stage, "unlearn retrain")) == 0
         assert filecmp.cmp(record, out, shallow=False)
         # an unlearned model's record also names the checkpoint it started from
@@ -314,7 +314,7 @@ class TestTraceRecord:
         assert cli.main(self.command(stage, f"evaluate {method}", model=model)) == 0
         assert stage["calls"] == []
         # the same report as from a pretrain, which a record without source makes
-        record = Path(model + cli.RECORD_SUFFIX)
+        record = Path(model + runner.RECORD_SUFFIX)
         record.write_text(json.dumps({key: value for key, value in
                                       json.loads(record.read_text()).items()
                                       if key != "source"}))
@@ -329,7 +329,7 @@ class TestTraceRecord:
         moved = stage["dir"] / "moved"
         moved.mkdir()
         for name in ("exp.cfg", "original.nmu", "natmu.nmu",
-                     "original.nmu" + cli.RECORD_SUFFIX, "natmu.nmu" + cli.RECORD_SUFFIX):
+                     "original.nmu" + runner.RECORD_SUFFIX, "natmu.nmu" + runner.RECORD_SUFFIX):
             (stage["dir"] / name).rename(moved / name)
         stage["config"] = str(moved / "exp.cfg")
         assert not Path(model).exists()
@@ -350,22 +350,22 @@ class TestTraceRecord:
             blob[-1] ^= 1
             original.write_bytes(bytes(blob))
         self.refused(stage, capsys, self.command(stage, name, model=model),
-                     model + cli.RECORD_SUFFIX, "source")
+                     model + runner.RECORD_SUFFIX, "source")
 
     def test_random_mode_writes_no_record(self, tmp_path, config_path):
         original = str(tmp_path / "original.nmu")
         assert cli.main(["pretrain", "--config", config_path, "--out", original]) == 0
-        assert not Path(original + cli.RECORD_SUFFIX).exists()
+        assert not Path(original + runner.RECORD_SUFFIX).exists()
 
     @pytest.mark.parametrize("name", ["build natmu", "unlearn neggrad", "evaluate amnesiac"])
     def test_missing_record_refused(self, stage, capsys, name):
-        record = stage["original"] + cli.RECORD_SUFFIX
+        record = stage["original"] + runner.RECORD_SUFFIX
         Path(record).unlink()
         self.refused(stage, capsys, self.command(stage, name), record)
 
     def test_another_seed_refused(self, stage, capsys):
         self.refused(stage, capsys, self.command(stage, "unlearn natmu", seed="2"),
-                     stage["original"] + cli.RECORD_SUFFIX, "seed")
+                     stage["original"] + runner.RECORD_SUFFIX, "seed")
 
     def test_another_pretrain_section_refused(self, stage, capsys):
         Path(stage["config"]).write_text(DIFFICULT.replace("epochs = 4", "epochs = 3"))
@@ -396,14 +396,14 @@ class TestTraceRecord:
         assert len(stage["calls"]) == 1
         stage["calls"].clear()
         self.refused(stage, capsys, self.command(stage, "evaluate neggrad", retrain=other),
-                     other + cli.RECORD_SUFFIX, "seed")
-        record = json.loads(Path(stage["original"] + cli.RECORD_SUFFIX).read_text())
+                     other + runner.RECORD_SUFFIX, "seed")
+        record = json.loads(Path(stage["original"] + runner.RECORD_SUFFIX).read_text())
         counts = record["counts"]
         first = next(i for i, c in enumerate(counts) if c != counts[0])
         counts[0], counts[first] = counts[first], counts[0]
-        Path(other + cli.RECORD_SUFFIX).write_text(json.dumps(record))
+        Path(other + runner.RECORD_SUFFIX).write_text(json.dumps(record))
         self.refused(stage, capsys, self.command(stage, "evaluate neggrad", retrain=other),
-                     other + cli.RECORD_SUFFIX, "counts")
+                     other + runner.RECORD_SUFFIX, "counts")
 
 
 class TestStageRunParity:

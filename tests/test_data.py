@@ -109,7 +109,7 @@ class TestSynthBlobs:
         model = nn.init_model([ds.dim, 64, 64, ds.k], seed=3)
         cfg = nn.TrainConfig(epochs=50, batch_size=32, base_lr=1e-3,
                              weight_decay=5e-4, seed=4)
-        trained, _ = nn.train(model, ds, cfg)
+        trained = nn.train(model, ds, cfg)
         pred = nn.predict_logits(trained, ds.pixels).argmax(axis=1)
         assert (pred == ds.labels).mean() >= 0.95
 
@@ -161,34 +161,42 @@ class TestSplitForget:
 
     def test_difficult_smallest_counts_win(self):
         ds = small_blobs(per_class=1, k=3)  # 3 instances
-        trace = nn.TrainingTrace(ids=ds.ids.copy(),
-                                 counts=np.array([5, 90, 100], dtype=np.uint32),
-                                 epochs=100)
+        counts = np.array([5, 90, 100], dtype=np.uint32)
         spec = data.ForgettingSpec(mode="difficult", ratio=1 / 3)
-        d_f, _ = data.split_forget(ds, spec, trace)
+        d_f, _ = data.split_forget(ds, spec, counts)
         assert d_f.ids.tolist() == [0]
 
     def test_difficult_tie_break_ascending_id(self):
         ds = small_blobs(per_class=2, k=2)  # 4 instances
-        trace = nn.TrainingTrace(ids=ds.ids.copy(),
-                                 counts=np.array([7, 7, 7, 7], dtype=np.uint32),
-                                 epochs=10)
+        counts = np.array([7, 7, 7, 7], dtype=np.uint32)
         spec = data.ForgettingSpec(mode="difficult", ratio=0.5)
-        d_f, _ = data.split_forget(ds, spec, trace)
+        d_f, _ = data.split_forget(ds, spec, counts)
         assert d_f.ids.tolist() == [0, 1]
 
     def test_difficult_selection_permutation_stable(self):
         ds = small_blobs()
         rng = np.random.default_rng(17)
         counts = rng.integers(0, 30, size=len(ds)).astype(np.uint32)
-        trace = nn.TrainingTrace(ids=ds.ids.copy(), counts=counts, epochs=30)
         spec = data.ForgettingSpec(mode="difficult", ratio=0.2)
-        base_f, _ = data.split_forget(ds, spec, trace)
+        base_f, _ = data.split_forget(ds, spec, counts)
         perm = rng.permutation(len(ds))
-        shuffled = ds.subset(perm)
-        shuffled_trace = nn.TrainingTrace(ids=ds.ids.copy(), counts=counts, epochs=30)
-        perm_f, _ = data.split_forget(shuffled, spec, shuffled_trace)
+        perm_f, _ = data.split_forget(ds.subset(perm), spec, counts[perm])
         assert sorted(base_f.ids.tolist()) == sorted(perm_f.ids.tolist())
+
+    @pytest.mark.parametrize("length", [0, 119, 121])
+    def test_difficult_refuses_counts_of_another_length(self, length):
+        ds = small_blobs()  # 120 instances
+        with pytest.raises(ValidationError, match=f"{length} correct-epoch counts"):
+            data.split_forget(ds, data.ForgettingSpec(mode="difficult", ratio=0.1),
+                              np.zeros(length, dtype=np.uint32))
+
+    @pytest.mark.parametrize("mode", ["random", "difficult"])
+    @pytest.mark.parametrize("ratio, empty", [(0.004, "forgetting"), (0.996, "remaining")])
+    def test_ratio_leaving_a_side_empty_refused(self, mode, ratio, empty):
+        ds = small_blobs()  # 120 instances: round(0.48) = 0, round(119.52) = 120
+        with pytest.raises(ValidationError, match=f"ratio {ratio} of N = 120 .* {empty}"):
+            data.split_forget(ds, data.ForgettingSpec(mode=mode, ratio=ratio),
+                              np.zeros(len(ds), dtype=np.uint32))
 
     def test_difficult_requires_trace(self):
         with pytest.raises(MissingTraceError):

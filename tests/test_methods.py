@@ -18,7 +18,7 @@ def world():
     cfg = nn.TrainConfig(epochs=8, batch_size=32, base_lr=2e-3,
                          weight_decay=5e-4, seed=43)
     model0 = nn.init_model(methods.default_dims(ds.dim, ds.k), seed=44)
-    model_o, _ = nn.train(model0, ds, cfg)
+    model_o = nn.train(model0, ds, cfg)
     return ds, d_f, d_r, model_o
 
 
@@ -63,7 +63,7 @@ class TestRetrain:
         retrained, _ = methods.retrain(ds, cfg)
         model0 = nn.init_model(methods.default_dims(ds.dim, ds.k),
                                derive_seed(cfg.seed, "init"))
-        pretrained, _ = nn.train(model0, ds, cfg)
+        pretrained = nn.train(model0, ds, cfg)
         for a, b in zip(retrained.params(), pretrained.params()):
             assert np.array_equal(a, b)
 
@@ -74,7 +74,7 @@ class TestRetrain:
         cfg = nn.TrainConfig(epochs=30, batch_size=32, base_lr=1e-3,
                              weight_decay=5e-4, seed=52)
         model0 = nn.init_model(methods.default_dims(ds.dim, ds.k), seed=53)
-        pretrained, _ = nn.train(model0, ds, cfg)
+        pretrained = nn.train(model0, ds, cfg)
         d_f, d_r = data.split_forget(ds, data.ForgettingSpec(mode="random",
                                                              ratio=0.1, seed=54))
         retrained, _ = methods.retrain(d_r, cfg)
@@ -169,7 +169,7 @@ class TestAmnesiac:
                                      seed=derive_seed(root, "pretrain"))
             model0 = nn.init_model(methods.default_dims(ds.dim, ds.k),
                                    derive_seed(derive_seed(root, "pretrain"), "init"))
-            model_o, _ = nn.train(model0, ds, pre_cfg)
+            model_o = nn.train(model0, ds, pre_cfg)
             d_f, d_r = data.split_forget(ds, data.ForgettingSpec(
                 mode="random", ratio=0.02, seed=derive_seed(root, "forget")))
             model_r, _ = methods.retrain(
@@ -231,7 +231,7 @@ class TestNegGradPlus:
             ascent_coefficient=0.0))
         out = methods.unlearn_neggrad_plus(request)
         cfg = request.config.with_seed(derive_seed(request.seed, "finetune"))
-        plain, _ = nn.train(model_o, d_r, cfg)
+        plain = nn.train(model_o, d_r, cfg)
         for pa, pb in zip(out.params(), plain.params()):
             assert np.array_equal(pa, pb)
 
@@ -240,7 +240,7 @@ class TestNegGradPlus:
         ds = data.synth_blobs(4, 30, 4, 4, 1, spread=0.2, seed=61)
         cfg = nn.TrainConfig(epochs=40, batch_size=32, base_lr=2e-3, seed=62)
         model0 = nn.init_model(methods.default_dims(ds.dim, ds.k), seed=63)
-        fitted, _ = nn.train(model0, ds, cfg)
+        fitted = nn.train(model0, ds, cfg)
         d_f, d_r = data.split_forget(ds, data.ForgettingSpec(mode="random",
                                                              ratio=0.1, seed=64))
         before, _ = nn.backward(fitted, d_f.pixels, labels=d_f.labels)

@@ -7,11 +7,13 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from natmu import BLAS_THREAD_VARIABLES, cli, data, runner
 from natmu.errors import ConfigError, ValidationError
 from natmu.methods import METHOD_NAMES, MethodParams
+from natmu.nn import predict_logits
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -162,6 +164,22 @@ class TestConfigParsing:
         path = tmp_path / "difficult.cfg"
         path.write_text("[forget]\nmode = difficult\nratio = 1.5\n")
         with pytest.raises(ConfigError, match="ratio"):
+            runner.load_config(str(path))
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["random", "difficult"])
+    @pytest.mark.parametrize("ratio, empty", [("0.0001", "forgetting"),
+                                              ("0.9999", "remaining")])
+    def test_ratio_leaving_a_set_empty_fails_before_any_training(self, tmp_path, monkeypatch,
+                                                                 mode, ratio, empty):
+        # desk defaults: N = 5000, so round(0.5) = 0 and round(4999.5) = 5000
+        calls = []
+        monkeypatch.setattr(runner, "pretrain_model", lambda *a, **k: calls.append(a))
+        path = tmp_path / "empty.cfg"
+        path.write_text(f"[forget]\nmode = {mode}\nratio = {ratio}\n")
+        with pytest.raises(ConfigError, match=f"ratio {ratio} of N = 5000 .* {empty}"):
             runner.load_config(str(path))
         assert cli.main(["run", "--config", str(path),
                          "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
@@ -369,6 +387,8 @@ class TestScenarioModes:
         names = [r.split(",")[0] for r in rows[1:]]
         assert names == ["TA", "RA", "FATrain", "FATest", "MIA", "KL_avg",
                          "Avg.Gap"]
+        aggregate = (out / "aggregate.csv").read_text().splitlines()
+        assert [r.split(",")[1] for r in aggregate if r.startswith("natmu,")] == names
 
     def test_difficult_mode_uses_pretraining_trace(self, tmp_path):
         cfg_text = MINI_CONFIG.replace("mode = random", "mode = difficult")
@@ -383,6 +403,22 @@ class TestScenarioModes:
         manifest = runner.run_experiment(config, out_dir=str(out))
         assert manifest["status"] == "complete"
         assert (out / "seed_1" / "report_amnesiac.csv").exists()
+
+
+class TestPretrainTrace:
+    def test_trace_counts_bounded_by_epochs(self, mini_config):
+        train_ds, _ = runner.materialize_data(mini_config, data_seed=5)
+        model, counts = runner.pretrain_model(mini_config, train_ds, 1, with_trace=True)
+        epochs = mini_config.pretrain.epochs
+        assert counts.dtype == np.uint32 and counts.shape == (len(train_ds),)
+        assert (counts <= epochs).all()
+        # the last epoch's verdict, the final model's, is part of every count
+        right = predict_logits(model, train_ds.pixels).argmax(axis=1) == train_ds.labels
+        assert right.any() and (counts[right] >= 1).all()
+        assert (counts[~right] <= epochs - 1).all()
+        # counting leaves training as it is
+        untraced, none = runner.pretrain_model(mini_config, train_ds, 1)
+        assert none is None and np.array_equal(untraced.flat, model.flat)
 
 
 class TestEvaluateModel:
