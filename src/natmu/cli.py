@@ -14,15 +14,8 @@ import numpy as np
 
 from . import __version__, builder, data, masks, metrics, nn
 from .errors import NatmuError, ValidationError
-from .methods import METHOD_NAMES, UNLEARN_METHODS, natmu_finetune_set, natmu_hybrids
-from .runner import (
-    SynthSpec,
-    evaluate_model,
-    load_config,
-    prepare_seed,
-    run_experiment,
-    write_report_csv,
-)
+from .methods import METHOD_NAMES, natmu_finetune_set, natmu_hybrids
+from .runner import SynthSpec, load_config, prepare_seed, run_experiment, write_report_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -186,14 +179,10 @@ def _cmd_unlearn(args) -> int:
     config = load_config(args.config)
     # retrain reads its split from --model when given, but starts from no model
     checkpoints = [] if args.model is None else [args.model]
+    source = None if args.method == "retrain" else args.model
     prep = prepare_seed(config, args.seed, checkpoints=checkpoints)
-    if args.method == "retrain":
-        model, _ = prep.retrain()
-        source = None
-    else:
-        request = prep.request(args.method, nn.load_model(args.model))
-        model = UNLEARN_METHODS[args.method](request)
-        source = args.model
+    model, _, _ = prep.unlearn(args.method,
+                               None if source is None else nn.load_model(source))
     _wrote(f"{args.method} model", args.out, prep.save(model, args.out, source))
     return EXIT_OK
 
@@ -205,13 +194,8 @@ def _cmd_evaluate(args) -> int:
     prep = prepare_seed(config, args.seed, checkpoints=[args.model, args.retrain])
     model = nn.load_model(args.model)
     model_r = nn.load_model(args.retrain)
-    kl = 0.0 if args.method == "retrain" else None
-    if args.method in UNLEARN_METHODS:
-        d_ul = prep.unlearning_set(args.method)
-        kl = None if d_ul is None else metrics.kl_avg(model_r, d_ul)
-    report = evaluate_model(model, prep.d_r, prep.d_f, prep.test, prep.spec, kl=kl)
-    reference = evaluate_model(model_r, prep.d_r, prep.d_f, prep.test, prep.spec, kl=0.0)
-    write_report_csv(Path(args.out), report, reference)
+    write_report_csv(Path(args.out), prep.report(model, model_r, args.method),
+                     prep.report(model_r, model_r, "retrain"))
     print(f"wrote report to {args.out}")
     if args.hist_prefix is not None:
         for name, subset in (("forget", prep.d_f), ("test", prep.test)):

@@ -270,14 +270,7 @@ def split_forget(dataset: Dataset, spec: ForgettingSpec,
         rng = np.random.default_rng(spec.seed)
         chosen = np.sort(rng.choice(n, size=size, replace=False))
     elif spec.mode == "class":
-        if spec.scope == "sub":
-            if dataset.subclass_labels is None:
-                raise ValidationError("sub-class forgetting needs subclass labels")
-            chosen = np.nonzero(dataset.subclass_labels == spec.class_index)[0]
-        else:
-            chosen = dataset.class_indices(spec.class_index)
-        if len(chosen) == 0:
-            raise EmptyClassError(f"class {spec.class_index} has no instances")
+        chosen = _class_rows(dataset, spec, "instances")
     else:
         if counts is None:
             raise MissingTraceError("difficult-sample forgetting needs a training trace")
@@ -295,12 +288,18 @@ def forgetting_test_subset(test_set: Dataset, spec: ForgettingSpec) -> Dataset:
     """Test instances of the forgetting class (class-wise scenarios only)."""
     if spec.mode != "class":
         raise ValidationError("test subset of the forgetting class needs class mode")
+    return test_set.subset(_class_rows(test_set, spec, "test instances"))
+
+
+def _class_rows(dataset: Dataset, spec: ForgettingSpec, what: str) -> np.ndarray:
+    """Row positions of the forgetting class in `dataset`, by fine label under
+    sub scope; an EmptyClassError says the class has no `what`."""
     if spec.scope == "sub":
-        if test_set.subclass_labels is None:
+        if dataset.subclass_labels is None:
             raise ValidationError("sub-class forgetting needs subclass labels")
-        idx = np.nonzero(test_set.subclass_labels == spec.class_index)[0]
+        rows = np.nonzero(dataset.subclass_labels == spec.class_index)[0]
     else:
-        idx = test_set.class_indices(spec.class_index)
-    if len(idx) == 0:
-        raise EmptyClassError(f"class {spec.class_index} has no test instances")
-    return test_set.subset(idx)
+        rows = dataset.class_indices(spec.class_index)
+    if len(rows) == 0:
+        raise EmptyClassError(f"class {spec.class_index} has no {what}")
+    return rows

@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import builder, data, masks, metrics, nn
-from .methods import MethodParams, UnlearnRequest, unlearning_dataset
-from .runner import ExperimentConfig, evaluate_model, run_experiment
+from .runner import ExperimentConfig, SynthSpec, prepare_seed, run_experiment
 
 GAP_TOLERANCE = 0.005 + 1e-9  # table values carry two rounded decimals
 
@@ -230,27 +229,28 @@ def check_avg_gap_fixtures() -> CheckResult:
 
 
 def check_kl_conventions() -> CheckResult:
-    ds = data.synth_blobs(6, 12, 4, 4, 1, spread=0.4, seed=3)
-    d_f, d_r = data.split_forget(ds, data.ForgettingSpec(mode="random", ratio=0.2,
-                                                         seed=4))
-    model_o = nn.init_model([ds.dim, 8, ds.k], seed=5)
-    model_r = nn.init_model([ds.dim, 8, ds.k], seed=6)
-    cfg = nn.TrainConfig(epochs=1, batch_size=8, base_lr=1e-3)
-    request = UnlearnRequest(model=model_o, d_f=d_f, d_r=d_r, config=cfg,
-                             params=MethodParams(), seed=9)
-    test = data.synth_blobs(6, 6, 4, 4, 1, spread=0.4, seed=3, split="test")
-    retrain_report = evaluate_model(model_r, d_r, d_f, test, kl=0.0)
-    if retrain_report.kl != 0.0:
+    config = ExperimentConfig(synth=SynthSpec(k=6, per_class=12, test_per_class=6, height=4,
+                                              width=4, spread=0.4), forget_ratio=0.2)
+    prep = prepare_seed(config, 3)
+    model_o = nn.init_model([prep.train.dim, 8, prep.train.k], seed=5)
+    model_r = nn.init_model([prep.train.dim, 8, prep.train.k], seed=6)
+    retrain_kl = prep.report(model_r, model_r, "retrain").kl
+    if retrain_kl != 0.0:
         return CheckResult("6 KL conventions", False,
-                           f"retrain report carries KL {retrain_report.kl}, not 0")
+                           f"retrain report carries KL {retrain_kl}, not 0")
     for method in ("natmu", "amnesiac", "badteacher"):
-        d_ul = unlearning_dataset(method, request)
-        value = metrics.kl_avg(model_r, d_ul)
-        if not (value >= 0.0 and np.isfinite(value)):
+        value = prep.report(model_o, model_r, method, prep.request(method, model_o)).kl
+        if not (value is not None and value >= 0.0 and np.isfinite(value)):
             return CheckResult("6 KL conventions", False,
                                f"{method}: KL {value} not finite and non-negative")
+    for method in ("neggrad", None):
+        value = prep.report(model_o, model_r, method).kl
+        if value is not None:
+            return CheckResult("6 KL conventions", False,
+                               f"{method or 'no method'}: KL {value} without a relabeled set")
     return CheckResult("6 KL conventions", True,
-                       "retrain reports exactly 0; relabeling methods >= 0 and finite")
+                       "retrain reports exactly 0; relabeling methods >= 0 and finite; "
+                       "blank without a relabeled set")
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 and deterministic CSV report emission.
 
 Pipeline per root seed: materialize data, pretrain, select the forgetting
-set, retrain the oracle, run every requested method, evaluate everything
-against the retrained reference. Stage seeds derive from (root seed, stage
-name), so adding a method never perturbs the others. Output files are a
-pure function of (config, seeds, code version); wall-clock timings live
-only in the manifest, never in CSVs.
+set (`prepare_seed`); then the retrain oracle and each method take the two
+steps `run` and the stage commands share: `PreparedSeed.unlearn` trains a
+model and `PreparedSeed.report` evaluates it against the retrained oracle.
+Stage seeds derive from (root seed, stage name), so adding a method never
+perturbs the others. Output files are a pure function of (config, seeds,
+code version); wall-clock timings live only in the manifest, never in CSVs.
 """
 
 import configparser
@@ -407,16 +408,32 @@ class PreparedSeed:
             config=self.config.unlearn, params=self.config.params_for(method),
             seed=self.method_seed(method), epoch_callback=epoch_callback)
 
-    def unlearning_set(self, method: str) -> Dataset | None:
-        """The relabeled set `method` trains on in `run` (None if it has
-        none); the original model is trained for it only if the set reads it."""
-        model = self.original if method in SETS_FROM_MODEL else None
-        return unlearning_dataset(method, self.request(method, model))
+    def unlearn(self, method: str, original: Model | None, epoch_callback=None):
+        """`method` run on this seed: (model, request, audit). Retrain trains a
+        fresh model and returns its audit; an unlearner starts from `original`
+        and returns the request it trained from, which holds the sets it built."""
+        if method == "retrain":
+            config = self.config.pretrain.with_seed(self.method_seed(method))
+            model, audit = retrain(self.d_r, config, forbidden_ids=self.d_f.ids,
+                                   epoch_callback=epoch_callback)
+            return model, None, audit
+        request = self.request(method, original, epoch_callback)
+        return UNLEARN_METHODS[method](request), request, None
 
-    def retrain(self, epoch_callback=None):
-        """The retrain oracle on the remaining set: (model, audit)."""
-        return retrain(self.d_r, self.config.pretrain.with_seed(self.method_seed("retrain")),
-                       forbidden_ids=self.d_f.ids, epoch_callback=epoch_callback)
+    def report(self, model: Model, model_r: Model, method: str | None = None,
+               request: UnlearnRequest | None = None) -> MetricsReport:
+        """`model`'s metrics on this seed's splits, with the KL of the `method`
+        that made it: 0 for the retrain reference `model_r`, blank without a
+        relabeled set, else `model_r`'s KL over the set `request` built (by
+        default one on the original model, trained only if the set reads it)."""
+        kl = 0.0 if method == "retrain" else None
+        if method in UNLEARN_METHODS:
+            if request is None:
+                original = self.original if method in SETS_FROM_MODEL else None
+                request = self.request(method, original)
+            kl_set = unlearning_dataset(method, request)
+            kl = None if kl_set is None else kl_avg(model_r, kl_set)
+        return evaluate_model(model, self.d_r, self.d_f, self.test, self.spec, kl=kl)
 
 
 def prepare_seed(config: ExperimentConfig, root: int,
@@ -430,9 +447,11 @@ def prepare_seed(config: ExperimentConfig, root: int,
     samples by it (difficult mode) or `with_trace` is set; else on first use.
     `stage(name)` is a context manager around each step."""
     seeds = {name: derive_seed(root, name) for name in ("dataset", "pretrain", "forget")}
+    spec = config.forget_spec(seeds["forget"])
     with stage("dataset"):
         train_ds, test_ds = materialize_data(config, seeds["dataset"])
-    spec = config.forget_spec(seeds["forget"])
+    if spec.mode != "class":  # over UDS files N is known only now
+        forget_count(spec.ratio, len(train_ds))
     model_o = counts = original_path = None
     if spec.mode == "difficult" and checkpoints:
         counts, original_path = _read_trace_records(
@@ -466,12 +485,13 @@ def write_report_csv(path: Path, report: MetricsReport, reference: MetricsReport
     return {"values": values, "gaps": gaps}
 
 
-def _aggregate_rows(per_seed: dict, methods):
+def _aggregate_rows(per_seed: dict):
     """aggregate.csv's rows from each seed's `write_report_csv` results, by
-    method, in the reports' metric order."""
+    method in run order, in the reports' metric order."""
     rows = ["method,metric,mean,std,gap_mean,formatted"]
-    for method in methods:
-        for name in next(iter(per_seed.values()))[method]["values"]:
+    first = next(iter(per_seed.values()))
+    for method in first:
+        for name in first[method]["values"]:
             values = [per_seed[s][method]["values"][name] for s in per_seed]
             gaps = [per_seed[s][method]["gaps"][name] for s in per_seed]
             if any(v is None for v in values):
@@ -542,10 +562,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
     try:
         per_seed_rows = {}
         for root in config.seeds:
-            per_seed_rows[root] = _run_one_seed(config, root, out_root, manifest, stage)
+            rows, audit, files, stage_seeds = _run_one_seed(config, root, out_root, stage)
+            per_seed_rows[root] = rows
+            manifest["retrain_audit"][str(root)] = audit
+            manifest["files"] += files
+            manifest["stage_seeds"][str(root)] = stage_seeds
         with stage("aggregate"):
-            methods = list(dict.fromkeys(["retrain", *config.methods]))
-            rows = _aggregate_rows(per_seed_rows, methods)
+            rows = _aggregate_rows(per_seed_rows)
             agg_path = out_root / "aggregate.csv"
             agg_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
             manifest["files"].append(str(agg_path.relative_to(out_root)))
@@ -563,8 +586,10 @@ def _write_manifest(out_root: Path, manifest: dict) -> None:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path,
-                  manifest: dict, run_stage) -> dict:
+def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, run_stage):
+    """Retrain, then each method, through `PreparedSeed.unlearn` and `report`;
+    writes the seed's CSVs. Returns the report rows by method, the retrain
+    audit, the files written (relative to `out_root`) and the stage seeds."""
     seed_dir = out_root / f"seed_{root}"
     seed_dir.mkdir(parents=True, exist_ok=True)
 
@@ -572,7 +597,6 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path,
         return run_stage(f"seed{root}/{name}")
 
     prep = prepare_seed(config, root, stage)
-    d_f, d_r = prep.d_f, prep.d_r
     with stage("pretrain"):
         prep.original  # trained here, so no method's clock counts it
 
@@ -580,35 +604,27 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path,
 
     def curve_recorder(method):
         def cb(epoch, model):
-            curves.append(f"{method},{epoch},{accuracy(model, d_f):.6f},"
-                          f"{accuracy(model, d_r):.6f}")
+            curves.append(f"{method},{epoch},{accuracy(model, prep.d_f):.6f},"
+                          f"{accuracy(model, prep.d_r):.6f}")
         return cb
 
-    with stage("method:retrain"):
-        model_r, audit = prep.retrain(curve_recorder("retrain"))
-    manifest["retrain_audit"][str(root)] = audit
-
-    reports = {"retrain": evaluate_model(model_r, d_r, d_f, prep.test, prep.spec, kl=0.0)}
-    for method in config.methods:
-        if method == "retrain":
-            continue
+    reports = {}
+    for method in dict.fromkeys(("retrain", *config.methods)):
         with stage(f"method:{method}"):
-            request = prep.request(method, prep.original, curve_recorder(method))
-            model_u = UNLEARN_METHODS[method](request)
-            d_ul = unlearning_dataset(method, request)  # the set the method built
-            kl = None if d_ul is None else kl_avg(model_r, d_ul)
-            reports[method] = evaluate_model(model_u, d_r, d_f, prep.test, prep.spec, kl=kl)
+            model, request, audit = prep.unlearn(method, prep.original, curve_recorder(method))
+            if method == "retrain":  # first: the reference of every report
+                model_r, retrain_audit = model, audit
+            reports[method] = prep.report(model, model_r, method, request)
 
-    rows = {}
+    rows, files = {}, []
     with stage("reports"):
         for method, report in reports.items():
             path = seed_dir / f"report_{method}.csv"
             rows[method] = write_report_csv(path, report, reports["retrain"])
-            manifest["files"].append(str(path.relative_to(out_root)))
+            files.append(path)
         curve_path = seed_dir / "curves.csv"
         curve_path.write_text("\n".join(curves) + "\n", encoding="ascii")
-        manifest["files"].append(str(curve_path.relative_to(out_root)))
+        files.append(curve_path)
 
-    manifest["stage_seeds"][str(root)] = {**prep.stage_seeds, **{
-        f"method:{m}": prep.method_seed(m) for m in ("retrain", *config.methods)}}
-    return rows
+    stage_seeds = {**prep.stage_seeds, **{f"method:{m}": prep.method_seed(m) for m in reports}}
+    return rows, retrain_audit, [str(f.relative_to(out_root)) for f in files], stage_seeds

@@ -238,6 +238,20 @@ class TestSuperclass:
         subset = data.forgetting_test_subset(test, spec)
         assert (subset.subclass_labels == 3).all()
 
+    @pytest.mark.parametrize("select, what", [
+        (lambda ds, spec: data.split_forget(ds, spec)[0], "instances"),
+        (data.forgetting_test_subset, "test instances")],
+        ids=["split_forget", "forgetting_test_subset"])
+    def test_class_selectors_refuse_alike(self, select, what):
+        ds = small_blobs()
+        with pytest.raises(ValidationError, match="^sub-class forgetting needs subclass labels$"):
+            select(ds, data.ForgettingSpec(mode="class", class_index=1, scope="sub"))
+        without_3 = ds.subset(np.nonzero(ds.labels != 3)[0])
+        for scope, ds in (("full", without_3),
+                          ("sub", data.to_superclass(without_3, [0, 0, 1, 1, 2, 2]))):
+            with pytest.raises(EmptyClassError, match=f"^class 3 has no {what}$"):
+                select(ds, data.ForgettingSpec(mode="class", class_index=3, scope=scope))
+
     def test_mapping_must_cover_classes(self):
         with pytest.raises(ValidationError):
             data.to_superclass(small_blobs(), [0, 0, 1])

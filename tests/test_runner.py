@@ -185,6 +185,29 @@ class TestConfigParsing:
                          "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["run", "pretrain"])
+    def test_uds_ratio_leaving_a_set_empty_fails_before_the_pretrain(self, tmp_path,
+                                                                     monkeypatch, command):
+        # over UDS files N is known only once they are read: 1% of 30 rounds to 0
+        calls = []
+        monkeypatch.setattr(runner, "pretrain_model", lambda *a, **k: calls.append(a))
+        for split in ("train", "test"):
+            data.save_raw(data.synth_blobs(3, 10, 4, 4, 1, seed=1, split=split),
+                          str(tmp_path / f"{split}.uds"))
+        path = tmp_path / "uds.cfg"
+        path.write_text(f"[dataset]\nkind = uds\ntrain_path = {tmp_path / 'train.uds'}\n"
+                        f"test_path = {tmp_path / 'test.uds'}\n"
+                        "[forget]\nmode = difficult\nratio = 0.01\n")
+        out, checkpoint = tmp_path / "out", tmp_path / "original.nmu"
+        argv = {"run": ["--out-dir", str(out)], "pretrain": ["--out", str(checkpoint)]}
+        assert cli.main([command, "--config", str(path), *argv[command]]) == \
+            cli.EXIT_VALIDATION
+        assert calls == [] and not checkpoint.exists()
+        if command == "run":
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["status"].startswith("failed at seed1/dataset: forgetting ratio")
+            assert "seed1/pretrain" not in manifest["wall_clock"]
+
     @pytest.mark.parametrize("key, value", [
         ("k", "1"), ("per_class", "0"), ("test_per_class", "0"), ("height", "0"),
         ("width", "0"), ("channels", "0"), ("spread", "-1")])
