@@ -194,8 +194,8 @@ def _cmd_evaluate(args) -> int:
     prep = prepare_seed(config, args.seed, checkpoints=[args.model, args.retrain])
     model = nn.load_model(args.model)
     model_r = nn.load_model(args.retrain)
-    write_report_csv(Path(args.out), prep.report(model, model_r, args.method),
-                     prep.report(model_r, model_r, "retrain"))
+    reference, _ = prep.report(model_r, model_r, "retrain")
+    write_report_csv(Path(args.out), *prep.report(model, model_r, args.method), reference)
     print(f"wrote report to {args.out}")
     if args.hist_prefix is not None:
         for name, subset in (("forget", prep.d_f), ("test", prep.test)):

@@ -93,15 +93,15 @@ class Dataset:
 
 
 def concat(first: Dataset, second: Dataset) -> Dataset:
-    """Concatenate two compatible datasets, preserving order and ids."""
+    """Concatenate two compatible datasets (one geometry, both hard- or both
+    soft-labeled), preserving order and ids."""
     if (first.height, first.width, first.channels, first.k) != (
             second.height, second.width, second.channels, second.k):
         raise ValidationError("cannot concatenate datasets of different geometry")
-    soft = None
-    if first.soft_labels is not None or second.soft_labels is not None:
-        a = first.soft_labels if first.soft_labels is not None else _one_hot(first)
-        b = second.soft_labels if second.soft_labels is not None else _one_hot(second)
-        soft = np.concatenate([a, b], axis=0)
+    if (first.soft_labels is None) != (second.soft_labels is None):
+        raise ValidationError("cannot concatenate a soft-labeled dataset with a hard-labeled one")
+    soft = None if first.soft_labels is None else np.concatenate(
+        [first.soft_labels, second.soft_labels], axis=0)
     return Dataset(
         pixels=np.concatenate([first.pixels, second.pixels], axis=0),
         labels=np.concatenate([first.labels, second.labels]),
@@ -110,12 +110,6 @@ def concat(first: Dataset, second: Dataset) -> Dataset:
         ids=np.concatenate([first.ids, second.ids]),
         soft_labels=soft,
     )
-
-
-def _one_hot(ds: Dataset) -> np.ndarray:
-    out = np.zeros((len(ds), ds.k), dtype=np.float32)
-    out[np.arange(len(ds)), ds.labels] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,6 @@ class WeightingMask:
     values: np.ndarray  # (H, W) float32 in [0, 1]
     family: str
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
     def flat(self, channels: int) -> np.ndarray:
         """Per-element weights for a flattened (H, W, C) image."""
         return np.repeat(self.values.reshape(-1), channels).astype(np.float32)

@@ -1,5 +1,8 @@
 """Evaluation: accuracies, entropy-threshold membership inference,
-label-naturalness KL, and gap aggregation against a retrain reference."""
+label-naturalness KL, and gap aggregation against a retrain reference.
+
+A report is an ordered mapping of percent metrics by name, as
+`runner.evaluate_model` returns it; the gaps compare two such mappings."""
 
 import math
 from dataclasses import dataclass
@@ -103,13 +106,12 @@ def mia_ratio(classifier: MiaClassifier, forget: np.ndarray) -> float:
 # naturalness
 
 
-def kl_avg(model_r: Model, d_ul: Dataset, flip: bool = False,
-           eps: float = KL_SMOOTHING_EPS) -> float:
-    """Mean KL between the retrained model's predictions on the unlearning
-    instances and their assigned labels.
+def kl_avg(model_r: Model, d_ul: Dataset) -> float:
+    """Mean KL(model || label) between the retrained model's predictions on
+    the unlearning instances and their assigned labels.
 
-    Hard labels are eps-smoothed one-hots so the divergence stays finite.
-    Default argument order is KL(model || label); flip reverses it.
+    Hard labels are one-hots smoothed by KL_SMOOTHING_EPS so the divergence
+    stays finite.
     """
     if len(d_ul) == 0:
         raise ValidationError("KL average of an empty set is undefined")
@@ -118,11 +120,9 @@ def kl_avg(model_r: Model, d_ul: Dataset, flip: bool = False,
         q = d_ul.soft_labels.astype(np.float64)
         q /= q.sum(axis=1, keepdims=True)  # f32 storage drifts off sum 1
     else:
-        q = np.full((len(d_ul), d_ul.k), eps, dtype=np.float64)
+        q = np.full((len(d_ul), d_ul.k), KL_SMOOTHING_EPS, dtype=np.float64)
         q[np.arange(len(d_ul)), d_ul.labels] += 1.0
         q /= q.sum(axis=1, keepdims=True)
-    if flip:
-        p, q = q, p
     logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
     with np.errstate(divide="ignore"):
         logq = np.log(q)
@@ -136,43 +136,18 @@ def kl_avg(model_r: Model, d_ul: Dataset, flip: bool = False,
 # reports
 
 
-@dataclass
-class MetricsReport:
-    """Percent metrics plus KL naturalness (None where undefined)."""
-
-    ta: float
-    ra: float
-    fa: float
-    mia: float
-    kl: float | None = None
-    fa_train: float | None = None
-    fa_test: float | None = None
-
-    def gap_metrics(self) -> list[tuple[str, float]]:
-        """Metric set entering the average gap, in report order."""
-        if self.fa_train is not None:
-            return [("TA", self.ta), ("RA", self.ra), ("FATrain", self.fa_train),
-                    ("FATest", self.fa_test), ("MIA", self.mia)]
-        return [("TA", self.ta), ("RA", self.ra), ("FA", self.fa), ("MIA", self.mia)]
-
-
-def metric_gaps(report: MetricsReport, reference: MetricsReport) -> dict[str, float]:
-    ours = report.gap_metrics()
-    theirs = reference.gap_metrics()
-    if [name for name, _ in ours] != [name for name, _ in theirs]:
+def metric_gaps(report: dict, reference: dict) -> dict[str, float]:
+    """Unsigned per-metric differences of two reports (`evaluate_model`'s
+    mappings of percent metrics by name), in report order."""
+    if list(report) != list(reference):
         raise MetricSetMismatchError("reports carry different metric sets")
-    return {name: abs(a - b) for (name, a), (_, b) in zip(ours, theirs)}
+    return {name: abs(report[name] - reference[name]) for name in report}
 
 
-def avg_gap(report: MetricsReport, reference: MetricsReport) -> float:
+def avg_gap(report: dict, reference: dict) -> float:
     """Mean absolute per-metric difference, in percentage points."""
     gaps = metric_gaps(report, reference)
     return float(np.mean(list(gaps.values())))
-
-
-def avg_gap_from_values(gaps) -> float:
-    """Average of pre-computed unsigned gaps (for table arithmetic checks)."""
-    return float(np.mean(np.abs(np.asarray(gaps, dtype=np.float64))))
 
 
 def entropy_histogram(model: Model, ds: Dataset, bins: int) -> tuple[np.ndarray, np.ndarray]:

@@ -51,6 +51,10 @@ class Model:
         model.layers = _arena_views(flat, shapes)
         return model
 
+    def __reduce__(self):
+        """Pickle and deepcopy as the arena, so the copy's layers view its `flat`."""
+        return Model.on_arena, (self.flat, self.shapes)
+
     @property
     def input_dim(self) -> int:
         return self.layers[0].weight.shape[1]

@@ -4,7 +4,9 @@ and deterministic CSV report emission.
 Pipeline per root seed: materialize data, pretrain, select the forgetting
 set (`prepare_seed`); then the retrain oracle and each method take the two
 steps `run` and the stage commands share: `PreparedSeed.unlearn` trains a
-model and `PreparedSeed.report` evaluates it against the retrained oracle.
+model and `PreparedSeed.report` evaluates it: an ordered mapping of percent
+metrics by name (`evaluate_model`), with the naturalness KL beside it, that
+`write_report_csv` scores against the retrained oracle's mapping.
 Stage seeds derive from (root seed, stage name), so adding a method never
 perturbs the others. Output files are a pure function of (config, seeds,
 code version); wall-clock timings live only in the manifest, never in CSVs.
@@ -37,7 +39,6 @@ from .data import (
 )
 from .errors import ConfigError, MissingTraceError, ValidationError
 from .metrics import (
-    MetricsReport,
     accuracy,
     accuracy_of_logits,
     avg_gap,
@@ -421,11 +422,12 @@ class PreparedSeed:
         return UNLEARN_METHODS[method](request), request, None
 
     def report(self, model: Model, model_r: Model, method: str | None = None,
-               request: UnlearnRequest | None = None) -> MetricsReport:
-        """`model`'s metrics on this seed's splits, with the KL of the `method`
-        that made it: 0 for the retrain reference `model_r`, blank without a
-        relabeled set, else `model_r`'s KL over the set `request` built (by
-        default one on the original model, trained only if the set reads it)."""
+               request: UnlearnRequest | None = None) -> tuple[dict, float | None]:
+        """`model`'s metrics on this seed's splits (`evaluate_model`) and, beside
+        them, the KL of the `method` that made it: 0 for the retrain reference
+        `model_r`, None without a relabeled set, else `model_r`'s KL over the set
+        `request` built (by default one on the original model, trained only if
+        the set reads it)."""
         kl = 0.0 if method == "retrain" else None
         if method in UNLEARN_METHODS:
             if request is None:
@@ -433,7 +435,7 @@ class PreparedSeed:
                 request = self.request(method, original)
             kl_set = unlearning_dataset(method, request)
             kl = None if kl_set is None else kl_avg(model_r, kl_set)
-        return evaluate_model(model, self.d_r, self.d_f, self.test, self.spec, kl=kl)
+        return evaluate_model(model, self.d_r, self.d_f, self.test, self.spec), kl
 
 
 def prepare_seed(config: ExperimentConfig, root: int,
@@ -470,12 +472,13 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def write_report_csv(path: Path, report: MetricsReport, reference: MetricsReport) -> dict:
-    """Write the report's rows; returns their values and gaps by metric name."""
-    values, ref = dict(report.gap_metrics()), dict(reference.gap_metrics())
+def write_report_csv(path: Path, report: dict, kl: float | None, reference: dict) -> dict:
+    """Write `report`'s rows against the retrain `reference` (mappings from
+    `evaluate_model`), with its `kl` beside them; returns their values and
+    gaps by metric name."""
     gaps = metric_gaps(report, reference)
-    values["KL_avg"], ref["KL_avg"] = report.kl, 0.0
-    gaps["KL_avg"] = None if report.kl is None else abs(report.kl - 0.0)
+    values, ref = {**report, "KL_avg": kl}, {**reference, "KL_avg": 0.0}
+    gaps["KL_avg"] = None if kl is None else abs(kl - 0.0)
     lines = ["metric,value,retrain_value,gap"]
     for name, value in values.items():
         lines.append(f"{name},{_fmt(value)},{_fmt(ref[name])},{_fmt(gaps[name])}")
@@ -505,23 +508,20 @@ def _aggregate_rows(per_seed: dict):
 
 
 def evaluate_model(model: Model, d_r: Dataset, d_f: Dataset, test_ds: Dataset,
-                   spec: ForgettingSpec | None = None, kl: float | None = None) -> MetricsReport:
-    """Metrics of one model against the standard splits, from one forward
-    pass over each."""
+                   spec: ForgettingSpec | None = None) -> dict[str, float]:
+    """One model's report: its percent metrics against the standard splits
+    by name, in report order (TA, RA, FA, MIA; in class mode TA, RA,
+    FATrain, FATest, MIA), from one forward pass over each split."""
     logits_r, logits_f, logits_test = (predict_logits(model, ds.pixels)
                                        for ds in (d_r, d_f, test_ds))
     clf = mia_fit(entropies_of_logits(logits_r), entropies_of_logits(logits_test))
-    fa = accuracy_of_logits(logits_f, d_f)
-    report = MetricsReport(
-        ta=accuracy_of_logits(logits_test, test_ds),
-        ra=accuracy_of_logits(logits_r, d_r),
-        fa=fa,
-        mia=mia_ratio(clf, entropies_of_logits(logits_f)),
-        kl=kl,
-    )
+    report = {"TA": accuracy_of_logits(logits_test, test_ds),
+              "RA": accuracy_of_logits(logits_r, d_r),
+              "FA": accuracy_of_logits(logits_f, d_f)}
     if spec is not None and spec.mode == "class":
-        report.fa_train = fa
-        report.fa_test = accuracy(model, forgetting_test_subset(test_ds, spec))
+        report["FATrain"] = report.pop("FA")
+        report["FATest"] = accuracy(model, forgetting_test_subset(test_ds, spec))
+    report["MIA"] = mia_ratio(clf, entropies_of_logits(logits_f))
     return report
 
 
@@ -618,9 +618,9 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, run_stage
 
     rows, files = {}, []
     with stage("reports"):
-        for method, report in reports.items():
+        for method, (values, kl) in reports.items():
             path = seed_dir / f"report_{method}.csv"
-            rows[method] = write_report_csv(path, report, reports["retrain"])
+            rows[method] = write_report_csv(path, values, kl, reports["retrain"][0])
             files.append(path)
         curve_path = seed_dir / "curves.csv"
         curve_path.write_text("\n".join(curves) + "\n", encoding="ascii")

@@ -363,6 +363,21 @@ class TestTraceRecord:
         Path(record).unlink()
         self.refused(stage, capsys, self.command(stage, name), record)
 
+    MALFORMED = [  # (fault, the record's text made from the one `pretrain` wrote, error word)
+        ("not an object", lambda record: json.dumps(record["counts"]), "not a JSON object"),
+        ("not JSON", lambda record: json.dumps(record)[:-1], "unreadable"),
+        ("count above epochs", lambda record: json.dumps(
+            {**record, "counts": [record["epochs"] + 1, *record["counts"][1:]]}), "counts"),
+        ("source without sha256", lambda record: json.dumps(
+            {**record, "source": {"path": "original.nmu"}}), "sha256"),
+    ]
+
+    @pytest.mark.parametrize("fault, rewrite, word", MALFORMED, ids=[f for f, _, _ in MALFORMED])
+    def test_malformed_record_refused(self, stage, capsys, fault, rewrite, word):
+        record = Path(stage["original"] + runner.RECORD_SUFFIX)
+        record.write_text(rewrite(json.loads(record.read_text())))
+        self.refused(stage, capsys, self.command(stage, "build natmu"), str(record), word)
+
     def test_another_seed_refused(self, stage, capsys):
         self.refused(stage, capsys, self.command(stage, "unlearn natmu", seed="2"),
                      stage["original"] + runner.RECORD_SUFFIX, "seed")

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -269,6 +270,15 @@ class TestDatasetHelpers:
     def test_concat_geometry_mismatch(self):
         with pytest.raises(ValidationError):
             data.concat(small_blobs(), small_blobs(height=5, width=5))
+
+    def test_concat_of_soft_and_hard_labels_refused(self):
+        hard = small_blobs()
+        soft = replace(hard, soft_labels=np.full((len(hard), hard.k), 1.0 / hard.k,
+                                                 dtype=np.float32))
+        for first, second in ((hard, soft), (soft, hard)):
+            with pytest.raises(ValidationError, match="soft-labeled .* hard-labeled"):
+                data.concat(first, second)
+        assert data.concat(soft, soft).soft_labels.shape == (2 * len(hard), hard.k)
 
     def test_sorted_by_id(self):
         ds = small_blobs()

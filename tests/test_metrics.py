@@ -175,23 +175,16 @@ class TestKlAvg:
             v = metrics.kl_avg(model, ds)
             assert v >= 0.0 and np.isfinite(v)
 
-    def test_flip_reverses_arguments(self):
-        model = kl_fixture_model()
-        ds = tiny_dataset(np.eye(2)[1:], [1], k=3, soft=[[0.1, 0.6, 0.3]])
-        plain = metrics.kl_avg(model, ds)
-        flipped = metrics.kl_avg(model, ds, flip=True)
-        assert plain != flipped
-        assert flipped >= 0.0
-
     def test_empty_set_rejected(self):
         with pytest.raises(ValidationError):
             metrics.kl_avg(kl_fixture_model(), tiny_dataset(np.zeros((0, 2)), [], 3))
 
 
 def report(**overrides):
-    base = dict(ta=76.0, ra=99.9, fa=77.0, mia=55.0, kl=1.0)
-    base.update(overrides)
-    return metrics.MetricsReport(**base)
+    """A report mapping as `evaluate_model` gives it; FATrain and FATest
+    overrides make it the class-mode metric set."""
+    fa = {"FATrain": 77.0, "FATest": 77.0} if "FATrain" in overrides else {"FA": 77.0}
+    return {"TA": 76.0, "RA": 99.9, **fa, "MIA": 55.0, **overrides}
 
 
 class TestGaps:
@@ -200,22 +193,24 @@ class TestGaps:
 
     def test_symmetry(self):
         a = report()
-        b = report(ta=70.0, mia=60.0)
+        b = report(TA=70.0, MIA=60.0)
         assert metrics.avg_gap(a, b) == metrics.avg_gap(b, a)
 
     def test_published_four_metric_rows(self):
         tol = 0.005 + 1e-9
-        assert abs(metrics.avg_gap_from_values((1.15, 2.47, 1.28, 1.88)) - 1.70) <= tol
-        assert abs(metrics.avg_gap_from_values((4.21, 0.03, 18.98, 32.82)) - 14.01) <= tol
+        zero = dict.fromkeys(report(), 0.0)
+        for gaps, want in (((1.15, 2.47, 1.28, 1.88), 1.70),
+                           ((4.21, 0.03, 18.98, 32.82), 14.01)):
+            assert abs(metrics.avg_gap(dict(zip(zero, gaps)), zero) - want) <= tol
 
     def test_class_wise_uses_five_metrics(self):
-        a = report(fa_train=10.0, fa_test=12.0)
-        b = report(fa_train=15.0, fa_test=12.0)
+        a = report(FATrain=10.0, FATest=12.0)
+        b = report(FATrain=15.0, FATest=12.0)
         assert metrics.avg_gap(a, b) == pytest.approx(1.0)  # 5/5 metrics
 
     def test_metric_set_mismatch(self):
         with pytest.raises(MetricSetMismatchError):
-            metrics.avg_gap(report(), report(fa_train=1.0, fa_test=2.0))
+            metrics.avg_gap(report(), report(FATrain=1.0, FATest=2.0))
 
 
 class TestEntropyHistogram:

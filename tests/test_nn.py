@@ -1,3 +1,5 @@
+import copy
+import pickle
 import struct
 
 import numpy as np
@@ -248,6 +250,19 @@ class TestArena:
         assert np.array_equal(model.flat, before)
         model.flat[...] = 0.0
         assert clone.layers[1].bias[0] == 7.0
+
+    @pytest.mark.parametrize("round_trip", [lambda m: pickle.loads(pickle.dumps(m)),
+                                            copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_round_trip_keeps_layers_views_of_the_arena(self, round_trip):
+        model = nn.init_model([6, 5, 4], seed=1)
+        clone = round_trip(model)
+        assert not np.shares_memory(clone.flat, model.flat)
+        assert np.array_equal(clone.flat, model.flat) and clone.shapes == model.shapes
+        assert all(np.shares_memory(p, clone.flat) for p in clone.params())
+        ds = synth_blobs(4, 6, 2, 3, 1, seed=2)
+        config = nn.TrainConfig(epochs=2, batch_size=8, seed=3)
+        assert np.array_equal(nn.train(clone, ds, config).flat,
+                              nn.train(model, ds, config).flat)
 
     def test_reinit_layer_writes_through_to_arena(self):
         model = nn.init_model([6, 5, 4], seed=1)
