@@ -2,9 +2,12 @@
 
 Dense rectifier MLP over flattened pixels, cross-entropy on hard labels or
 temperature-scaled KL on soft targets, SGD-momentum / decoupled-decay Adam
-optimizers, and a cosine-to-zero schedule. Everything is seeded and
-single-threaded, so training is a pure function of (initial model, dataset,
-config.seed). Evaluation over a frozen model is read-only and safe to share.
+optimizers, and a cosine-to-zero schedule. Everything is seeded and each
+model trains on one thread, so training is a pure function of (initial
+model, dataset, config.seed). With an epoch callback, that thread is a
+worker beside the caller, which observes each epoch's private copy while
+the next epoch trains. Evaluation over a frozen model is read-only and safe
+to share.
 
 Parameter arena: all of a model's parameters live in one contiguous vector,
 ``Model.flat``, in the order W0, b0, W1, b1, ... (each weight row-major,
@@ -19,7 +22,10 @@ per layer the weight matrix (row-major, out x in) followed by the bias.
 """
 
 import math
+import queue
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -341,9 +347,14 @@ def train(model: Model, dataset, config: TrainConfig, *, temperature: float = 1.
     tempered KL loss. A step whose loss (descent minus alpha times ascent)
     is not finite raises DivergenceError before the update.
 
-    epoch_callback(epoch_index, model) fires after each epoch's last step
-    and subnormal flush, the one place per-epoch outputs come from;
-    batch_callback(ids) gets each batch's instance ids before its step.
+    epoch_callback(epoch_index, model) gets a private copy of the model
+    after each epoch's last step and subnormal flush, the one place
+    per-epoch outputs come from. It runs on the calling thread, in epoch
+    order, while one worker thread trains the next epoch; once it raises,
+    the worker stops at its next epoch boundary. Without it no thread
+    starts. batch_callback(ids) gets each batch's instance ids before its
+    step, on the thread that trains. An exception from either callback or
+    from training reaches the caller as itself.
     """
     n = len(dataset)
     if n == 0:
@@ -351,7 +362,42 @@ def train(model: Model, dataset, config: TrainConfig, *, temperature: float = 1.
     model = model.copy()
     if config.epochs == 0:
         return model
+    epochs = _epochs(model, dataset, config, temperature, batch_callback, ascent)
+    if epoch_callback is None:
+        for _ in epochs:
+            pass
+        return model
 
+    # Training moves to the worker, not the callback: the callbacks' large
+    # forwards then keep their temporaries in the main thread's malloc
+    # arena (a callback thread's own arena held them, +5 MB peak RSS on desk).
+    handed, stop = queue.SimpleQueue(), threading.Event()
+
+    def hand_over():
+        try:
+            for epoch in epochs:
+                if stop.is_set():
+                    return
+                handed.put((epoch, model.copy()))
+        finally:
+            handed.put(None)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(hand_over)
+        try:
+            for epoch, trained in iter(handed.get, None):
+                epoch_callback(epoch, trained)
+        finally:
+            stop.set()
+        worker.result()
+    return model
+
+
+def _epochs(model: Model, dataset, config: TrainConfig, temperature: float,
+            batch_callback, ascent: Ascent | None):
+    """Train `model` in place, yielding each epoch's index after its last
+    step and subnormal flush."""
+    n = len(dataset)
     rng = np.random.default_rng(config.seed)
     opt = OPTIMIZERS[config.optimizer]()
     grads = model.zeros_like()
@@ -385,9 +431,7 @@ def train(model: Model, dataset, config: TrainConfig, *, temperature: float = 1.
             opt.step(model, grads, lr, config.weight_decay)
             step += 1
         _flush_subnormals(opt.state())
-        if epoch_callback is not None:
-            epoch_callback(epoch, model)
-    return model
+        yield epoch
 
 
 # ---------------------------------------------------------------------------

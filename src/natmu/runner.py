@@ -14,9 +14,11 @@ code version); wall-clock timings live only in the manifest, never in CSVs.
 
 import configparser
 import contextlib
+import ctypes
 import hashlib
 import json
 import os
+import platform
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -525,12 +527,50 @@ def evaluate_model(model: Model, d_r: Dataset, d_f: Dataset, test_ds: Dataset,
     return report
 
 
+def _openblas(symbol: str, restype):
+    """`symbol()` of numpy's bundled OpenBLAS; None where numpy bundles none
+    or the library lacks the symbol."""
+    package = Path(np.__file__).resolve().parent
+    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                        *package.glob(".dylibs/*openblas*")]):
+        try:
+            function = getattr(ctypes.CDLL(str(path)), symbol)
+        except (OSError, AttributeError):
+            continue
+        function.argtypes, function.restype = [], restype
+        return function()
+    return None
+
+
+def openblas_core() -> str | None:
+    """The kernel OpenBLAS chose for this CPU (None as in `_openblas`)."""
+    core = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return None if core is None else core.decode()
+
+
+def run_environment() -> dict:
+    """The manifest's `environment`: the BLAS thread variables as BLAS read
+    them, the Python and numpy versions, numpy's BLAS name and version (None
+    before numpy 1.26), and the OpenBLAS kernel and live thread count (None
+    where numpy's OpenBLAS lacks the symbol). The live count is what BLAS
+    uses, whatever the variables say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):  # numpy before 1.26 prints only
+        blas = None
+    return {"blas_threads": dict(BLAS_THREADS), "python": platform.python_version(),
+            "numpy": np.__version__, "blas": blas, "openblas_core": openblas_core(),
+            "openblas_threads": _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)}
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Execute the full pipeline; returns the manifest dict.
 
     Writes per-seed report and curve CSVs, a cross-seed aggregate, and
     manifest.json. On failure the partial manifest is persisted with the
-    failing stage before the error propagates.
+    failing stage and the exception's class (`error`) before the error
+    propagates.
     """
     config.validate()
     out_root = Path(out_dir or os.environ.get("OUTPUT_DIR", config.output_dir))
@@ -539,7 +579,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
         "config": config.semantic_dict(),
         "config_hash": config.hash(),
         "version": __version__,
-        "environment": {"blas_threads": dict(BLAS_THREADS)},
+        "environment": run_environment(),
         "seeds": list(config.seeds),
         "stage_seeds": {},
         "wall_clock": {},
@@ -575,6 +615,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
         manifest["status"] = "complete"
     except Exception as exc:
         manifest["status"] = f"failed at {failing[0]}: {exc}"
+        manifest["error"] = {"stage": failing[0], "type": type(exc).__name__}
         _write_manifest(out_root, manifest)
         raise
     _write_manifest(out_root, manifest)

@@ -12,7 +12,6 @@ rewrites the current key's entry:
     PYTHONPATH=src python tests/test_digests.py
 """
 
-import ctypes
 import hashlib
 import json
 import sys
@@ -23,6 +22,7 @@ import numpy as np
 import pytest
 
 from natmu import cli
+from natmu.runner import openblas_core
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 
@@ -140,21 +140,6 @@ def digests(work: Path, case: str) -> dict:
     return out
 
 
-def _openblas_core() -> str | None:
-    """The kernel OpenBLAS chose for this CPU, from numpy's bundled library;
-    None where numpy bundles none or it lacks the symbol."""
-    package = Path(np.__file__).resolve().parent
-    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"),
-                        *package.glob(".dylibs/*openblas*")]):
-        try:
-            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return None
-
-
 def platform_key() -> str:
     """What the bytes depend on besides the code: numpy's version, the
     OpenBLAS kernel and the SIMD extensions numpy found on this CPU."""
@@ -162,7 +147,7 @@ def platform_key() -> str:
         simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
     except (TypeError, KeyError):  # numpy before 1.26 prints only
         simd = None
-    return json.dumps({"numpy": np.__version__, "openblas_core": _openblas_core(),
+    return json.dumps({"numpy": np.__version__, "openblas_core": openblas_core(),
                        "simd": simd}, sort_keys=True)
 
 

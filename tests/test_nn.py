@@ -1,15 +1,20 @@
 import copy
 import pickle
 import struct
+import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from natmu import nn
+from natmu import methods, nn
 from natmu.data import Dataset, synth_blobs
 from natmu.errors import (
     CheckpointFormatError,
     DivergenceError,
+    NatmuError,
+    RetrainIsolationError,
     ShapeMismatchError,
     ValidationError,
 )
@@ -398,6 +403,123 @@ class TestTrain:
             nn.TrainConfig(epochs=1, batch_size=4, base_lr=0.0)
         with pytest.raises(ValidationError):
             nn.TrainConfig(epochs=1, batch_size=4, base_lr=0.1, optimizer="rmsprop")
+
+
+class CallbackFailure(NatmuError):
+    pass
+
+
+class TestEpochHandOver:
+    """With an epoch callback, `train` trains on one worker thread and hands
+    the calling thread a private copy of each epoch's model."""
+
+    CONFIG = nn.TrainConfig(epochs=4, batch_size=8, base_lr=1e-2, weight_decay=1e-3, seed=7)
+
+    @staticmethod
+    def world():
+        return synth_blobs(3, 12, 3, 3, 1, spread=0.3, seed=5), nn.init_model([9, 6, 3], seed=6)
+
+    @staticmethod
+    def recorder(delay):
+        seen = []
+
+        def callback(epoch, model):
+            time.sleep(delay)
+            seen.append((epoch, threading.get_ident(), model))
+        return seen, callback
+
+    def test_slow_callback_gets_every_epoch_in_order_on_the_calling_thread(self):
+        ds, model = self.world()
+        slow, slow_callback = self.recorder(0.01)
+        fast, fast_callback = self.recorder(0.0)
+        trainers = set()
+        trained = nn.train(model, ds, self.CONFIG, epoch_callback=slow_callback,
+                           batch_callback=lambda ids: trainers.add(threading.get_ident()))
+        nn.train(model, ds, self.CONFIG, epoch_callback=fast_callback)
+        assert [epoch for epoch, _, _ in slow] == list(range(self.CONFIG.epochs))
+        assert {thread for _, thread, _ in slow} == {threading.get_ident()}
+        assert len(trainers) == 1 and threading.get_ident() not in trainers
+        for (_, _, a), (_, _, b) in zip(slow, fast):
+            assert np.array_equal(a.flat, b.flat)
+        assert not any(np.array_equal(a.flat, b.flat) for (_, _, a), (_, _, b)
+                       in zip(slow, slow[1:]))
+        assert np.array_equal(slow[-1][2].flat, trained.flat)
+
+    @pytest.mark.parametrize("case", ["adamw", "sgd", "soft", "ascent"])
+    def test_callback_leaves_training_bit_equal(self, case):
+        ds, model = self.world()
+        config, options = self.CONFIG, {}
+        if case == "sgd":
+            config = replace(config, optimizer="sgd")
+        elif case == "soft":
+            soft = nn.softmax(np.random.default_rng(1).normal(size=(len(ds), ds.k)))
+            ds = replace(ds, soft_labels=soft.astype(np.float32))
+            options["temperature"] = 2.0
+        elif case == "ascent":
+            options["ascent"] = nn.Ascent(ds.subset(np.arange(5)), alpha=0.1, seed=3)
+        seen, callback = self.recorder(0.0)
+        observed = nn.train(model, ds, config, epoch_callback=callback, **options)
+        assert [epoch for epoch, _, _ in seen] == list(range(config.epochs))
+        assert np.array_equal(observed.flat, nn.train(model, ds, config, **options).flat)
+
+    def test_zeroing_the_handed_copy_changes_nothing(self):
+        ds, model = self.world()
+
+        def zero(epoch, handed):
+            handed.flat[:] = 0.0
+        assert np.array_equal(nn.train(model, ds, self.CONFIG, epoch_callback=zero).flat,
+                              nn.train(model, ds, self.CONFIG).flat)
+
+    @pytest.mark.parametrize("failure, error", [("callback", CallbackFailure),
+                                                ("audit", RetrainIsolationError),
+                                                ("divergence", DivergenceError)])
+    def test_errors_reach_the_caller_as_themselves(self, failure, error):
+        ds, model = self.world()
+        threads, epochs = threading.active_count(), []
+
+        def callback(epoch, handed):
+            epochs.append(epoch)
+            if failure == "callback" and epoch == 1:
+                raise CallbackFailure("curve failed")
+        with pytest.raises(error) as info:
+            if failure == "audit":
+                methods.retrain(ds, self.CONFIG, forbidden_ids=ds.ids[-1:],
+                                epoch_callback=callback)
+            else:
+                if failure == "divergence":
+                    model.layers[0].weight[0, 0] = np.inf
+                nn.train(model, ds, self.CONFIG, epoch_callback=callback)
+        assert type(info.value) is error
+        assert threading.active_count() == threads
+        assert epochs == ([0, 1] if failure == "callback" else [])
+
+    def test_worker_stops_at_the_epoch_boundary_after_a_failed_callback(self):
+        ds, model = self.world()
+        per_epoch = -(-len(ds) // self.CONFIG.batch_size)
+        done = [threading.Event() for _ in range(self.CONFIG.epochs)]
+        batches = []
+
+        def callback(epoch, handed):
+            if epoch == 1:
+                raise CallbackFailure("curve failed")
+            done[epoch].set()
+
+        def gate(ids):
+            # epoch e starts once epoch e - 1's callback is done, or after 0.5 s
+            batches.append(ids)
+            epoch, first = divmod(len(batches) - 1, per_epoch)
+            if epoch and not first:
+                done[epoch - 1].wait(0.5)
+        with pytest.raises(CallbackFailure):
+            nn.train(model, ds, self.CONFIG, epoch_callback=callback, batch_callback=gate)
+        assert len(batches) == 3 * per_epoch  # epoch 2 was under way when epoch 1 failed
+
+    def test_no_thread_starts_without_an_epoch_callback(self):
+        ds, model = self.world()
+        threads, seen = threading.active_count(), set()
+        nn.train(model, ds, self.CONFIG, batch_callback=lambda ids: seen.add(
+            (threading.get_ident(), threading.active_count())))
+        assert seen == {(threading.get_ident(), threads)}
 
 
 class TestCheckpoint:

@@ -2,6 +2,7 @@ import filecmp
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from natmu import BLAS_THREAD_VARIABLES, cli, data, runner
-from natmu.errors import ConfigError, ValidationError
+from natmu.errors import ConfigError, NatmuError, ValidationError
 from natmu.methods import METHOD_NAMES, MethodParams
 from natmu.nn import predict_logits
 
@@ -408,6 +409,33 @@ class TestFailureHandling:
         assert manifest["status"].startswith("failed at seed1/method:natmu")
 
 
+    @pytest.mark.parametrize("failure, error", [("curve", "CurveFailure"),
+                                                ("audit", "RetrainIsolationError")])
+    def test_failure_records_the_stage_and_the_exception_class(self, tmp_path, monkeypatch,
+                                                               capsys, failure, error):
+        class CurveFailure(NatmuError):
+            pass
+
+        def failing_accuracy(model, dataset):
+            raise CurveFailure("curve failed")
+
+        def leaky_split(dataset, spec, counts=None):  # d_r keeps the forgetting ids
+            return split(dataset, spec, counts)[0], dataset
+        split = runner.split_forget
+        if failure == "curve":
+            monkeypatch.setattr(runner, "accuracy", failing_accuracy)
+        else:
+            monkeypatch.setattr(runner, "split_forget", leaky_split)
+        (tmp_path / "mini.cfg").write_text(MINI_CONFIG.replace("seeds = 1,2", "seeds = 1"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(tmp_path / "mini.cfg"),
+                         "--out-dir", str(out)]) == cli.EXIT_RUNTIME
+        message = capsys.readouterr().err.removeprefix("runtime failure: ").rstrip("\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == f"failed at seed1/method:retrain: {message}"
+        assert manifest["error"] == {"stage": "seed1/method:retrain", "type": error}
+
+
 class TestScenarioModes:
     def test_class_wise_run_reports_fa_splits(self, tmp_path):
         cfg_text = MINI_CONFIG.replace(
@@ -499,6 +527,41 @@ class TestBlasThreadRecord:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["environment"]["blas_threads"] == dict.fromkeys(
             BLAS_THREAD_VARIABLES, recorded)
+
+
+class TestEnvironmentRecord:
+    def test_manifest_records_the_live_environment(self, tmp_path):
+        cfg = MINI_CONFIG.replace("seeds = 1,2", "seeds = 1").replace(
+            "methods = retrain,amnesiac,natmu,badteacher,neggrad", "methods = retrain")
+        (tmp_path / "mini.cfg").write_text(cfg)
+        env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARIABLES, "2")}
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"),
+                                             os.environ.get("PYTHONPATH", "")])
+        subprocess.run([sys.executable, "-m", "natmu.cli", "run", "--config", "mini.cfg",
+                        "--out-dir", "out"], cwd=tmp_path, env=env, check=True,
+                       capture_output=True)
+        environment = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        core = runner.openblas_core()
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert environment == {
+            "blas_threads": dict.fromkeys(BLAS_THREAD_VARIABLES, "2"),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "openblas_core": core, "openblas_threads": None if core is None else min(2, cpus)}
+
+    def test_missing_symbols_and_old_numpy_record_null(self, tmp_path, monkeypatch):
+        import _ctypes
+        # a numpy whose bundled "OpenBLAS" lacks the symbols, and whose
+        # show_config predates mode="dicts"
+        (tmp_path / "numpy").mkdir()
+        (tmp_path / "numpy.libs").mkdir()
+        (tmp_path / "numpy.libs" / "libscipy_openblas64_.so").symlink_to(_ctypes.__file__)
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        environment = runner.run_environment()
+        assert environment["blas"] is environment["openblas_core"] is None
+        assert environment["openblas_threads"] is None
 
 
 class TestBlasThreads:
