@@ -198,6 +198,18 @@ def synth_blobs(k: int, per_class: int, height: int, width: int, channels: int,
                    channels=channels, k=k)
 
 
+def check_superclass_map(mapping, k: int) -> np.ndarray:
+    """`mapping` as an int64 array, refused unless it gives each of `k` fine
+    classes a superclass label >= 0."""
+    mapping = np.asarray(mapping, dtype=np.int64)
+    if len(mapping) != k:
+        raise ValidationError(f"superclass mapping must cover every class: "
+                              f"{len(mapping)} entries for k = {k}")
+    if (mapping < 0).any():
+        raise ValidationError(f"superclass labels must be >= 0, got {mapping.min()}")
+    return mapping
+
+
 def to_superclass(dataset: Dataset, mapping) -> Dataset:
     """Relabel fine classes through a superclass table, keeping fine labels.
 
@@ -205,9 +217,7 @@ def to_superclass(dataset: Dataset, mapping) -> Dataset:
     at superclass granularity; the original labels remain available as
     subclass_labels for sub-class forgetting splits.
     """
-    mapping = np.asarray(mapping, dtype=np.int64)
-    if len(mapping) != dataset.k:
-        raise ValidationError("superclass mapping must cover every class")
+    mapping = check_superclass_map(mapping, dataset.k)
     return replace(
         dataset,
         labels=mapping[dataset.labels],

@@ -231,6 +231,15 @@ UNLEARN_METHODS = {
 }
 
 METHOD_NAMES = ("retrain",) + tuple(UNLEARN_METHODS)
+# the MethodParams fields each method reads, the only keys its [method.X] section takes
+METHOD_PARAMS = {
+    "retrain": (),
+    "natmu": ("n", "delta", "mask_family", "cutmix_edge", "shuffle_masks", "variant",
+              "reinit_final_layer"),
+    "amnesiac": ("reinit_final_layer",),
+    "badteacher": ("temperature", "reinit_final_layer"),
+    "neggrad": ("ascent_coefficient", "reinit_final_layer"),
+}
 SETS_FROM_MODEL = ("natmu", "badteacher")  # unlearning sets that read the request's model
 
 

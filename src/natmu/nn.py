@@ -6,8 +6,8 @@ optimizers, and a cosine-to-zero schedule. Everything is seeded and each
 model trains on one thread, so training is a pure function of (initial
 model, dataset, config.seed). With an epoch callback, that thread is a
 worker beside the caller, which observes each epoch's private copy while
-the next epoch trains. Evaluation over a frozen model is read-only and safe
-to share.
+the worker trains at most two epochs ahead. Evaluation over a frozen model
+is read-only and safe to share.
 
 Parameter arena: all of a model's parameters live in one contiguous vector,
 ``Model.flat``, in the order W0, b0, W1, b1, ... (each weight row-major,
@@ -22,9 +22,7 @@ per layer the weight matrix (row-major, out x in) followed by the bias.
 """
 
 import math
-import queue
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -350,11 +348,11 @@ def train(model: Model, dataset, config: TrainConfig, *, temperature: float = 1.
     epoch_callback(epoch_index, model) gets a private copy of the model
     after each epoch's last step and subnormal flush, the one place
     per-epoch outputs come from. It runs on the calling thread, in epoch
-    order, while one worker thread trains the next epoch; once it raises,
-    the worker stops at its next epoch boundary. Without it no thread
-    starts. batch_callback(ids) gets each batch's instance ids before its
-    step, on the thread that trains. An exception from either callback or
-    from training reaches the caller as itself.
+    order, while one worker thread trains at most two epochs ahead; once
+    it raises, the epoch under way finishes and the queued one is
+    cancelled. Without it no thread starts. batch_callback(ids) gets each
+    batch's instance ids before its step, on the thread that trains. An
+    error from either callback or from training reaches the caller as itself.
     """
     n = len(dataset)
     if n == 0:
@@ -371,25 +369,19 @@ def train(model: Model, dataset, config: TrainConfig, *, temperature: float = 1.
     # Training moves to the worker, not the callback: the callbacks' large
     # forwards then keep their temporaries in the main thread's malloc
     # arena (a callback thread's own arena held them, +5 MB peak RSS on desk).
-    handed, stop = queue.SimpleQueue(), threading.Event()
+    # Two tasks stay submitted: the worker trains on, but at most two epochs ahead.
+    def next_epoch():
+        epoch = next(epochs, None)
+        return None if epoch is None else (epoch, model.copy())
 
-    def hand_over():
-        try:
-            for epoch in epochs:
-                if stop.is_set():
-                    return
-                handed.put((epoch, model.copy()))
-        finally:
-            handed.put(None)
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(hand_over)
-        try:
-            for epoch, trained in iter(handed.get, None):
-                epoch_callback(epoch, trained)
-        finally:
-            stop.set()
-        worker.result()
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        pending = [pool.submit(next_epoch), pool.submit(next_epoch)]
+        while (handed := pending.pop(0).result()) is not None:
+            pending.append(pool.submit(next_epoch))
+            epoch_callback(*handed)
+    finally:
+        pool.shutdown(cancel_futures=True)
     return model
 
 

@@ -31,6 +31,7 @@ from .data import (
     DEFAULT_SPREAD,
     Dataset,
     ForgettingSpec,
+    check_superclass_map,
     check_synth,
     forget_count,
     forgetting_test_subset,
@@ -52,6 +53,7 @@ from .metrics import (
 )
 from .methods import (
     METHOD_NAMES,
+    METHOD_PARAMS,
     SETS_FROM_MODEL,
     UNLEARN_METHODS,
     MethodParams,
@@ -115,7 +117,9 @@ class ExperimentConfig:
             s = self.synth
             check_synth(s.k, s.height, s.width, s.channels, s.spread,
                         per_class=s.per_class, test_per_class=s.test_per_class)
-            k = s.k if self.superclass_map is None else max(self.superclass_map, default=0) + 1
+            k = s.k
+            if self.superclass_map is not None:
+                k = int(check_superclass_map(self.superclass_map, k).max()) + 1
             n = self.params_for("natmu").n
             if "natmu" in (*self.methods, *self.method_params) and n > k - 1:
                 raise ConfigError(f"[method.natmu] n = {n} exceeds K-1 = {k - 1}, "
@@ -187,7 +191,8 @@ def _take(section: dict, target, keys: dict | None = None):
     field; default: every field by its own name), read at the field's type.
     The keys read leave `section`, so what stays there is unknown."""
     types = {f.name: f.type for f in fields(target)}
-    keys = keys or {name: name for name in types if name != "seed"}  # seeds fan out from [run]
+    if keys is None:
+        keys = {name: name for name in types if name != "seed"}  # seeds fan out from [run]
     values = {}
     for key in [key for key in keys if key in section]:
         text = section.pop(key)
@@ -231,7 +236,10 @@ def _config_from_sections(sections: dict) -> ExperimentConfig:
     cfg.unlearn = _take(sections.get("unlearn", {}), cfg.unlearn)
     for name, section in sections.items():
         if name.startswith("method."):
-            cfg.method_params[name[len("method."):]] = _take(section, MethodParams())
+            method = name[len("method."):]
+            read = METHOD_PARAMS.get(method)  # validate refuses an unknown method
+            keys = None if read is None else {key: key for key in read}
+            cfg.method_params[method] = _take(section, MethodParams(), keys)
     unknown = [f"[{name}] {key}" for name, section in sections.items() for key in section]
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(unknown)}")

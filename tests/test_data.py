@@ -257,6 +257,14 @@ class TestSuperclass:
         with pytest.raises(ValidationError):
             data.to_superclass(small_blobs(), [0, 0, 1])
 
+    def test_negative_superclass_refused_for_uds_input(self, tmp_path):
+        # a label of -1 would index the last class in training and never
+        # count as right in accuracy
+        path = tmp_path / "train.uds"
+        data.save_raw(small_blobs(), str(path))
+        with pytest.raises(ValidationError, match="must be >= 0, got -1"):
+            data.to_superclass(data.load_raw(str(path)), [-1, 0, 1, 1, 2, 2])
+
 
 class TestDatasetHelpers:
     def test_concat_preserves_order_and_ids(self):

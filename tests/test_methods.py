@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -308,3 +310,31 @@ class TestUnlearningDataset:
         finetune = methods.natmu_finetune_set(request)
         assert np.array_equal(a.pixels, finetune.pixels[len(request.d_r):])
         assert np.array_equal(a.labels, finetune.labels[len(request.d_r):])
+
+
+class TestMethodParams:
+    """`METHOD_PARAMS` names the `MethodParams` fields each method reads."""
+
+    OTHER = {"n": 2, "delta": -0.1, "mask_family": "constant", "cutmix_edge": 2,
+             "shuffle_masks": True, "variant": "multi_label", "temperature": 3.0,
+             "ascent_coefficient": 0.5, "reinit_final_layer": True}
+
+    def test_table_names_every_method_and_only_fields(self):
+        assert set(methods.METHOD_PARAMS) == set(methods.METHOD_NAMES)
+        names = {f.name for f in fields(methods.MethodParams)}
+        assert set(self.OTHER) == names
+        assert all(set(read) <= names for read in methods.METHOD_PARAMS.values())
+        assert sum(map(len, methods.METHOD_PARAMS.values())) == 12
+
+    @pytest.mark.parametrize("method", list(methods.UNLEARN_METHODS))
+    def test_fields_a_method_does_not_read_change_nothing(self, world, method):
+        unread = {name: value for name, value in self.OTHER.items()
+                  if name not in methods.METHOD_PARAMS[method]}
+        base = make_request(world)
+        other = make_request(world, params=replace(methods.MethodParams(), **unread))
+        assert np.array_equal(methods.UNLEARN_METHODS[method](base).flat,
+                              methods.UNLEARN_METHODS[method](other).flat)
+        sets = [methods.unlearning_dataset(method, request) for request in (base, other)]
+        if sets[0] is not None:
+            for column in ("pixels", "labels", "soft_labels"):  # soft_labels may be None
+                assert np.array_equal(getattr(sets[0], column), getattr(sets[1], column))

@@ -514,6 +514,20 @@ class TestEpochHandOver:
             nn.train(model, ds, self.CONFIG, epoch_callback=callback, batch_callback=gate)
         assert len(batches) == 3 * per_epoch  # epoch 2 was under way when epoch 1 failed
 
+    def test_worker_trains_at_most_two_epochs_ahead_of_a_slow_callback(self):
+        ds, model = self.world()
+        config = replace(self.CONFIG, epochs=6)
+        per_epoch = -(-len(ds) // config.batch_size)
+        batches, ahead = [], []
+
+        def callback(epoch, handed):
+            time.sleep(0.02)
+            # the latest epoch with a batch begun, against the one observed
+            ahead.append((len(batches) - 1) // per_epoch - epoch)
+        nn.train(model, ds, config, epoch_callback=callback,
+                 batch_callback=lambda ids: batches.append(ids))
+        assert len(ahead) == config.epochs and max(ahead) <= 2
+
     def test_no_thread_starts_without_an_epoch_callback(self):
         ds, model = self.world()
         threads, seen = threading.active_count(), set()

@@ -144,6 +144,20 @@ class TestConfigParsing:
             path.write_text("\n".join(known))
             runner.load_config(str(path))
 
+    @pytest.mark.parametrize("method, key, value", [
+        ("retrain", "temperature", "7"), ("amnesiac", "n", "2"),
+        ("badteacher", "ascent_coefficient", "0.5"), ("neggrad", "delta", "-0.1"),
+        ("natmu", "temperature", "2.0")])
+    def test_key_a_method_never_reads_refused(self, tmp_path, method, key, value):
+        path = tmp_path / "unread.cfg"
+        path.write_text(f"[run]\nmethods = {method}\n[method.{method}]\n"
+                        f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"unknown keys: \[method.{method}\] {key}$"):
+            runner.load_config(str(path))
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, match", [
         ("[pretrain]\nepochs = ten\n", "epochs = ten"),
         ("[method.natmu]\nshuffle_masks = maybe\n", "shuffle_masks = maybe"),
@@ -255,6 +269,32 @@ class TestConfigParsing:
                         f"[method.natmu]\nn = {n}\n")
         with pytest.raises(ConfigError, match=r"n (must be >= 1|= \d+ exceeds K-1)"):
             runner.load_config(str(path))
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+        assert calls == []
+
+    @pytest.mark.parametrize("kind, superclass_map, match", [
+        ("synth", "-1,0,1,1", "superclass labels must be >= 0, got -1"),
+        ("synth", "0,0,1", "3 entries for k = 4"),
+        ("uds", "-1,0,1,1", "superclass labels must be >= 0, got -1")])
+    def test_bad_superclass_map_fails_before_the_pretrain(self, tmp_path, monkeypatch,
+                                                          kind, superclass_map, match):
+        calls = []
+        monkeypatch.setattr(runner, "pretrain_model", lambda *a, **k: calls.append(a))
+        dataset = "k = 4\n"
+        if kind == "uds":
+            for split in ("train", "test"):
+                data.save_raw(data.synth_blobs(4, 10, 4, 4, 1, seed=1, split=split),
+                              str(tmp_path / f"{split}.uds"))
+            dataset = (f"kind = uds\ntrain_path = {tmp_path / 'train.uds'}\n"
+                       f"test_path = {tmp_path / 'test.uds'}\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[dataset]\n{dataset}superclass_map = {superclass_map}\n"
+                        "[forget]\nmode = class\nscope = sub\n[run]\nmethods = retrain\n")
+        if kind == "synth":  # refused by the config check, before any data is made
+            monkeypatch.setattr(runner, "synth_blobs", lambda *a, **k: calls.append(a))
+            with pytest.raises(ConfigError, match=match):
+                runner.load_config(str(path))
         assert cli.main(["run", "--config", str(path),
                          "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
         assert calls == []
