@@ -4,10 +4,10 @@ Dense rectifier MLP over flattened pixels, cross-entropy on hard labels or
 temperature-scaled KL on soft targets, SGD-momentum / decoupled-decay Adam
 optimizers, and a cosine-to-zero schedule. Everything is seeded and each
 model trains on one thread, so training is a pure function of (initial
-model, dataset, config.seed). With an epoch callback, that thread is a
-worker beside the caller, which observes each epoch's private copy while
-the worker trains at most two epochs ahead. Evaluation over a frozen model
-is read-only and safe to share.
+model, dataset, config.seed). That thread is a worker beside the caller,
+which may observe each epoch's private copy while the worker trains at most
+two epochs ahead. Evaluation over a frozen model is read-only and safe to
+share.
 
 Parameter arena: all of a model's parameters live in one contiguous vector,
 ``Model.flat``, in the order W0, b0, W1, b1, ... (each weight row-major,
@@ -201,24 +201,23 @@ def backward(model: Model, batch: np.ndarray, labels=None, soft_targets=None,
 # optimizers and schedule
 
 
-# Both optimizers update the whole arena in place through scratch allocated
-# on the first step. Each element takes the operations of the per-array form
-# in the comments in the same order, so the results are bit-identical to it.
+# Both optimizers are built on the arena they update, and update it in place
+# through state and scratch of its layout. Each element takes the operations
+# of the per-array form in the comments in the same order, so the results are
+# bit-identical to it.
 
 
 class SgdMomentum:
-    def __init__(self, momentum: float = 0.9):
+    def __init__(self, flat: np.ndarray, momentum: float = 0.9):
         self.momentum = momentum
-        self.velocity = None
-        self._scratch = None
+        self.velocity = np.zeros_like(flat)
+        self._scratch = np.empty_like(flat)
 
     def state(self) -> list[np.ndarray]:
         return [self.velocity]
 
     def step(self, model: Model, grads: Model, lr: float, weight_decay: float):
         p, g = model.flat, grads.flat
-        if self.velocity is None:
-            self.velocity, self._scratch = np.zeros_like(p), np.empty_like(p)
         v, s = self.velocity, self._scratch
         v *= self.momentum
         v += g
@@ -230,23 +229,20 @@ class SgdMomentum:
 class AdamW:
     """Adaptive moments with decoupled weight decay applied after the step."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, flat: np.ndarray, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = None
-        self.v = None
-        self._scratch = None
+        self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
+        self._scratch = (np.empty_like(flat), np.empty_like(flat))
 
     def state(self) -> list[np.ndarray]:
         return [self.m, self.v]
 
     def step(self, model: Model, grads: Model, lr: float, weight_decay: float):
         p, g = model.flat, grads.flat
-        if self.m is None:
-            self.m, self.v = np.zeros_like(p), np.zeros_like(p)
-            self._scratch = (np.empty_like(p), np.empty_like(p))
         m, v = self.m, self.v
         s, d = self._scratch
         self.t += 1
@@ -347,24 +343,19 @@ def train(model: Model, dataset, config: TrainConfig, *, temperature: float = 1.
 
     epoch_callback(epoch_index, model) gets a private copy of the model
     after each epoch's last step and subnormal flush, the one place
-    per-epoch outputs come from. It runs on the calling thread, in epoch
-    order, while one worker thread trains at most two epochs ahead; once
-    it raises, the epoch under way finishes and the queued one is
-    cancelled. Without it no thread starts. batch_callback(ids) gets each
-    batch's instance ids before its step, on the thread that trains. An
-    error from either callback or from training reaches the caller as itself.
+    per-epoch outputs come from. Every model trains on one worker thread,
+    which hands the calling thread each epoch's copy and trains at most two
+    epochs ahead of it. The callback runs on the calling thread, in epoch
+    order; once it raises, the epoch under way finishes and the queued one
+    is cancelled. batch_callback(ids) gets each batch's instance ids before
+    its step, on the worker. An error from either callback or from training
+    reaches the caller as itself, and no thread outlives the call.
     """
     n = len(dataset)
     if n == 0:
         raise ValidationError("cannot train on an empty dataset")
     model = model.copy()
-    if config.epochs == 0:
-        return model
     epochs = _epochs(model, dataset, config, temperature, batch_callback, ascent)
-    if epoch_callback is None:
-        for _ in epochs:
-            pass
-        return model
 
     # Training moves to the worker, not the callback: the callbacks' large
     # forwards then keep their temporaries in the main thread's malloc
@@ -379,7 +370,8 @@ def train(model: Model, dataset, config: TrainConfig, *, temperature: float = 1.
         pending = [pool.submit(next_epoch), pool.submit(next_epoch)]
         while (handed := pending.pop(0).result()) is not None:
             pending.append(pool.submit(next_epoch))
-            epoch_callback(*handed)
+            if epoch_callback is not None:
+                epoch_callback(*handed)
     finally:
         pool.shutdown(cancel_futures=True)
     return model
@@ -391,7 +383,7 @@ def _epochs(model: Model, dataset, config: TrainConfig, temperature: float,
     step and subnormal flush."""
     n = len(dataset)
     rng = np.random.default_rng(config.seed)
-    opt = OPTIMIZERS[config.optimizer]()
+    opt = OPTIMIZERS[config.optimizer](model.flat)
     grads = model.zeros_like()
     bs = config.batch_size
     if ascent is not None:

@@ -120,10 +120,7 @@ class ExperimentConfig:
             k = s.k
             if self.superclass_map is not None:
                 k = int(check_superclass_map(self.superclass_map, k).max()) + 1
-            n = self.params_for("natmu").n
-            if "natmu" in (*self.methods, *self.method_params) and n > k - 1:
-                raise ConfigError(f"[method.natmu] n = {n} exceeds K-1 = {k - 1}, "
-                                  "the categories a hybrid can take")
+            self.check_natmu_n(k)
         paths = [path for path in (self.train_path, self.test_path) if path]
         if len(paths) != (2 if self.synth is None else 0):
             raise ConfigError("a synth dataset takes no train_path or test_path; "
@@ -134,6 +131,14 @@ class ExperimentConfig:
         spec = self.forget_spec()
         if self.synth is not None and spec.mode != "class":
             forget_count(spec.ratio, self.synth.k * self.synth.per_class)
+
+    def check_natmu_n(self, k: int) -> None:
+        """Refuse a natmu `n` above K-1, the categories a hybrid can take
+        among the training set's `k` classes."""
+        n = self.params_for("natmu").n
+        if "natmu" in (*self.methods, *self.method_params) and n > k - 1:
+            raise ConfigError(f"[method.natmu] n = {n} exceeds K-1 = {k - 1}, "
+                              "the categories a hybrid can take")
 
     def forget_spec(self, seed: int = 0) -> ForgettingSpec:
         return ForgettingSpec(mode=self.forget_mode, ratio=self.forget_ratio,
@@ -462,7 +467,8 @@ def prepare_seed(config: ExperimentConfig, root: int,
     spec = config.forget_spec(seeds["forget"])
     with stage("dataset"):
         train_ds, test_ds = materialize_data(config, seeds["dataset"])
-    if spec.mode != "class":  # over UDS files N is known only now
+    config.check_natmu_n(train_ds.k)  # over UDS files K and N are known only now
+    if spec.mode != "class":
         forget_count(spec.ratio, len(train_ds))
     model_o = counts = original_path = None
     if spec.mode == "difficult" and checkpoints:

@@ -299,7 +299,7 @@ class TestArena:
         rng = np.random.default_rng(3)
         model = nn.init_model([23, 11, 5], seed=4)
         ref_params = [p.copy() for p in model.params()]
-        opt, state = nn.OPTIMIZERS[optimizer](), {}
+        opt, state = nn.OPTIMIZERS[optimizer](model.flat), {}
         for step in range(8):
             grads = model.zeros_like()
             scale = 10.0 ** rng.integers(-4, 1)
@@ -528,12 +528,24 @@ class TestEpochHandOver:
                  batch_callback=lambda ids: batches.append(ids))
         assert len(ahead) == config.epochs and max(ahead) <= 2
 
-    def test_no_thread_starts_without_an_epoch_callback(self):
+    def test_without_an_epoch_callback_the_model_trains_on_one_worker(self):
         ds, model = self.world()
-        threads, seen = threading.active_count(), set()
-        nn.train(model, ds, self.CONFIG, batch_callback=lambda ids: seen.add(
-            (threading.get_ident(), threading.active_count())))
-        assert seen == {(threading.get_ident(), threads)}
+        threads, trainers = threading.active_count(), set()
+        trained = nn.train(model, ds, self.CONFIG,
+                           batch_callback=lambda ids: trainers.add(threading.get_ident()))
+        assert len(trainers) == 1 and threading.get_ident() not in trainers
+        assert threading.active_count() == threads
+        seen, callback = self.recorder(0.0)
+        observed = nn.train(model, ds, self.CONFIG, epoch_callback=callback)
+        assert np.array_equal(trained.flat, observed.flat)
+        untrained = nn.train(model, ds, replace(self.CONFIG, epochs=0))
+        assert untrained is not model and np.array_equal(untrained.flat, model.flat)
+        assert threading.active_count() == threads
+        model.layers[0].weight[0, 0] = np.inf
+        with pytest.raises(DivergenceError) as info:
+            nn.train(model, ds, self.CONFIG)
+        assert type(info.value) is DivergenceError
+        assert threading.active_count() == threads
 
 
 class TestCheckpoint:

@@ -273,6 +273,27 @@ class TestConfigParsing:
                          "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
         assert calls == []
 
+    @pytest.mark.parametrize("superclass_map", [None, "0,0,1,1,2,2"])  # K = 6, K = 3
+    def test_natmu_n_above_k_minus_1_over_uds_fails_before_the_pretrain(
+            self, tmp_path, monkeypatch, superclass_map):
+        calls = []
+        monkeypatch.setattr(runner, "pretrain_model", lambda *a, **k: calls.append(a))
+        for split in ("train", "test"):
+            data.save_raw(data.synth_blobs(6, 10, 4, 4, 1, seed=1, split=split),
+                          str(tmp_path / f"{split}.uds"))
+        n = 6 if superclass_map is None else 3
+        dataset = (f"kind = uds\ntrain_path = {tmp_path / 'train.uds'}\n"
+                   f"test_path = {tmp_path / 'test.uds'}\n")
+        if superclass_map is not None:
+            dataset += f"superclass_map = {superclass_map}\n"
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[dataset]\n{dataset}[run]\nmethods = retrain,natmu\n"
+                        f"[method.natmu]\nn = {n}\n")
+        runner.load_config(str(path))  # K is known only once the files are read
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+        assert calls == []
+
     @pytest.mark.parametrize("kind, superclass_map, match", [
         ("synth", "-1,0,1,1", "superclass labels must be >= 0, got -1"),
         ("synth", "0,0,1", "3 entries for k = 4"),
@@ -432,7 +453,7 @@ class TestFailureHandling:
         mini_config.seeds = (1,)
         mini_config.methods = ("retrain", "natmu")
         # more categories than K-1 exist: over UDS files K is known only once the
-        # data is read, so the build stage must fail
+        # data is read, so the dataset stage must fail, before any training
         s = mini_config.synth
         for split, per_class in (("train", s.per_class), ("test", s.test_per_class)):
             data.save_raw(data.synth_blobs(s.k, per_class, s.height, s.width, s.channels,
@@ -446,7 +467,7 @@ class TestFailureHandling:
         with pytest.raises(ValidationError):
             runner.run_experiment(mini_config, out_dir=str(out))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"].startswith("failed at seed1/method:natmu")
+        assert manifest["status"].startswith("failed at seed1/dataset")
 
 
     @pytest.mark.parametrize("failure, error", [("curve", "CurveFailure"),
@@ -605,7 +626,12 @@ class TestEnvironmentRecord:
 
 
 class TestBlasThreads:
-    def test_csvs_identical_across_blas_thread_counts(self, tmp_path):
+    """One config run, and its pretrain with the trace written, at natmu's
+    default of one BLAS thread and at two."""
+
+    @pytest.fixture(scope="class")
+    def outs(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("blas")
         # desk-sized layers, so BLAS has work to split across threads
         cfg = MINI_CONFIG.replace("k = 6", "k = 10").replace("per_class = 25", "per_class = 40")
         cfg = cfg.replace("height = 5", "height = 16").replace("width = 5", "width = 16")
@@ -620,10 +646,17 @@ class TestBlasThreads:
             if threads != "unset":
                 env.update(dict.fromkeys(BLAS_THREAD_VARIABLES, threads))
             env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-            outs[threads] = tmp_path / f"threads_{threads}"
-            subprocess.run([sys.executable, "-m", "natmu.cli", "run", "--config",
-                            str(tmp_path / "blas.cfg"), "--out-dir", str(outs[threads])],
-                           env=env, check=True, capture_output=True)
+            outs[threads] = out = tmp_path / f"threads_{threads}"
+            for command in (["run", "--out-dir", str(out)],
+                            ["pretrain", "--out", str(out / "original.nmu"),
+                             "--trace", str(out / "original.trace.json")]):
+                subprocess.run([sys.executable, "-m", "natmu.cli", *command, "--config",
+                                str(tmp_path / "blas.cfg")],
+                               env=env, check=True, capture_output=True)
+        return outs
+
+    def test_csvs_identical_across_blas_thread_counts(self, outs):
+        for threads in ("unset", "2"):
             manifest = json.loads((outs[threads] / "manifest.json").read_text())
             assert manifest["environment"]["blas_threads"] == dict.fromkeys(
                 BLAS_THREAD_VARIABLES, "1" if threads == "unset" else threads)
@@ -631,3 +664,17 @@ class TestBlasThreads:
         assert len(csvs) == 7  # five reports, curves, aggregate
         for rel in csvs:
             assert filecmp.cmp(outs["unset"] / rel, outs["2"] / rel, shallow=False), rel
+
+    def test_checkpoint_and_trace_identical_across_blas_thread_counts(self, outs):
+        for name in ("original.nmu", "original.trace.json"):
+            assert (outs["unset"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+    def test_two_thread_run_ran_two_openblas_threads(self, outs):
+        environment = json.loads((outs["2"] / "manifest.json").read_text())["environment"]
+        if environment["openblas_threads"] is None:
+            pytest.skip("numpy's BLAS has no scipy_openblas_get_num_threads64_ to read "
+                        "the live thread count from")
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if cpus < 2:
+            pytest.skip(f"OpenBLAS caps its threads at the {cpus} CPU this process may use")
+        assert environment["openblas_threads"] == 2
