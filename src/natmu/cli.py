@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, builder, data, masks, metrics, nn
+from . import __version__, builder, data, masks, metrics
 from .errors import NatmuError, ValidationError
 from .methods import METHOD_NAMES, natmu_finetune_set, natmu_hybrids
 from .runner import SynthSpec, load_config, prepare_seed, run_experiment, write_report_csv
@@ -80,7 +80,9 @@ def build_parser() -> _Parser:
     un.add_argument("--method", choices=METHOD_NAMES, required=True)
     un.add_argument("--model", default=None,
                     help="original model checkpoint (for retrain, optional: only "
-                         "its trace record is read)")
+                         "its trace record is read; without it, a retrain in "
+                         "difficult mode takes the split from a matching trace "
+                         "record in --out's directory, else pretrains)")
     un.add_argument("--out", required=True)
 
     ev = sub.add_parser("evaluate", parents=[seeded],
@@ -157,7 +159,7 @@ def _cmd_build(args) -> int:
                                                         **overrides)
     config.validate()
     prep = prepare_seed(config, args.seed, checkpoints=[args.model])
-    request = prep.request("natmu", nn.load_model(args.model))
+    request = prep.request("natmu", prep.load(args.model))
     hybrids = natmu_hybrids(request)
     finetune = natmu_finetune_set(request)
     data.save_raw(finetune, args.out)
@@ -177,12 +179,13 @@ def _cmd_unlearn(args) -> int:
     if args.method != "retrain" and args.model is None:
         raise ValidationError("--model is required for unlearning methods")
     config = load_config(args.config)
-    # retrain reads its split from --model when given, but starts from no model
+    # retrain reads its split from --model when given, else from a matching
+    # record beside --out, but starts from no model
     checkpoints = [] if args.model is None else [args.model]
     source = None if args.method == "retrain" else args.model
-    prep = prepare_seed(config, args.seed, checkpoints=checkpoints)
-    model, _, _ = prep.unlearn(args.method,
-                               None if source is None else nn.load_model(source))
+    prep = prepare_seed(config, args.seed, checkpoints=checkpoints,
+                        record_dir=Path(args.out).parent)
+    model, _, _ = prep.unlearn(args.method, None if source is None else prep.load(source))
     _wrote(f"{args.method} model", args.out, prep.save(model, args.out, source))
     return EXIT_OK
 
@@ -192,8 +195,7 @@ def _cmd_evaluate(args) -> int:
         raise ValidationError(f"--hist-bins must be >= 1, got {args.hist_bins}")
     config = load_config(args.config)
     prep = prepare_seed(config, args.seed, checkpoints=[args.model, args.retrain])
-    model = nn.load_model(args.model)
-    model_r = nn.load_model(args.retrain)
+    model, model_r = prep.load(args.model), prep.load(args.retrain)
     reference, _ = prep.report(model_r, model_r, "retrain")
     write_report_csv(Path(args.out), *prep.report(model, model_r, args.method), reference)
     print(f"wrote report to {args.out}")

@@ -65,8 +65,7 @@ class Dataset:
             raise ValidationError("labels/ids length mismatch")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.k):
             raise LabelRangeError(f"label outside [0, {self.k})")
-        if len(self.pixels) and (self.pixels.min() < 0.0 or self.pixels.max() > 1.0):
-            raise PixelRangeError("pixel outside [0, 1]")
+        check_pixels(self.pixels)
         if self.soft_labels is not None:
             if self.soft_labels.shape != (len(self.pixels), self.k):
                 raise ValidationError("soft label shape mismatch")
@@ -85,11 +84,15 @@ class Dataset:
             else self.subclass_labels[indices],
         )
 
-    def sorted_by_id(self) -> "Dataset":
-        return self.subset(np.argsort(self.ids, kind="stable"))
-
     def class_indices(self, label: int) -> np.ndarray:
         return np.nonzero(self.labels == label)[0]
+
+
+def check_pixels(pixels: np.ndarray, where: str = "") -> None:
+    """Refuse any pixel that is not a finite value in [0, 1]. The comparisons
+    are written so that they hold: NaN fails each, and min and max carry it."""
+    if pixels.size and not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
+        raise PixelRangeError(f"pixel outside [0, 1] or not finite{where}")
 
 
 def concat(first: Dataset, second: Dataset) -> Dataset:
@@ -151,8 +154,7 @@ def load_raw(path: str) -> Dataset:
     pixels = records["pixels"].astype(np.float32)
     if n and labels.max() >= k:
         raise LabelRangeError(f"label {labels.max()} >= K={k} in {path}")
-    if n and (pixels.min() < 0.0 or pixels.max() > 1.0):
-        raise PixelRangeError(f"pixel outside [0, 1] in {path}")
+    check_pixels(pixels, f" in {path}")
     return Dataset(pixels=pixels, labels=labels, height=height, width=width,
                    channels=channels, k=k)
 

@@ -40,7 +40,7 @@ from .data import (
     synth_blobs,
     to_superclass,
 )
-from .errors import ConfigError, MissingTraceError, ValidationError
+from .errors import CheckpointFormatError, ConfigError, MissingTraceError, ValidationError
 from .metrics import (
     accuracy,
     accuracy_of_logits,
@@ -292,7 +292,9 @@ def pretrain_model(config: ExperimentConfig, train_ds: Dataset, root_seed: int,
 # checkpoint `PreparedSeed.save` writes gets the record of that trace beside
 # it, and `prepare_seed` given checkpoints reads the split back from there.
 # An unlearned model's record also names the checkpoint it started from, so
-# the original model is loaded rather than pretrained again.
+# the original model is loaded rather than pretrained again. A record is also
+# a cache entry, keyed by `_trace_key`: a retrain given no checkpoint takes
+# its split from the records in its output directory that match the key.
 RECORD_SUFFIX = ".trace.json"
 
 
@@ -329,25 +331,33 @@ def _read_source(path: str, source) -> str:
     return str(checkpoint)
 
 
-def _read_trace_records(paths, key: dict) -> tuple[np.ndarray, str | None]:
-    """The trace counts in the trace records at `paths` (see
-    `PreparedSeed.write_trace_record`), and the checkpoint that the first
-    record's `source` names (None without one). Each record must match `key`
-    and hold the same counts, or a ValidationError names the file and the key."""
-    trace, source, epochs = None, None, key["pretrain"]["epochs"]
-    for path in paths:
-        try:
-            record = json.loads(Path(path).read_text(encoding="ascii"))
-        except FileNotFoundError as exc:
-            raise MissingTraceError(f"trace record not found: {path}") from exc
-        except (OSError, ValueError) as exc:
-            raise ValidationError(f"unreadable trace record {path}: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ValidationError(f"trace record {path} is not a JSON object")
-        for name, value in {**key, "epochs": epochs}.items():
-            if record.get(name) != value:
-                raise ValidationError(f"trace record {path}: {name} does not match "
-                                      f"the config and seed")
+def _read_record(path) -> dict:
+    """The trace record at `path` as a JSON object, or a ValidationError
+    (MissingTraceError for a missing file) that names the file."""
+    try:
+        record = json.loads(Path(path).read_text(encoding="ascii"))
+    except FileNotFoundError as exc:
+        raise MissingTraceError(f"trace record not found: {path}") from exc
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"unreadable trace record {path}: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ValidationError(f"trace record {path} is not a JSON object")
+    return record
+
+
+def _differing_key(record: dict, key: dict) -> str | None:
+    """The first field of `key` (`_trace_key`), or `epochs`, that `record`
+    does not match; None if it matches."""
+    fields = {**key, "epochs": key["pretrain"]["epochs"]}
+    return next((name for name, value in fields.items() if record.get(name) != value), None)
+
+
+def _agreed_counts(records: list, key: dict) -> np.ndarray:
+    """The trace counts the (path, record) pairs `records`, each matching
+    `key`, hold: one count in [0, epochs] per id, the same in every record,
+    or a ValidationError names the file and `counts`."""
+    trace, epochs = None, key["pretrain"]["epochs"]
+    for path, record in records:
         counts = record.get("counts")
         if not (isinstance(counts, list) and len(counts) == len(key["ids"])
                 and all(type(c) is int and 0 <= c <= epochs for c in counts)):
@@ -355,11 +365,43 @@ def _read_trace_records(paths, key: dict) -> tuple[np.ndarray, str | None]:
                                   f"in [0, epochs] per id")
         if trace is None:
             trace = np.array(counts, dtype=np.uint32)
-            if "source" in record:
-                source = _read_source(path, record["source"])
         elif counts != trace.tolist():
-            raise ValidationError(f"trace record {path}: counts differ from {paths[0]}")
-    return trace, source
+            raise ValidationError(f"trace record {path}: counts differ from {records[0][0]}")
+    return trace
+
+
+def _read_trace_records(paths, key: dict) -> tuple[np.ndarray, str | None]:
+    """The trace counts in the trace records at `paths` (see
+    `PreparedSeed.write_trace_record`), and the checkpoint that the first
+    record's `source` names (None without one). Each record must match `key`
+    and hold the same counts, or a ValidationError names the file and the key."""
+    records = []
+    for path in paths:
+        record = _read_record(path)
+        name = _differing_key(record, key)
+        if name is not None:
+            raise ValidationError(f"trace record {path}: {name} does not match "
+                                  f"the config and seed")
+        records.append((path, record))
+    trace = _agreed_counts(records, key)
+    first = records[0][1]
+    return trace, None if "source" not in first else _read_source(paths[0], first["source"])
+
+
+def _cached_trace(directory, key: dict) -> np.ndarray | None:
+    """The trace counts held by the trace records in `directory` that match
+    `key`, checked as in `_agreed_counts`; None if no record matches. A file
+    that does not parse, or whose key differs, is skipped: without a match
+    the caller pretrains, which gives the same counts. `source` is not read."""
+    records = []
+    for path in sorted(Path(directory).glob("*" + RECORD_SUFFIX)):
+        try:
+            record = _read_record(path)
+        except ValidationError:
+            continue
+        if _differing_key(record, key) is None:
+            records.append((path, record))
+    return _agreed_counts(records, key) if records else None
 
 
 @dataclass
@@ -384,10 +426,20 @@ class PreparedSeed:
         when a trace record named it, else trained, unless the split needed it."""
         if self.model_o is None:
             if self.original_path is not None:
-                self.model_o = load_model(self.original_path)
+                self.model_o = self.load(self.original_path)
             else:
                 self.model_o, _ = pretrain_model(self.config, self.train, self.root)
         return self.model_o
+
+    def load(self, path: str) -> Model:
+        """The checkpoint at `path`, refused with a CheckpointFormatError
+        unless it maps this seed's training rows to its classes."""
+        model = load_model(path)
+        if (model.input_dim, model.class_count) != (self.train.dim, self.train.k):
+            raise CheckpointFormatError(
+                f"checkpoint {path} maps {model.input_dim} inputs to {model.class_count} "
+                f"classes, but the data has {self.train.dim} and {self.train.k}")
+        return model
 
     def write_trace_record(self, path: str, source: str | None = None) -> None:
         """Write the pretrain's trace with what it is a function of to `path`
@@ -455,14 +507,16 @@ class PreparedSeed:
 
 def prepare_seed(config: ExperimentConfig, root: int,
                  stage=lambda name: contextlib.nullcontext(),
-                 with_trace: bool = False, checkpoints=()) -> PreparedSeed:
+                 with_trace: bool = False, checkpoints=(), record_dir=None) -> PreparedSeed:
     """Data, forgetting split and stage seeds of one root seed. In difficult
     mode the trace comes from the records beside `checkpoints` when given
     (checked by `_read_trace_records`), and the original model from the
-    checkpoint the first record names as its `source`, if any. Otherwise the
-    original model is pretrained here, with its trace, when the split ranks
-    samples by it (difficult mode) or `with_trace` is set; else on first use.
-    `stage(name)` is a context manager around each step."""
+    checkpoint the first record names as its `source`, if any; without
+    checkpoints, from the records in `record_dir` that match this seed
+    (`_cached_trace`), if any. Otherwise the original model is pretrained
+    here, with its trace, when the split ranks samples by it (difficult
+    mode) or `with_trace` is set; else on first use. `stage(name)` is a
+    context manager around each step."""
     seeds = {name: derive_seed(root, name) for name in ("dataset", "pretrain", "forget")}
     spec = config.forget_spec(seeds["forget"])
     with stage("dataset"):
@@ -475,7 +529,9 @@ def prepare_seed(config: ExperimentConfig, root: int,
         counts, original_path = _read_trace_records(
             [checkpoint + RECORD_SUFFIX for checkpoint in checkpoints],
             _trace_key(config, root, train_ds))
-    elif with_trace or spec.mode == "difficult":
+    elif spec.mode == "difficult" and record_dir is not None:
+        counts = _cached_trace(record_dir, _trace_key(config, root, train_ds))
+    if counts is None and (with_trace or spec.mode == "difficult"):
         with stage("pretrain"):
             model_o, counts = pretrain_model(config, train_ds, root, with_trace=True)
     with stage("forget"):

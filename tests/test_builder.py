@@ -286,8 +286,8 @@ class TestBuildUnlearningSet:
             d_r, builder.build_unlearning_set(d_f.subset(perm), d_r, model,
                                               mask_set, seed=3))
         cfg = nn.TrainConfig(epochs=2, batch_size=16, base_lr=1e-3, seed=5)
-        out_a = nn.train(model, ft_a.sorted_by_id(), cfg)
-        out_b = nn.train(model, ft_b.sorted_by_id(), cfg)
+        out_a = nn.train(model, ft_a.subset(np.argsort(ft_a.ids, kind="stable")), cfg)
+        out_b = nn.train(model, ft_b.subset(np.argsort(ft_b.ids, kind="stable")), cfg)
         for pa, pb in zip(out_a.params(), out_b.params()):
             assert np.array_equal(pa, pb)
 

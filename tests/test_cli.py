@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from natmu import cli, data, masks, runner
+from natmu import cli, data, masks, methods, nn, runner
 
 CONFIG = """
 [dataset]
@@ -216,6 +216,32 @@ class TestPipelineCommands:
             cli.EXIT_VALIDATION
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("dims", [(16, 3), (25, 6)], ids=["classes", "inputs"])
+    @pytest.mark.parametrize("command", ["evaluate --model", "evaluate --retrain",
+                                         "unlearn amnesiac", "build natmu"])
+    def test_checkpoint_that_does_not_fit_the_data_refused(
+            self, tmp_path, config_path, monkeypatch, capsys, command, dims):
+        # CONFIG's rows have 4 x 4 = 16 inputs and 6 classes
+        fits, bad = str(tmp_path / "fits.nmu"), str(tmp_path / "bad.nmu")
+        assert cli.main(["pretrain", "--config", config_path, "--out", fits]) == 0
+        nn.save_model(nn.init_model(methods.default_dims(*dims), seed=3), bad)
+        calls = []
+        for module in (nn, methods, runner):
+            monkeypatch.setattr(module, "train", lambda *a, **k: calls.append(a))
+        verb, flag = command.split()
+        out = tmp_path / "out"
+        argv = [verb, "--config", config_path, "--out", str(out)]
+        if verb == "evaluate":
+            argv += ["--method", "amnesiac", "--model", fits, "--retrain", fits]
+            argv[argv.index(flag) + 1] = bad
+        else:
+            argv += ["--model", bad] + (["--method", flag] if verb == "unlearn" else [])
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert calls == [] and not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: checkpoint {bad} maps "
+                                                  f"{dims[0]} inputs to {dims[1]} classes")
+
     def test_unlearn_without_model_is_validation_error(self, tmp_path, config_path):
         assert cli.main(["unlearn", "--method", "natmu", "--config", config_path,
                          "--seed", "1", "--out", str(tmp_path / "x.nmu")]) == \
@@ -419,6 +445,74 @@ class TestTraceRecord:
         Path(other + runner.RECORD_SUFFIX).write_text(json.dumps(record))
         self.refused(stage, capsys, self.command(stage, "evaluate neggrad", retrain=other),
                      other + runner.RECORD_SUFFIX, "counts")
+
+    def retrain(self, stage, out):
+        """argv of `unlearn retrain` without --model, writing `out`."""
+        return self.command(stage, "unlearn retrain", out=str(out))[:-2]
+
+    def test_retrain_takes_the_split_from_the_record_beside_out(self, stage):
+        cached, given = stage["dir"] / "cached.nmu", stage["dir"] / "given.nmu"
+        assert cli.main(self.retrain(stage, cached)) == 0
+        assert stage["calls"] == []
+        assert cli.main(self.command(stage, "unlearn retrain", out=str(given))) == 0
+        for suffix in ("", runner.RECORD_SUFFIX):
+            assert filecmp.cmp(f"{cached}{suffix}", f"{given}{suffix}", shallow=False)
+
+    @pytest.mark.parametrize("held", ["nothing", "another seed's record", "unparsable"])
+    def test_retrain_without_a_matching_record_pretrains(self, stage, held):
+        original = stage["original"] + runner.RECORD_SUFFIX
+        other = stage["dir"] / "other"
+        other.mkdir()
+        if held == "another seed's record":
+            record = json.loads(Path(original).read_text())
+            (other / f"original.nmu{runner.RECORD_SUFFIX}").write_text(
+                json.dumps({**record, "seed": 2}))
+        elif held == "unparsable":
+            (other / f"original.nmu{runner.RECORD_SUFFIX}").write_text("{")
+        out = str(other / "retrain.nmu")
+        assert cli.main(self.retrain(stage, out)) == 0
+        assert len(stage["calls"]) == 1
+        assert filecmp.cmp(out + runner.RECORD_SUFFIX, original, shallow=False)
+
+    @pytest.mark.parametrize("fault", ["counts differ", "count above epochs"])
+    def test_matching_record_with_bad_counts_refused(self, stage, capsys, fault):
+        record = json.loads(Path(stage["original"] + runner.RECORD_SUFFIX).read_text())
+        counts = record["counts"]
+        if fault == "counts differ":
+            first = next(i for i, c in enumerate(counts) if c != counts[0])
+            counts[0], counts[first] = counts[first], counts[0]
+        else:
+            counts[0] = record["epochs"] + 1
+        copy = f"{stage['dir'] / 'copy.nmu'}{runner.RECORD_SUFFIX}"
+        Path(copy).write_text(json.dumps(record))
+        self.refused(stage, capsys, self.retrain(stage, stage["dir"] / "out"), copy, "counts")
+
+    def test_retrain_never_reads_the_source(self, stage):
+        self.unlearned(stage, "natmu")  # its record's source is original.nmu
+        for path in (stage["original"], stage["original"] + runner.RECORD_SUFFIX):
+            Path(path).unlink()
+        assert cli.main(self.retrain(stage, stage["dir"] / "retrain.nmu")) == 0
+        assert stage["calls"] == []
+
+    @pytest.mark.parametrize("mode", ["mode = random", "mode = class\nclass_index = 1"])
+    def test_random_and_class_mode_read_no_record(self, stage, mode):
+        # the key holds no forgetting mode, so this record would match and be refused
+        record = json.loads(Path(stage["original"] + runner.RECORD_SUFFIX).read_text())
+        record["counts"][0] = record["epochs"] + 1
+        Path(f"{stage['dir'] / 'copy.nmu'}{runner.RECORD_SUFFIX}").write_text(json.dumps(record))
+        Path(stage["config"]).write_text(CONFIG.replace("mode = random", mode))
+        assert cli.main(self.retrain(stage, stage["dir"] / "retrain.nmu")) == 0
+        assert stage["calls"] == []
+
+    def test_source_that_does_not_fit_the_data_refused(self, stage, capsys):
+        model = self.unlearned(stage, "natmu")
+        bad = str(stage["dir"] / "bad.nmu")
+        nn.save_model(nn.init_model(methods.default_dims(16, 3), seed=3), bad)
+        record = Path(model + runner.RECORD_SUFFIX)
+        record.write_text(json.dumps({**json.loads(record.read_text()), "source": {
+            "path": "bad.nmu", "sha256": hashlib.sha256(Path(bad).read_bytes()).hexdigest()}}))
+        self.refused(stage, capsys, self.command(stage, "evaluate natmu", model=model),
+                     f"checkpoint {bad}", "3 classes")
 
 
 class TestStageRunParity:

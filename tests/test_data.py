@@ -75,6 +75,21 @@ class TestUdsFormat:
         with pytest.raises(PixelRangeError):
             data.load_raw(str(path))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_refused_by_load_raw_and_validate(self, tmp_path, value):
+        # NaN fails both range comparisons, so a rule written as "outside" passed it
+        path = tmp_path / "pixel.uds"
+        pixels = np.array([0.0, 0.5, value, 1.0], dtype="<f4")
+        blob = data.MAGIC + struct.pack("<IIIII", 1, 2, 2, 1, 3)
+        path.write_bytes(blob + struct.pack("<H", 0) + pixels.tobytes())
+        with pytest.raises(PixelRangeError, match="not finite"):
+            data.load_raw(str(path))
+        ds = data.Dataset(pixels=pixels[None, :].astype(np.float32),
+                          labels=np.array([0], dtype=np.int64), height=2, width=2,
+                          channels=1, k=3)
+        with pytest.raises(PixelRangeError, match="not finite"):
+            ds.validate()
+
 
 class TestSynthBlobs:
     def test_zero_spread_reproduces_templates(self):
@@ -287,11 +302,6 @@ class TestDatasetHelpers:
             with pytest.raises(ValidationError, match="soft-labeled .* hard-labeled"):
                 data.concat(first, second)
         assert data.concat(soft, soft).soft_labels.shape == (2 * len(hard), hard.k)
-
-    def test_sorted_by_id(self):
-        ds = small_blobs()
-        shuffled = ds.subset(np.random.default_rng(3).permutation(len(ds)))
-        assert shuffled.sorted_by_id().ids.tolist() == sorted(ds.ids.tolist())
 
     def test_validate_catches_bad_soft_labels(self):
         ds = small_blobs()

@@ -243,6 +243,29 @@ class TestConfigParsing:
             assert manifest["status"].startswith("failed at seed1/dataset: forgetting ratio")
             assert "seed1/pretrain" not in manifest["wall_clock"]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_non_finite_uds_pixel_fails_before_the_pretrain(self, tmp_path, monkeypatch,
+                                                            capsys, split, value):
+        calls = []
+        monkeypatch.setattr(runner, "pretrain_model", lambda *a, **k: calls.append(a))
+        files = {name: tmp_path / f"{name}.uds" for name in ("train", "test")}
+        for name, path in files.items():
+            data.save_raw(data.synth_blobs(3, 10, 4, 4, 1, seed=1, split=name), str(path))
+        blob = bytearray(files[split].read_bytes())
+        at = 24 + 3 * (2 + 4 * 16) + 2 + 4 * 5  # row 3, pixel 5
+        blob[at:at + 4] = np.array(value, dtype="<f4").tobytes()
+        files[split].write_bytes(bytes(blob))
+        path = tmp_path / "uds.cfg"
+        path.write_text(f"[dataset]\nkind = uds\ntrain_path = {files['train']}\n"
+                        f"test_path = {files['test']}\n")
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+        assert calls == []
+        assert "not finite" in capsys.readouterr().err
+        assert cli.main(["dataset", "inspect", str(files[split])]) == cli.EXIT_VALIDATION
+        assert f"not finite in {files[split]}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("k", "1"), ("per_class", "0"), ("test_per_class", "0"), ("height", "0"),
         ("width", "0"), ("channels", "0"), ("spread", "-1")])
