@@ -103,32 +103,41 @@ def _finetune(request: UnlearnRequest, dataset: Dataset, **train_options) -> Mod
 # retrain oracle
 
 
-def retrain(d_r: Dataset, config: TrainConfig, forbidden_ids=(), epoch_callback=None):
-    """Train a fresh model on the remaining data only.
+def retrain(d_r: Dataset, config: TrainConfig, forbidden_ids=(), epoch_callback=None,
+            executor=None):
+    """Train a fresh model on the remaining data only, on `executor` as in
+    `train`.
 
     Returns (model, audit). Every batch's instance ids are checked against
-    the forbidden (forgetting) ids, and the first batch holding one raises
-    RetrainIsolationError; the audit counts the ids checked
-    ("batches_logged"), the forbidden ids and the violations (zero).
+    the forbidden (forgetting) ids on the worker before its step, and the
+    first batch holding one raises RetrainIsolationError; the audit counts
+    the ids checked ("batches_logged"), the forbidden ids and the
+    violations (zero).
     """
     if len(d_r) == 0:
         raise ValidationError("cannot retrain on an empty remaining set")
     model = init_model(default_dims(d_r.dim, d_r.k), derive_seed(config.seed, "init"))
-    forbidden = frozenset(int(i) for i in forbidden_ids)  # np.isin: ~50x slower per batch
-    logged = 0
-
-    def check_batch(ids):
-        nonlocal logged
-        batch = ids.tolist()
-        if not forbidden.isdisjoint(batch):
-            raise RetrainIsolationError("forgetting ids reached retraining batches: "
-                                        f"{sorted(forbidden.intersection(batch))[:5]}")
-        logged += len(batch)
-
-    model = train(model, d_r, config, batch_callback=check_batch,
-                  epoch_callback=epoch_callback)
-    return model, {"batches_logged": logged, "forbidden_ids": len(forbidden),
+    check = IsolationCheck(forbidden_ids)
+    model = train(model, d_r, config, batch_callback=check, epoch_callback=epoch_callback,
+                  executor=executor)
+    return model, {"batches_logged": check.logged, "forbidden_ids": len(check.forbidden),
                    "violations": 0}
+
+
+class IsolationCheck:
+    """A batch callback that refuses a batch holding a forbidden id and
+    counts the ids it has checked (`logged`)."""
+
+    def __init__(self, forbidden_ids):
+        self.forbidden = frozenset(int(i) for i in forbidden_ids)  # np.isin: ~50x slower
+        self.logged = 0
+
+    def __call__(self, ids):
+        batch = ids.tolist()
+        if not self.forbidden.isdisjoint(batch):
+            raise RetrainIsolationError("forgetting ids reached retraining batches: "
+                                        f"{sorted(self.forbidden.intersection(batch))[:5]}")
+        self.logged += len(batch)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 Dense rectifier MLP over flattened pixels, cross-entropy on hard labels or
 temperature-scaled KL on soft targets, SGD-momentum / decoupled-decay Adam
 optimizers, and a cosine-to-zero schedule. Everything is seeded and each
-model trains on one thread, so training is a pure function of (initial
-model, dataset, config.seed). That thread is a worker beside the caller,
-which may observe each epoch's private copy while the worker trains at most
-two epochs ahead. Evaluation over a frozen model is read-only and safe to
-share.
+model trains on one worker, so training is a pure function of (initial
+model, dataset, config.seed). The worker is a thread beside the caller, or
+a process (`process_worker`) that runs the same loop on its own copy of
+the model and data; the caller may observe each epoch's private copy while
+the worker trains at most two epochs ahead. Evaluation over a frozen model
+is read-only and safe to share.
 
 Parameter arena: all of a model's parameters live in one contiguous vector,
 ``Model.flat``, in the order W0, b0, W1, b1, ... (each weight row-major,
@@ -21,9 +22,12 @@ layer u32 (in_dim, out_dim), then the arena's bytes as little-endian f32:
 per layer the weight matrix (row-major, out x in) followed by the bias.
 """
 
+import concurrent.futures
+import contextlib
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -332,7 +336,8 @@ def _backward_on(model: Model, dataset, idx, temperature: float, out: Model) -> 
 
 
 def train(model: Model, dataset, config: TrainConfig, *, temperature: float = 1.0,
-          epoch_callback=None, batch_callback=None, ascent: Ascent | None = None) -> Model:
+          epoch_callback=None, batch_callback=None, ascent: Ascent | None = None,
+          executor: Executor | None = None) -> Model:
     """Mini-batch training; returns the trained copy.
 
     The input model is never mutated. Batch order and all updates derive
@@ -341,40 +346,135 @@ def train(model: Model, dataset, config: TrainConfig, *, temperature: float = 1.
     tempered KL loss. A step whose loss (descent minus alpha times ascent)
     is not finite raises DivergenceError before the update.
 
+    Every model trains on a one-worker `executor`: by default a new worker
+    thread beside the caller, or a process from `process_worker`, which
+    gets its own copy of the model and data and hands back the trained
+    arena. The two run the same loop and give the same bits.
     epoch_callback(epoch_index, model) gets a private copy of the model
     after each epoch's last step and subnormal flush, the one place
-    per-epoch outputs come from. Every model trains on one worker thread,
-    which hands the calling thread each epoch's copy and trains at most two
-    epochs ahead of it. The callback runs on the calling thread, in epoch
-    order; once it raises, the epoch under way finishes and the queued one
-    is cancelled. batch_callback(ids) gets each batch's instance ids before
-    its step, on the worker. An error from either callback or from training
-    reaches the caller as itself, and no thread outlives the call.
+    per-epoch outputs come from. It runs on the calling thread, in epoch
+    order, while the worker trains at most two epochs ahead; once it
+    raises, the epoch under way finishes and the queued one is cancelled.
+    batch_callback(ids) gets each batch's instance ids before its step, on
+    the worker; on a process worker it must be a picklable callable object,
+    and the attributes its copy holds after the last step are copied back
+    onto it. An error from either callback or from training reaches the
+    caller as itself, and no work of the call outlives it.
     """
     n = len(dataset)
     if n == 0:
         raise ValidationError("cannot train on an empty dataset")
-    model = model.copy()
-    epochs = _epochs(model, dataset, config, temperature, batch_callback, ascent)
-
     # Training moves to the worker, not the callback: the callbacks' large
     # forwards then keep their temporaries in the main thread's malloc
     # arena (a callback thread's own arena held them, +5 MB peak RSS on desk).
     # Two tasks stay submitted: the worker trains on, but at most two epochs ahead.
-    def next_epoch():
-        epoch = next(epochs, None)
-        return None if epoch is None else (epoch, model.copy())
-
-    pool = ThreadPoolExecutor(max_workers=1)
+    pool = executor or ThreadPoolExecutor(max_workers=1)
+    pending = []
     try:
-        pending = [pool.submit(next_epoch), pool.submit(next_epoch)]
-        while (handed := pending.pop(0).result()) is not None:
-            pending.append(pool.submit(next_epoch))
+        with _shipped(dataset, pool) as shipped:
+            pending = [pool.submit(_begin, model.copy(), shipped, config, temperature,
+                                   batch_callback, ascent),
+                       pool.submit(_next_epoch), pool.submit(_next_epoch)]
+            pending.pop(0).result()  # the worker has its copy of the data
+        while (handed := pending.pop(0).result())[0] is not None:
+            pending.append(pool.submit(_next_epoch))
             if epoch_callback is not None:
                 epoch_callback(*handed)
     finally:
-        pool.shutdown(cancel_futures=True)
+        if executor is None:
+            pool.shutdown(cancel_futures=True)
+        else:
+            for future in pending:
+                future.cancel()
+            wait(pending)
+    _, model, worked = handed
+    if worked is not batch_callback:  # a process worker's copy
+        vars(batch_callback).update(vars(worked))
     return model
+
+
+# The job a worker trains: `_begin` starts it in the worker's thread-local
+# storage and each `_next_epoch` trains its next epoch. A thread worker and
+# a process worker run these same two functions.
+_worker = threading.local()
+
+
+def _begin(model: Model, dataset, config: TrainConfig, temperature: float, batch_callback,
+           ascent: Ascent | None) -> None:
+    _worker.job = model, batch_callback, _epochs(model, dataset, config, temperature,
+                                                  batch_callback, ascent)
+
+
+def _next_epoch():
+    """The worker's job trained one more epoch, as (epoch, private copy of
+    the model); after its last epoch (None, model, batch_callback), and the
+    job ends. None without a job."""
+    job = getattr(_worker, "job", None)
+    if job is None:
+        return None
+    model, batch_callback, epochs = job
+    try:
+        epoch = next(epochs, None)
+    except BaseException:
+        del _worker.job
+        raise
+    if epoch is not None:
+        return epoch, model.copy()
+    del _worker.job
+    return None, model, batch_callback
+
+
+@contextlib.contextmanager
+def _shipped(dataset, pool: Executor):
+    """`dataset` as `pool`'s worker is to receive it: a thread shares it, a
+    process takes its pixels through shared memory, freed on exit."""
+    if isinstance(pool, ThreadPoolExecutor):
+        yield dataset
+        return
+    pixels = _SharedArray(dataset.pixels)
+    try:
+        yield replace(dataset, pixels=pixels)
+    finally:
+        pixels.release()
+
+
+class _SharedArray:
+    """An array that a process worker receives through shared memory. As an
+    argument of a task the array would cross the executor's pipe in one
+    pickled message, whose buffers stay in the sender's malloc arenas (a 5 MB
+    training set raised desk's peak RSS by 15 MB). It unpickles as a copy."""
+
+    def __init__(self, array: np.ndarray):
+        from multiprocessing import shared_memory
+        self.shape, self.dtype = array.shape, array.dtype
+        self.block = shared_memory.SharedMemory(create=True, size=max(array.nbytes, 1))
+        np.ndarray(self.shape, self.dtype, buffer=self.block.buf)[...] = array
+
+    def __reduce__(self):
+        return _copy_shared, (self.block.name, self.shape, self.dtype)
+
+    def release(self) -> None:
+        self.block.close()
+        self.block.unlink()
+
+
+def _copy_shared(name: str, shape, dtype) -> np.ndarray:
+    from multiprocessing import shared_memory
+    block = shared_memory.SharedMemory(name=name)
+    try:
+        return np.ndarray(shape, dtype, buffer=block.buf).copy()
+    finally:
+        block.close()
+
+
+def process_worker() -> Executor:
+    """A one-process executor for `train`: a spawned interpreter, started
+    now, that has imported this module by the time its first task runs."""
+    import multiprocessing  # only here: a run on one CPU never loads it
+    worker = concurrent.futures.ProcessPoolExecutor(
+        max_workers=1, mp_context=multiprocessing.get_context("spawn"))
+    worker.submit(_next_epoch)  # no job: starts the process and imports nn there
+    return worker
 
 
 def _epochs(model: Model, dataset, config: TrainConfig, temperature: float,

@@ -19,7 +19,9 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin
@@ -68,6 +70,7 @@ from .nn import (
     init_model,
     load_model,
     predict_logits,
+    process_worker,
     save_model,
     train,
 )
@@ -476,14 +479,16 @@ class PreparedSeed:
             config=self.config.unlearn, params=self.config.params_for(method),
             seed=self.method_seed(method), epoch_callback=epoch_callback)
 
-    def unlearn(self, method: str, original: Model | None, epoch_callback=None):
+    def unlearn(self, method: str, original: Model | None, epoch_callback=None,
+                executor=None):
         """`method` run on this seed: (model, request, audit). Retrain trains a
-        fresh model and returns its audit; an unlearner starts from `original`
-        and returns the request it trained from, which holds the sets it built."""
+        fresh model, on `executor` as in `nn.train`, and returns its audit; an
+        unlearner starts from `original` and returns the request it trained
+        from, which holds the sets it built."""
         if method == "retrain":
             config = self.config.pretrain.with_seed(self.method_seed(method))
             model, audit = retrain(self.d_r, config, forbidden_ids=self.d_f.ids,
-                                   epoch_callback=epoch_callback)
+                                   epoch_callback=epoch_callback, executor=executor)
             return model, None, audit
         request = self.request(method, original, epoch_callback)
         return UNLEARN_METHODS[method](request), request, None
@@ -521,9 +526,9 @@ def prepare_seed(config: ExperimentConfig, root: int,
     spec = config.forget_spec(seeds["forget"])
     with stage("dataset"):
         train_ds, test_ds = materialize_data(config, seeds["dataset"])
-    config.check_natmu_n(train_ds.k)  # over UDS files K and N are known only now
-    if spec.mode != "class":
-        forget_count(spec.ratio, len(train_ds))
+        config.check_natmu_n(train_ds.k)  # over UDS files K and N are known only now
+        if spec.mode != "class":
+            forget_count(spec.ratio, len(train_ds))
     model_o = counts = original_path = None
     if spec.mode == "difficult" and checkpoints:
         counts, original_path = _read_trace_records(
@@ -634,22 +639,56 @@ def run_environment() -> dict:
             "openblas_threads": _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)}
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Stages:
+    """`stages(name)` times the stage `name` into `clock` (summed over its
+    entries) and keeps in `failed` the stage each exception escaped: a
+    seed's pretrain and retrain run their stages at the same time, so each
+    failure keeps its own stage."""
+
+    def __init__(self, clock: dict):
+        self.clock, self.failed = clock, {}
+
+    @contextlib.contextmanager
+    def __call__(self, name):
+        t0 = time.perf_counter()
+        try:
+            yield
+        except Exception as exc:
+            self.failed.setdefault(exc, name)
+            raise
+        self.clock[name] = self.clock.get(name, 0.0) + time.perf_counter() - t0
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Execute the full pipeline; returns the manifest dict.
 
     Writes per-seed report and curve CSVs, a cross-seed aggregate, and
-    manifest.json. On failure the partial manifest is persisted with the
-    failing stage and the exception's class (`error`) before the error
-    propagates.
+    manifest.json. Where this process may use two or more CPUs, one worker
+    process (`nn.process_worker`) trains every seed's retrain oracle while
+    the pretrain trains here; else all train here. On failure the partial
+    manifest is persisted with the failing stage and the exception's class
+    (`error`) before the error propagates; when the pretrain and the
+    retrain both fail, the pretrain's failure is the one reported, as
+    in-process, and the worker stops either way.
     """
     config.validate()
     out_root = Path(out_dir or os.environ.get("OUTPUT_DIR", config.output_dir))
     out_root.mkdir(parents=True, exist_ok=True)
+    processes = usable_cpus() >= 2
     manifest = {
         "config": config.semantic_dict(),
         "config_hash": config.hash(),
         "version": __version__,
-        "environment": run_environment(),
+        "environment": {**run_environment(),
+                        "retrain_worker": "process" if processes else "thread",
+                        "worker_peak_rss_mb": None},
         "seeds": list(config.seeds),
         "stage_seeds": {},
         "wall_clock": {},
@@ -657,22 +696,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
         "retrain_audit": {},
         "status": "running",
     }
-    failing = ["setup"]  # the stage a failure is reported at
-
-    @contextlib.contextmanager
-    def stage(name):
-        """Time `name` into the manifest (summed over entries); a failure inside
-        reports it."""
-        failing[0] = name
-        t0 = time.perf_counter()
-        yield
-        clock = manifest["wall_clock"]
-        clock[name] = clock.get(name, 0.0) + time.perf_counter() - t0
-
+    stage = _Stages(manifest["wall_clock"])
+    worker = None
     try:
+        # started before seed 1's data is made, so the two overlap
+        worker = process_worker() if processes else None
         per_seed_rows = {}
         for root in config.seeds:
-            rows, audit, files, stage_seeds = _run_one_seed(config, root, out_root, stage)
+            rows, audit, files, stage_seeds = _run_one_seed(config, root, out_root, stage,
+                                                            worker)
             per_seed_rows[root] = rows
             manifest["retrain_audit"][str(root)] = audit
             manifest["files"] += files
@@ -684,11 +716,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
             manifest["files"].append(str(agg_path.relative_to(out_root)))
         manifest["status"] = "complete"
     except Exception as exc:
-        manifest["status"] = f"failed at {failing[0]}: {exc}"
-        manifest["error"] = {"stage": failing[0], "type": type(exc).__name__}
-        _write_manifest(out_root, manifest)
+        failed_at = stage.failed.get(exc, "setup")
+        manifest["status"] = f"failed at {failed_at}: {exc}"
+        manifest["error"] = {"stage": failed_at, "type": type(exc).__name__}
         raise
-    _write_manifest(out_root, manifest)
+    finally:
+        if worker is not None:
+            worker.shutdown(cancel_futures=True)
+            # the largest peak of the child processes waited for: the worker's
+            peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+            manifest["environment"]["worker_peak_rss_mb"] = peak
+        if manifest["status"] != "running":
+            _write_manifest(out_root, manifest)
     return manifest
 
 
@@ -697,19 +736,19 @@ def _write_manifest(out_root: Path, manifest: dict) -> None:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, run_stage):
-    """Retrain, then each method, through `PreparedSeed.unlearn` and `report`;
-    writes the seed's CSVs. Returns the report rows by method, the retrain
-    audit, the files written (relative to `out_root`) and the stage seeds."""
-    seed_dir = out_root / f"seed_{root}"
-    seed_dir.mkdir(parents=True, exist_ok=True)
-
+def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, stages: _Stages,
+                  worker):
+    """The pretrain, the retrain oracle and each method, through
+    `PreparedSeed.unlearn` and `report`; writes the seed's CSVs. With a
+    `worker` (a process executor for `nn.train`) the retrain trains there
+    while the pretrain trains from a second thread; without one the pretrain
+    comes first. The methods follow both. Returns the report rows by method,
+    the retrain audit, the files written (relative to `out_root`) and the
+    stage seeds."""
     def stage(name):
-        return run_stage(f"seed{root}/{name}")
+        return stages(f"seed{root}/{name}")
 
     prep = prepare_seed(config, root, stage)
-    with stage("pretrain"):
-        prep.original  # trained here, so no method's clock counts it
 
     curves = ["method,epoch,fa,ra"]
 
@@ -719,16 +758,45 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, run_stage
                           f"{accuracy(model, prep.d_r):.6f}")
         return cb
 
-    reports = {}
-    for method in dict.fromkeys(("retrain", *config.methods)):
-        with stage(f"method:{method}"):
-            model, request, audit = prep.unlearn(method, prep.original, curve_recorder(method))
-            if method == "retrain":  # first: the reference of every report
-                model_r, retrain_audit = model, audit
-            reports[method] = prep.report(model, model_r, method, request)
+    def pretrain():
+        with stage("pretrain"):
+            prep.original  # trained here, so no method's clock counts it
 
-    rows, files = {}, []
+    # The retrain's epoch copies wait in one array until the pretrain is
+    # done: their curve forwards would take CPU and cache from its steps.
+    arenas = None
+
+    def keep(epoch, model):
+        nonlocal arenas
+        if arenas is None:
+            arenas = np.empty((config.pretrain.epochs, model.flat.size), model.flat.dtype)
+        arenas[epoch] = model.flat
+
+    with ThreadPoolExecutor(max_workers=1) as lane:
+        pretrained = None if worker is None else lane.submit(pretrain)
+        if pretrained is None:
+            pretrain()
+        try:
+            with stage("method:retrain"):
+                model_r, _, retrain_audit = prep.unlearn("retrain", None, keep, worker)
+        finally:
+            if pretrained is not None:
+                pretrained.result()  # waits; a failed pretrain comes first
+    reports = {}
+    with stage("method:retrain"):  # first: the reference of every report
+        for epoch in range(0 if arenas is None else len(arenas)):
+            curve_recorder("retrain")(epoch, Model.on_arena(arenas[epoch], model_r.shapes))
+        arenas = None
+        reports["retrain"] = prep.report(model_r, model_r, "retrain")
+    for method in config.methods:
+        if method != "retrain":
+            with stage(f"method:{method}"):
+                model, request, _ = prep.unlearn(method, prep.original, curve_recorder(method))
+                reports[method] = prep.report(model, model_r, method, request)
+
+    seed_dir, rows, files = out_root / f"seed_{root}", {}, []
     with stage("reports"):
+        seed_dir.mkdir(parents=True, exist_ok=True)
         for method, (values, kl) in reports.items():
             path = seed_dir / f"report_{method}.csv"
             rows[method] = write_report_csv(path, values, kl, reports["retrain"][0])

@@ -1,4 +1,5 @@
 import copy
+import multiprocessing
 import pickle
 import struct
 import threading
@@ -548,6 +549,109 @@ class TestEpochHandOver:
         assert threading.active_count() == threads
 
 
+class BatchClock:
+    """A picklable batch callback: the time each batch began, on a clock
+    that every process shares."""
+
+    def __init__(self):
+        self.times = []
+
+    def __call__(self, ids):
+        self.times.append(time.monotonic())
+
+
+@pytest.fixture(scope="module")
+def process_worker():
+    """One worker process for the module's tests, stopped after them."""
+    worker = nn.process_worker()
+    yield worker
+    worker.shutdown()
+    assert multiprocessing.active_children() == []
+
+
+class TestProcessWorker:
+    """`train` on a process executor runs the thread path's loop in the
+    worker process and gives the same bits."""
+
+    CONFIG = TestEpochHandOver.CONFIG
+
+    @pytest.mark.parametrize("case", ["adamw", "sgd", "soft", "ascent", "zero epochs"])
+    def test_bit_equal_to_the_thread_path(self, process_worker, case):
+        ds, model = TestEpochHandOver.world()
+        config, options = self.CONFIG, {}
+        if case == "sgd":
+            config = replace(config, optimizer="sgd")
+        elif case == "soft":
+            soft = nn.softmax(np.random.default_rng(1).normal(size=(len(ds), ds.k)))
+            ds = replace(ds, soft_labels=soft.astype(np.float32))
+            options["temperature"] = 2.0
+        elif case == "ascent":
+            options["ascent"] = nn.Ascent(ds.subset(np.arange(5)), alpha=0.1, seed=3)
+        elif case == "zero epochs":
+            config = replace(config, epochs=0)
+        trained = nn.train(model, ds, config, executor=process_worker, **options)
+        assert trained is not model
+        assert np.array_equal(trained.flat, nn.train(model, ds, config, **options).flat)
+
+    def test_callbacks_get_the_thread_paths_copies_in_order(self, process_worker):
+        ds, model = TestEpochHandOver.world()
+        seen = {}
+        for path, executor in (("thread", None), ("process", process_worker)):
+            seen[path] = []
+
+            def callback(epoch, handed):
+                seen[path].append((epoch, threading.get_ident(), handed.flat.copy()))
+                handed.flat[:] = 0.0  # a private copy: training goes on unchanged
+            trained = nn.train(model, ds, self.CONFIG, epoch_callback=callback,
+                               executor=executor)
+            assert np.array_equal(seen[path][-1][2], trained.flat)
+        assert [e for e, _, _ in seen["process"]] == list(range(self.CONFIG.epochs))
+        assert {t for _, t, _ in seen["process"]} == {threading.get_ident()}
+        for (_, _, a), (_, _, b) in zip(seen["thread"], seen["process"]):
+            assert np.array_equal(a, b)
+
+    def test_divergence_reaches_the_caller_as_itself(self, process_worker):
+        ds, model = TestEpochHandOver.world()
+        model.layers[0].weight[0, 0] = np.inf
+        epochs = []
+        with pytest.raises(DivergenceError) as info:
+            nn.train(model, ds, self.CONFIG, executor=process_worker,
+                     epoch_callback=lambda epoch, handed: epochs.append(epoch))
+        assert type(info.value) is DivergenceError and epochs == []
+        # the worker takes the next job as before
+        ds, model = TestEpochHandOver.world()
+        assert np.array_equal(nn.train(model, ds, self.CONFIG, executor=process_worker).flat,
+                              nn.train(model, ds, self.CONFIG).flat)
+
+    def test_worker_trains_at_most_two_epochs_ahead_of_a_slow_callback(self, process_worker):
+        ds, model = TestEpochHandOver.world()
+        config = replace(self.CONFIG, epochs=6)
+        per_epoch = -(-len(ds) // config.batch_size)
+        clock, observed = BatchClock(), []
+
+        def callback(epoch, handed):
+            time.sleep(0.02)
+            observed.append((epoch, time.monotonic()))
+        nn.train(model, ds, config, epoch_callback=callback, batch_callback=clock,
+                 executor=process_worker)
+        assert len(clock.times) == config.epochs * per_epoch  # the worker's, brought back
+        # the latest epoch with a batch begun, against the one observed
+        ahead = [(sum(t < at for t in clock.times) - 1) // per_epoch - epoch
+                 for epoch, at in observed]
+        assert len(ahead) == config.epochs and max(ahead) <= 2
+
+    def test_retrain_audit_counts_the_ids_the_worker_checked(self, process_worker):
+        ds, _ = TestEpochHandOver.world()
+        audits = [methods.retrain(ds, self.CONFIG, forbidden_ids=[10_000], executor=executor)[1]
+                  for executor in (None, process_worker)]
+        assert audits[0] == audits[1] == {"batches_logged": self.CONFIG.epochs * len(ds),
+                                          "forbidden_ids": 1, "violations": 0}
+        with pytest.raises(RetrainIsolationError) as info:
+            methods.retrain(ds, self.CONFIG, forbidden_ids=ds.ids[-1:],
+                            executor=process_worker)
+        assert type(info.value) is RetrainIsolationError
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = nn.init_model([6, 5, 4], seed=10)
@@ -576,4 +680,35 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(CheckpointFormatError):
+            nn.load_model(str(path))
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "model.nmu"
+        path.write_bytes(b"NMU1" + struct.pack("<I", 2) + struct.pack("<II", 6, 5) + b"\x00")
+        with pytest.raises(CheckpointFormatError, match="truncated checkpoint header"):
+            nn.load_model(str(path))
+
+    def test_dims_that_do_not_chain_rejected(self, tmp_path):
+        path = tmp_path / "model.nmu"
+        nn.save_model(nn.init_model([6, 5, 4], seed=10), str(path))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<II", blob, 16, 6, 4)  # layer 1 takes 6 inputs, layer 0 gives 5
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointFormatError, match="do not chain"):
+            nn.load_model(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.nmu"
+        nn.save_model(nn.init_model([6, 5, 4], seed=10), str(path))
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(CheckpointFormatError, match="trailing bytes"):
+            nn.load_model(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, tmp_path, value):
+        model = nn.init_model([6, 5, 4], seed=10)
+        model.layers[1].bias[2] = value
+        path = tmp_path / "model.nmu"
+        nn.save_model(model, str(path))
+        with pytest.raises(CheckpointFormatError, match="non-finite"):
             nn.load_model(str(path))

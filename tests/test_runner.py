@@ -1,10 +1,12 @@
 import filecmp
 import hashlib
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
 import sys
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,7 +14,13 @@ import numpy as np
 import pytest
 
 from natmu import BLAS_THREAD_VARIABLES, cli, data, runner
-from natmu.errors import ConfigError, NatmuError, ValidationError
+from natmu.errors import (
+    ConfigError,
+    DivergenceError,
+    NatmuError,
+    RetrainIsolationError,
+    ValidationError,
+)
 from natmu.methods import METHOD_NAMES, MethodParams
 from natmu.nn import predict_logits
 
@@ -520,6 +528,91 @@ class TestFailureHandling:
         assert manifest["error"] == {"stage": "seed1/method:retrain", "type": error}
 
 
+def scenario_config(tmp_path, mode: str) -> runner.ExperimentConfig:
+    """A one-seed mini config of five methods in forgetting mode `mode`."""
+    text = MINI_CONFIG.replace("seeds = 1,2", "seeds = 1")
+    if mode == "class":
+        text = text.replace("mode = random\nratio = 0.1", "mode = class\nclass_index = 4\nscope = sub")
+        text = text.replace("spread = 0.5", "spread = 0.5\nsuperclass_map = 0,0,1,1,2,2")
+        text = text.replace("n = 3", "n = 2")  # superclasses leave K-1 = 2
+    elif mode == "difficult":
+        text = text.replace("mode = random", "mode = difficult")
+    path = tmp_path / f"{mode}.cfg"
+    path.write_text(text)
+    return runner.load_config(str(path))
+
+
+def leak_forgetting_ids(monkeypatch):
+    """Make the split keep the forgetting ids in the remaining set."""
+    split = runner.split_forget
+    monkeypatch.setattr(runner, "split_forget", lambda dataset, spec, counts=None:
+                        (split(dataset, spec, counts)[0], dataset))
+
+
+class TestRetrainWorker:
+    """Where the process may use two CPUs, `run` trains each seed's retrain in
+    one worker process beside the pretrain and the methods; on one CPU all
+    train in-process. Each run here starts at most one worker process."""
+
+    @staticmethod
+    def run(config, out, monkeypatch, cpus):
+        monkeypatch.setattr(runner, "usable_cpus", lambda: cpus)
+        try:
+            return runner.run_experiment(config, out_dir=str(out))
+        finally:
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("mode", ["random", "class", "difficult"])
+    def test_one_and_two_cpus_write_identical_csvs(self, tmp_path, monkeypatch, mode):
+        config = scenario_config(tmp_path, mode)
+        for cpus in (1, 2):
+            manifest = self.run(config, tmp_path / f"cpus{cpus}", monkeypatch, cpus)
+            assert manifest["status"] == "complete"
+            environment = manifest["environment"]
+            assert environment["retrain_worker"] == {1: "thread", 2: "process"}[cpus]
+            peak = environment["worker_peak_rss_mb"]
+            assert peak is None if cpus == 1 else peak > 1
+        csvs = sorted(p.relative_to(tmp_path / "cpus1") for p in (tmp_path / "cpus1").rglob("*.csv"))
+        assert len(csvs) == 7  # five reports, curves, aggregate
+        for rel in csvs:
+            assert filecmp.cmp(tmp_path / "cpus1" / rel, tmp_path / "cpus2" / rel,
+                               shallow=False), rel
+        manifests = [json.loads((tmp_path / f"cpus{c}" / "manifest.json").read_text())
+                     for c in (1, 2)]
+        assert manifests[0]["retrain_audit"] == manifests[1]["retrain_audit"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_leaky_split_fails_at_the_retrain(self, tmp_path, monkeypatch, cpus):
+        leak_forgetting_ids(monkeypatch)
+        with pytest.raises(RetrainIsolationError):
+            self.run(scenario_config(tmp_path, "random"), tmp_path / "out", monkeypatch, cpus)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["error"] == {"stage": "seed1/method:retrain",
+                                     "type": "RetrainIsolationError"}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failed_pretrain_is_reported_before_a_failed_retrain(self, tmp_path, monkeypatch,
+                                                                   cpus):
+        leak_forgetting_ids(monkeypatch)
+        # with a worker the pretrain fails once the retrain is under way
+        retraining, retrain = threading.Event(), runner.retrain
+
+        def started_retrain(*args, **kwargs):
+            retraining.set()
+            return retrain(*args, **kwargs)
+
+        def diverging_pretrain(*args, **kwargs):
+            assert cpus == 1 or retraining.wait(30)
+            raise DivergenceError("non-finite training loss at epoch 0")
+        monkeypatch.setattr(runner, "retrain", started_retrain)
+        monkeypatch.setattr(runner, "pretrain_model", diverging_pretrain)
+        with pytest.raises(DivergenceError):
+            self.run(scenario_config(tmp_path, "random"), tmp_path / "out", monkeypatch, cpus)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed at seed1/pretrain: non-finite training loss at epoch 0"
+        assert manifest["error"] == {"stage": "seed1/pretrain", "type": "DivergenceError"}
+
+
 class TestScenarioModes:
     def test_class_wise_run_reports_fa_splits(self, tmp_path):
         cfg_text = MINI_CONFIG.replace(
@@ -628,11 +721,15 @@ class TestEnvironmentRecord:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         core = runner.openblas_core()
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        worker_peak = environment["worker_peak_rss_mb"]  # the worker's, in MB; null in-process
+        assert (worker_peak is None) == (cpus < 2) and (worker_peak is None or worker_peak > 1)
         assert environment == {
             "blas_threads": dict.fromkeys(BLAS_THREAD_VARIABLES, "2"),
             "python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": blas["name"], "version": blas["version"]},
-            "openblas_core": core, "openblas_threads": None if core is None else min(2, cpus)}
+            "openblas_core": core, "openblas_threads": None if core is None else min(2, cpus),
+            "retrain_worker": "process" if cpus >= 2 else "thread",
+            "worker_peak_rss_mb": worker_peak}
 
     def test_missing_symbols_and_old_numpy_record_null(self, tmp_path, monkeypatch):
         import _ctypes
