@@ -25,7 +25,9 @@ per layer the weight matrix (row-major, out x in) followed by the bias.
 import concurrent.futures
 import contextlib
 import math
+import os
 import struct
+import tempfile
 import threading
 from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
@@ -427,44 +429,30 @@ def _next_epoch():
 @contextlib.contextmanager
 def _shipped(dataset, pool: Executor):
     """`dataset` as `pool`'s worker is to receive it: a thread shares it, a
-    process takes its pixels through shared memory, freed on exit."""
+    process loads its pixels from a temporary file, removed on exit. As an
+    argument of a task the pixels would cross the executor's pipe in one
+    pickled message, whose buffers stay in the sender's malloc arenas (a
+    5 MB training set raised desk's peak RSS by 15 MB)."""
     if isinstance(pool, ThreadPoolExecutor):
         yield dataset
         return
-    pixels = _SharedArray(dataset.pixels)
+    fd, path = tempfile.mkstemp(suffix=".npy")
     try:
-        yield replace(dataset, pixels=pixels)
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, dataset.pixels)
+        yield replace(dataset, pixels=_SavedArray(path))
     finally:
-        pixels.release()
+        os.unlink(path)
 
 
-class _SharedArray:
-    """An array that a process worker receives through shared memory. As an
-    argument of a task the array would cross the executor's pipe in one
-    pickled message, whose buffers stay in the sender's malloc arenas (a 5 MB
-    training set raised desk's peak RSS by 15 MB). It unpickles as a copy."""
+class _SavedArray:
+    """The array saved at `path`; it unpickles as the array loaded from there."""
 
-    def __init__(self, array: np.ndarray):
-        from multiprocessing import shared_memory
-        self.shape, self.dtype = array.shape, array.dtype
-        self.block = shared_memory.SharedMemory(create=True, size=max(array.nbytes, 1))
-        np.ndarray(self.shape, self.dtype, buffer=self.block.buf)[...] = array
+    def __init__(self, path: str):
+        self.path = path
 
     def __reduce__(self):
-        return _copy_shared, (self.block.name, self.shape, self.dtype)
-
-    def release(self) -> None:
-        self.block.close()
-        self.block.unlink()
-
-
-def _copy_shared(name: str, shape, dtype) -> np.ndarray:
-    from multiprocessing import shared_memory
-    block = shared_memory.SharedMemory(name=name)
-    try:
-        return np.ndarray(shape, dtype, buffer=block.buf).copy()
-    finally:
-        block.close()
+        return np.load, (self.path,)
 
 
 def process_worker() -> Executor:
