@@ -67,3 +67,7 @@ class DivergenceError(NatmuError):
 
 class RetrainIsolationError(NatmuError):
     pass
+
+
+class WorkerDiedError(NatmuError):
+    pass

@@ -66,7 +66,9 @@ class UnlearnRequest:
     params: MethodParams = field(default_factory=MethodParams)
     seed: int = 0
     epoch_callback: object = None
-    # training sets built from this request, each built once (`_once_per_request`)
+    executor: object = None  # the one-worker executor the method trains on (`nn.train`)
+    # training sets built from this request, each built once (`_once_per_request`,
+    # `finetune_set`)
     built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -96,7 +98,8 @@ def _finetune(request: UnlearnRequest, dataset: Dataset, **train_options) -> Mod
         model = model.copy()
         reinit_layer(model, -1, derive_seed(request.seed, "reinit"))
     return train(model, dataset, request.config.with_seed(derive_seed(request.seed, "finetune")),
-                 epoch_callback=request.epoch_callback, **train_options)
+                 epoch_callback=request.epoch_callback, executor=request.executor,
+                 **train_options)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +166,7 @@ def natmu_finetune_set(request: UnlearnRequest) -> Dataset:
 
 
 def unlearn_natmu(request: UnlearnRequest) -> Model:
-    return _finetune(request, natmu_finetune_set(request))
+    return _finetune(request, finetune_set("natmu", request))
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +177,8 @@ def unlearn_natmu(request: UnlearnRequest) -> Model:
 def amnesiac_relabeled(request: UnlearnRequest) -> Dataset:
     """Forgetting samples with random incorrect labels, fixed once per run."""
     d_f = request.d_f
+    if d_f.k < 2:
+        raise ValidationError("random relabeling needs at least 2 classes")
     rng = np.random.default_rng(derive_seed(request.seed, "relabel"))
     draws = rng.integers(0, d_f.k - 1, size=len(d_f))
     relabeled = np.where(draws >= d_f.labels, draws + 1, draws)
@@ -181,9 +186,7 @@ def amnesiac_relabeled(request: UnlearnRequest) -> Dataset:
 
 
 def unlearn_amnesiac(request: UnlearnRequest) -> Model:
-    if request.d_f.k < 2:
-        raise ValidationError("random relabeling needs at least 2 classes")
-    return _finetune(request, concat(request.d_r, amnesiac_relabeled(request)))
+    return _finetune(request, finetune_set("amnesiac", request))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +211,7 @@ def badteacher_targets(request: UnlearnRequest) -> tuple[Dataset, Dataset]:
 
 
 def unlearn_badteacher(request: UnlearnRequest) -> Model:
-    return _finetune(request, concat(*badteacher_targets(request)),
+    return _finetune(request, finetune_set("badteacher", request),
                      temperature=request.params.temperature)
 
 
@@ -229,7 +232,7 @@ def unlearn_neggrad_plus(request: UnlearnRequest) -> Model:
         raise ValidationError("need non-empty remaining and forgetting sets")
     ascent = Ascent(request.d_f, request.params.ascent_coefficient,
                     derive_seed(request.seed, "forget_order"))
-    return _finetune(request, request.d_r, ascent=ascent)
+    return _finetune(request, finetune_set("neggrad", request), ascent=ascent)
 
 
 UNLEARN_METHODS = {
@@ -250,6 +253,23 @@ METHOD_PARAMS = {
     "neggrad": ("ascent_coefficient", "reinit_final_layer"),
 }
 SETS_FROM_MODEL = ("natmu", "badteacher")  # unlearning sets that read the request's model
+
+
+def finetune_set(method: str, request: UnlearnRequest) -> Dataset:
+    """The dataset `method` fine-tunes on, built on the request's first call
+    and kept on it, so that a caller may build it before the method runs."""
+    key = f"{method} finetune set"
+    if key not in request.built:
+        if method == "natmu":
+            built = natmu_finetune_set(request)
+        elif method == "amnesiac":
+            built = concat(request.d_r, amnesiac_relabeled(request))
+        elif method == "badteacher":
+            built = concat(*badteacher_targets(request))
+        else:  # neggrad: the remaining set, with the forgetting set as its ascent stream
+            built = request.d_r
+        request.built[key] = built
+    return request.built[key]
 
 
 def unlearning_dataset(method: str, request: UnlearnRequest) -> Dataset | None:

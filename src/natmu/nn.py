@@ -313,9 +313,16 @@ class TrainConfig:
         return replace(self, seed=seed)
 
 
-def predict_logits(model: Model, pixels: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Forward over a full array in chunks; returns (N, K) logits."""
-    outs = [forward(model, pixels[i:i + chunk]) for i in range(0, len(pixels), chunk)]
+# Rows per forward in `predict_logits`. Fixed, because the logits' bits
+# depend on it (chunks of 1-256 rows differ from 4096 by up to 9e-7 on desk).
+PREDICT_CHUNK = 4096
+
+
+def predict_logits(model: Model, pixels: np.ndarray) -> np.ndarray:
+    """Forward over a full array in chunks of PREDICT_CHUNK rows; returns
+    (N, K) logits."""
+    outs = [forward(model, pixels[i:i + PREDICT_CHUNK])
+            for i in range(0, len(pixels), PREDICT_CHUNK)]
     return np.concatenate(outs, axis=0) if outs else np.zeros((0, model.class_count))
 
 
@@ -373,8 +380,8 @@ def train(model: Model, dataset, config: TrainConfig, *, temperature: float = 1.
     pool = executor or ThreadPoolExecutor(max_workers=1)
     pending = []
     try:
-        with _shipped(dataset, pool) as shipped:
-            pending = [pool.submit(_begin, model.copy(), shipped, config, temperature,
+        with _shipped(pool, dataset, ascent) as (dataset, ascent):
+            pending = [pool.submit(_begin, model.copy(), dataset, config, temperature,
                                    batch_callback, ascent),
                        pool.submit(_next_epoch), pool.submit(_next_epoch)]
             pending.pop(0).result()  # the worker has its copy of the data
@@ -427,20 +434,33 @@ def _next_epoch():
 
 
 @contextlib.contextmanager
-def _shipped(dataset, pool: Executor):
-    """`dataset` as `pool`'s worker is to receive it: a thread shares it, a
-    process loads its pixels from a temporary file, removed on exit. As an
-    argument of a task the pixels would cross the executor's pipe in one
-    pickled message, whose buffers stay in the sender's malloc arenas (a
-    5 MB training set raised desk's peak RSS by 15 MB)."""
+def _shipped(pool: Executor, dataset, ascent: Ascent | None):
+    """`dataset` and `ascent` as `pool`'s worker is to receive them: a thread
+    shares them, a process loads their pixels from temporary files, removed
+    on exit. As an argument of a task the pixels would cross the executor's
+    pipe in one pickled message, whose buffers stay in the sender's malloc
+    arenas (a 5 MB training set raised desk's peak RSS by 15 MB)."""
     if isinstance(pool, ThreadPoolExecutor):
-        yield dataset
+        yield dataset, ascent
         return
+    with contextlib.ExitStack() as files:
+        def saved(data):
+            return replace(data, pixels=files.enter_context(_saved(data.pixels)))
+        dataset = saved(dataset)
+        if ascent is not None:
+            ascent = ascent._replace(data=saved(ascent.data))
+        yield dataset, ascent
+
+
+@contextlib.contextmanager
+def _saved(array: np.ndarray):
+    """`array` saved to a temporary `.npy` file, as a `_SavedArray`; the
+    file is removed on exit."""
     fd, path = tempfile.mkstemp(suffix=".npy")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.save(fh, dataset.pixels)
-        yield replace(dataset, pixels=_SavedArray(path))
+            np.save(fh, array)
+        yield _SavedArray(path)
     finally:
         os.unlink(path)
 

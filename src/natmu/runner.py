@@ -21,7 +21,7 @@ import os
 import platform
 import resource
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin
@@ -42,7 +42,13 @@ from .data import (
     synth_blobs,
     to_superclass,
 )
-from .errors import CheckpointFormatError, ConfigError, MissingTraceError, ValidationError
+from .errors import (
+    CheckpointFormatError,
+    ConfigError,
+    MissingTraceError,
+    ValidationError,
+    WorkerDiedError,
+)
 from .metrics import (
     accuracy,
     accuracy_of_logits,
@@ -61,6 +67,7 @@ from .methods import (
     MethodParams,
     UnlearnRequest,
     default_dims,
+    finetune_set,
     retrain,
     unlearning_dataset,
 )
@@ -470,27 +477,28 @@ class PreparedSeed:
     def method_seed(self, method: str) -> int:
         return derive_seed(self.root, "method", method)
 
-    def request(self, method: str, model: Model | None,
-                epoch_callback=None) -> UnlearnRequest:
+    def request(self, method: str, model: Model | None, epoch_callback=None,
+                executor=None) -> UnlearnRequest:
         """`method`'s unlearning request on `model`: the original model, or
-        None to build an unlearning set that never reads it."""
+        None to build an unlearning set that never reads it. The method
+        trains on `executor` as in `nn.train`."""
         return UnlearnRequest(
             model=model, d_f=self.d_f, d_r=self.d_r,
             config=self.config.unlearn, params=self.config.params_for(method),
-            seed=self.method_seed(method), epoch_callback=epoch_callback)
+            seed=self.method_seed(method), epoch_callback=epoch_callback, executor=executor)
 
     def unlearn(self, method: str, original: Model | None, epoch_callback=None,
                 executor=None):
-        """`method` run on this seed: (model, request, audit). Retrain trains a
-        fresh model, on `executor` as in `nn.train`, and returns its audit; an
-        unlearner starts from `original` and returns the request it trained
-        from, which holds the sets it built."""
+        """`method` run on this seed, on `executor` as in `nn.train`: (model,
+        request, audit). Retrain trains a fresh model and returns its audit;
+        an unlearner starts from `original` and returns the request it
+        trained from, which holds the sets it built."""
         if method == "retrain":
             config = self.config.pretrain.with_seed(self.method_seed(method))
             model, audit = retrain(self.d_r, config, forbidden_ids=self.d_f.ids,
                                    epoch_callback=epoch_callback, executor=executor)
             return model, None, audit
-        request = self.request(method, original, epoch_callback)
+        request = self.request(method, original, epoch_callback, executor)
         return UNLEARN_METHODS[method](request), request, None
 
     def report(self, model: Model, model_r: Model, method: str | None = None,
@@ -648,9 +656,9 @@ def usable_cpus() -> int:
 
 class _Stages:
     """`stages(name)` times the stage `name` into `clock` (summed over its
-    entries) and keeps in `failed` the stage each exception escaped: a
-    seed's pretrain and retrain run their stages at the same time, so each
-    failure keeps its own stage."""
+    entries) and keeps in `failed` the stage each exception escaped: with a
+    worker, a seed's pretrain and retrain run their stages at the same time,
+    and so do two of its methods, so each failure keeps its own stage."""
 
     def __init__(self, clock: dict):
         self.clock, self.failed = clock, {}
@@ -672,11 +680,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
     Writes per-seed report and curve CSVs, a cross-seed aggregate, and
     manifest.json. Where this process may use two or more CPUs, one worker
     process (`nn.process_worker`) trains every seed's retrain oracle while
-    the pretrain trains here; else all train here. On failure the partial
-    manifest is persisted with the failing stage and the exception's class
-    (`error`) before the error propagates; when the pretrain and the
-    retrain both fail, the pretrain's failure is the one reported, as
-    in-process, and the worker stops either way.
+    the pretrain trains here, and then every other unlearning method while
+    the one after it trains here; else all train here, in config order. On
+    failure the partial manifest is persisted with the failing stage and
+    the exception's class (`error`) before the error propagates; of two
+    failures at once, the one a run on one CPU meets first is reported,
+    and the worker stops either way. A worker that dies is a
+    WorkerDiedError.
     """
     config.validate()
     out_root = Path(out_dir or os.environ.get("OUTPUT_DIR", config.output_dir))
@@ -717,8 +727,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
         manifest["status"] = "complete"
     except Exception as exc:
         failed_at = stage.failed.get(exc, "setup")
-        manifest["status"] = f"failed at {failed_at}: {exc}"
-        manifest["error"] = {"stage": failed_at, "type": type(exc).__name__}
+        error = exc
+        if worker is not None and isinstance(exc, BrokenExecutor):
+            error = WorkerDiedError(
+                f"the worker process died ({exc}); a script that calls "
+                "runner.run_experiment must do so under `if __name__ == \"__main__\":`, "
+                "since the spawned worker imports the script's main module")
+        manifest["status"] = f"failed at {failed_at}: {error}"
+        manifest["error"] = {"stage": failed_at, "type": type(error).__name__}
+        if error is not exc:
+            raise error from exc
         raise
     finally:
         if worker is not None:
@@ -736,13 +754,39 @@ def _write_manifest(out_root: Path, manifest: dict) -> None:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+class _EpochCopies:
+    """An epoch callback that keeps each epoch's private copy of a model in
+    one array, so that its curve rows can be computed once it has trained
+    (`replay`)."""
+
+    def __init__(self, epochs: int):
+        self.epochs, self.arenas, self.shapes = epochs, None, None
+
+    def __call__(self, epoch, model):
+        if self.arenas is None:
+            self.arenas = np.empty((self.epochs, model.flat.size), model.flat.dtype)
+            self.shapes = model.shapes
+        self.arenas[epoch] = model.flat
+
+    def replay(self):
+        """Each kept (epoch, model) in epoch order; the copies are released after."""
+        for epoch in range(0 if self.arenas is None else self.epochs):
+            yield epoch, Model.on_arena(self.arenas[epoch], self.shapes)
+        self.arenas = None
+
+
 def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, stages: _Stages,
                   worker):
     """The pretrain, the retrain oracle and each method, through
     `PreparedSeed.unlearn` and `report`; writes the seed's CSVs. With a
     `worker` (a process executor for `nn.train`) the retrain trains there
-    while the pretrain trains from a second thread; without one the pretrain
-    comes first. The methods follow both. Returns the report rows by method,
+    while the pretrain trains from a second thread, and then the 1st, 3rd,
+    ... unlearning method in config order trains there, called from that
+    thread, while the method after it trains here; without one the pretrain
+    comes first and the methods follow in config order. Each model's curve
+    rows are computed here from its epoch copies once it has trained, and
+    reports and curve rows are the same bytes either way. Returns the report
+    rows by method,
     the retrain audit, the files written (relative to `out_root`) and the
     stage seeds."""
     def stage(name):
@@ -750,60 +794,88 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, stages: _
 
     prep = prepare_seed(config, root, stage)
 
-    curves = ["method,epoch,fa,ra"]
-
-    def curve_recorder(method):
-        def cb(epoch, model):
-            curves.append(f"{method},{epoch},{accuracy(model, prep.d_f):.6f},"
-                          f"{accuracy(model, prep.d_r):.6f}")
-        return cb
-
     def pretrain():
         with stage("pretrain"):
             prep.original  # trained here, so no method's clock counts it
 
-    # The retrain's epoch copies wait in one array until the pretrain is
-    # done: their curve forwards would take CPU and cache from its steps.
-    arenas = None
+    # Each model's epoch copies wait until it has trained: their curve
+    # forwards would take CPU and cache from training, the worker's included.
+    retrain_copies = _EpochCopies(config.pretrain.epochs)
+    curves, reports = {}, {}  # by method
 
-    def keep(epoch, model):
-        nonlocal arenas
-        if arenas is None:
-            arenas = np.empty((config.pretrain.epochs, model.flat.size), model.flat.dtype)
-        arenas[epoch] = model.flat
+    def finish(method, model, request, copies):
+        """`method`'s curve rows, from its epoch copies, and its report."""
+        with stage(f"method:{method}"):
+            curves[method] = [f"{method},{epoch},{accuracy(copy, prep.d_f):.6f},"
+                              f"{accuracy(copy, prep.d_r):.6f}"
+                              for epoch, copy in copies.replay()]
+            reports[method] = prep.report(model, model_r, method, request)
 
+    def in_process(method):
+        copies = _EpochCopies(config.unlearn.epochs)
+        with stage(f"method:{method}"):
+            model, request, _ = prep.unlearn(method, prep.original, copies)
+        finish(method, model, request, copies)
+
+    def on_worker(method, request):
+        with stage(f"method:{method}"):
+            return UNLEARN_METHODS[method](request)
+
+    def beside(method, after, first):
+        """`method` on the worker, called from `lane`, while the methods
+        `after` train here; the retrain's rows and report come first when
+        `first` is set. Each failure is reported in one-CPU order."""
+        copies = _EpochCopies(config.unlearn.epochs)
+        try:
+            with stage(f"method:{method}"):
+                request = prep.request(method, prep.original, copies, worker)
+                # built here: a set allocated on the lane takes its own malloc arena
+                finetune_set(method, request)
+            trained = lane.submit(on_worker, method, request)
+        finally:
+            if first:  # the reference of every report
+                finish("retrain", model_r, None, retrain_copies)
+        try:
+            for later in after:
+                in_process(later)
+        finally:
+            finish(method, trained.result(), request, copies)
+
+    unlearners = [method for method in config.methods if method != "retrain"]
     with ThreadPoolExecutor(max_workers=1) as lane:
         pretrained = None if worker is None else lane.submit(pretrain)
         if pretrained is None:
             pretrain()
         try:
             with stage("method:retrain"):
-                model_r, _, retrain_audit = prep.unlearn("retrain", None, keep, worker)
+                model_r, _, retrain_audit = prep.unlearn("retrain", None, retrain_copies,
+                                                         worker)
         finally:
             if pretrained is not None:
                 pretrained.result()  # waits; a failed pretrain comes first
-    reports = {}
-    with stage("method:retrain"):  # first: the reference of every report
-        for epoch in range(0 if arenas is None else len(arenas)):
-            curve_recorder("retrain")(epoch, Model.on_arena(arenas[epoch], model_r.shapes))
-        arenas = None
-        reports["retrain"] = prep.report(model_r, model_r, "retrain")
-    for method in config.methods:
-        if method != "retrain":
-            with stage(f"method:{method}"):
-                model, request, _ = prep.unlearn(method, prep.original, curve_recorder(method))
-                reports[method] = prep.report(model, model_r, method, request)
+        prep.train = None  # read by the pretrain alone: release it before the methods' sets
+        if worker is None or not unlearners:
+            finish("retrain", model_r, None, retrain_copies)  # the reference of every report
+            for method in unlearners:
+                in_process(method)
+        else:
+            # at most one worker-lane set is alive at a time
+            for i in range(0, len(unlearners), 2):
+                beside(unlearners[i], unlearners[i + 1:i + 2], first=i == 0)
 
     seed_dir, rows, files = out_root / f"seed_{root}", {}, []
+    order = ["retrain", *unlearners]
     with stage("reports"):
         seed_dir.mkdir(parents=True, exist_ok=True)
-        for method, (values, kl) in reports.items():
+        for method in order:
             path = seed_dir / f"report_{method}.csv"
+            values, kl = reports[method]
             rows[method] = write_report_csv(path, values, kl, reports["retrain"][0])
             files.append(path)
         curve_path = seed_dir / "curves.csv"
-        curve_path.write_text("\n".join(curves) + "\n", encoding="ascii")
+        lines = ["method,epoch,fa,ra", *(row for method in order for row in curves[method])]
+        curve_path.write_text("\n".join(lines) + "\n", encoding="ascii")
         files.append(curve_path)
 
-    stage_seeds = {**prep.stage_seeds, **{f"method:{m}": prep.method_seed(m) for m in reports}}
+    stage_seeds = {**prep.stage_seeds, **{f"method:{m}": prep.method_seed(m) for m in order}}
     return rows, retrain_audit, [str(f.relative_to(out_root)) for f in files], stage_seeds

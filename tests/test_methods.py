@@ -304,6 +304,19 @@ class TestUnlearningDataset:
         methods.unlearning_dataset(method, request)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("method", ["natmu", "amnesiac", "badteacher", "neggrad"])
+    def test_a_set_built_before_the_method_is_the_one_it_trains_on(self, world, monkeypatch,
+                                                                   method):
+        request = make_request(world)
+        built = methods.finetune_set(method, request)
+        assert methods.finetune_set(method, request) is built
+        trained_on = []
+        train = methods.train
+        monkeypatch.setattr(methods, "train", lambda model, dataset, *a, **k:
+                            trained_on.append(dataset) or train(model, dataset, *a, **k))
+        methods.UNLEARN_METHODS[method](request)
+        assert len(trained_on) == 1 and trained_on[0] is built
+
     def test_matches_what_the_method_trained_on(self, world):
         request = make_request(world)
         a = methods.unlearning_dataset("natmu", request)

@@ -1,5 +1,7 @@
+import concurrent.futures
 import copy
 import multiprocessing
+import os
 import pickle
 import struct
 import threading
@@ -67,6 +69,16 @@ class TestForward:
                     acc += float(w2[k, j]) * hidden[j]
                 expected[b, k] = acc
         np.testing.assert_allclose(nn.forward(model, x), expected, rtol=1e-5)
+
+    def test_predict_logits_forwards_fixed_chunks(self):
+        """The logits' bits depend on the rows per forward, so no caller picks them."""
+        model = nn.init_model([4, 5, 3], seed=2)
+        pixels = np.random.default_rng(3).random((2 * nn.PREDICT_CHUNK + 7, 4))
+        chunks = [nn.forward(model, pixels[i:i + nn.PREDICT_CHUNK])
+                  for i in (0, nn.PREDICT_CHUNK, 2 * nn.PREDICT_CHUNK)]
+        assert np.array_equal(nn.predict_logits(model, pixels), np.concatenate(chunks))
+        with pytest.raises(TypeError):
+            nn.predict_logits(model, pixels, chunk=256)
 
     def test_dimension_mismatch_raises(self):
         model = nn.init_model([4, 3], seed=0)
@@ -592,6 +604,26 @@ class TestProcessWorker:
         trained = nn.train(model, ds, config, executor=process_worker, **options)
         assert trained is not model
         assert np.array_equal(trained.flat, nn.train(model, ds, config, **options).flat)
+
+    @pytest.mark.parametrize("with_ascent", [False, True])
+    def test_pixels_reach_a_process_through_temporary_files(self, with_ascent):
+        """Pixels pickled into a task would stay in the caller's malloc arenas."""
+        ds, _ = TestEpochHandOver.world()
+        ascent = nn.Ascent(ds.subset(np.arange(5)), alpha=0.1, seed=3) if with_ascent else None
+        with nn._shipped(concurrent.futures.Executor(), ds, ascent) as (sent, sent_ascent):
+            pairs = [(sent, ds)]
+            if with_ascent:
+                assert sent_ascent[1:] == ascent[1:]
+                pairs.append((sent_ascent.data, ascent.data))
+            else:
+                assert sent_ascent is None
+            for shipped, original in pairs:
+                assert isinstance(shipped.pixels, nn._SavedArray)
+                received = pickle.loads(pickle.dumps(shipped))
+                assert np.array_equal(received.pixels, original.pixels)
+                assert np.array_equal(received.labels, original.labels)
+            paths = [shipped.pixels.path for shipped, _ in pairs]
+        assert not any(os.path.exists(path) for path in paths)
 
     def test_callbacks_get_the_thread_paths_copies_in_order(self, process_worker):
         ds, model = TestEpochHandOver.world()

@@ -15,6 +15,7 @@ import pytest
 
 from natmu import BLAS_THREAD_VARIABLES, cli, data, runner
 from natmu.errors import (
+    CategoryExhaustedError,
     ConfigError,
     DivergenceError,
     NatmuError,
@@ -551,8 +552,13 @@ def leak_forgetting_ids(monkeypatch):
 
 class TestRetrainWorker:
     """Where the process may use two CPUs, `run` trains each seed's retrain in
-    one worker process beside the pretrain and the methods; on one CPU all
-    train in-process. Each run here starts at most one worker process."""
+    one worker process beside the pretrain, and then every other unlearning
+    method there beside the next one; on one CPU all train in-process. Each
+    run here starts at most one worker process."""
+
+    # unlearners natmu, neggrad, badteacher, amnesiac: natmu and badteacher
+    # on the worker, and the retrain neither first nor last
+    REORDERED = "natmu,neggrad,retrain,badteacher,amnesiac"
 
     @staticmethod
     def run(config, out, monkeypatch, cpus):
@@ -562,9 +568,16 @@ class TestRetrainWorker:
         finally:
             assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("mode", ["random", "class", "difficult"])
-    def test_one_and_two_cpus_write_identical_csvs(self, tmp_path, monkeypatch, mode):
+    @staticmethod
+    def failure(out):
+        return json.loads((out / "manifest.json").read_text())["error"]
+
+    @pytest.mark.parametrize("mode, methods", [
+        ("random", None), ("class", None), ("difficult", None), ("random", REORDERED)])
+    def test_one_and_two_cpus_write_identical_csvs(self, tmp_path, monkeypatch, mode, methods):
         config = scenario_config(tmp_path, mode)
+        if methods is not None:
+            config.methods = tuple(methods.split(","))
         for cpus in (1, 2):
             manifest = self.run(config, tmp_path / f"cpus{cpus}", monkeypatch, cpus)
             assert manifest["status"] == "complete"
@@ -580,15 +593,15 @@ class TestRetrainWorker:
         manifests = [json.loads((tmp_path / f"cpus{c}" / "manifest.json").read_text())
                      for c in (1, 2)]
         assert manifests[0]["retrain_audit"] == manifests[1]["retrain_audit"]
+        assert list(manifests[1]["stage_seeds"]["1"]) == list(manifests[0]["stage_seeds"]["1"])
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_leaky_split_fails_at_the_retrain(self, tmp_path, monkeypatch, cpus):
         leak_forgetting_ids(monkeypatch)
         with pytest.raises(RetrainIsolationError):
             self.run(scenario_config(tmp_path, "random"), tmp_path / "out", monkeypatch, cpus)
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["error"] == {"stage": "seed1/method:retrain",
-                                     "type": "RetrainIsolationError"}
+        assert self.failure(tmp_path / "out") == {"stage": "seed1/method:retrain",
+                                                  "type": "RetrainIsolationError"}
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_failed_pretrain_is_reported_before_a_failed_retrain(self, tmp_path, monkeypatch,
@@ -611,6 +624,62 @@ class TestRetrainWorker:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed at seed1/pretrain: non-finite training loss at epoch 0"
         assert manifest["error"] == {"stage": "seed1/pretrain", "type": "DivergenceError"}
+
+    @staticmethod
+    def diverging_neggrad(config):
+        """`config` with NegGrad+ diverging within its first epoch: alpha
+        times the forgetting gradient overflows to inf."""
+        config.method_params["neggrad"] = MethodParams(ascent_coefficient=1e308)
+        return config
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_worker_lane_method_fails_at_its_own_stage(self, tmp_path, monkeypatch, cpus):
+        config = self.diverging_neggrad(scenario_config(tmp_path, "random"))
+        config.methods = ("retrain", "neggrad", "natmu")  # neggrad on the worker
+        with pytest.raises(DivergenceError) as info:
+            self.run(config, tmp_path / "out", monkeypatch, cpus)
+        assert type(info.value) is DivergenceError
+        assert self.failure(tmp_path / "out") == {"stage": "seed1/method:neggrad",
+                                                  "type": "DivergenceError"}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("methods, first", [
+        # the worker's method fails after the one beside it, which fails at once
+        (("retrain", "neggrad", "amnesiac"), "neggrad"),
+        (("retrain", "amnesiac", "neggrad"), "amnesiac")])
+    def test_the_earlier_of_two_failed_methods_is_reported(self, tmp_path, monkeypatch, cpus,
+                                                          methods, first):
+        config = self.diverging_neggrad(scenario_config(tmp_path, "random"))
+        config.methods = methods
+
+        def failing_amnesiac(request):
+            raise CategoryExhaustedError("relabeling failed")
+        monkeypatch.setitem(runner.UNLEARN_METHODS, "amnesiac", failing_amnesiac)
+        error = {"neggrad": DivergenceError, "amnesiac": CategoryExhaustedError}[first]
+        with pytest.raises(error):
+            self.run(config, tmp_path / "out", monkeypatch, cpus)
+        assert self.failure(tmp_path / "out") == {"stage": f"seed1/method:{first}",
+                                                  "type": error.__name__}
+
+    def test_a_script_without_the_main_guard_names_it(self, tmp_path):
+        """The spawned worker imports the script, whose run starts a worker
+        of its own; that fails in the worker, which dies before any task."""
+        (tmp_path / "tiny.cfg").write_text(MINI_CONFIG.replace("seeds = 1,2", "seeds = 1"))
+        (tmp_path / "script.py").write_text(
+            "from natmu import runner\n"
+            "runner.usable_cpus = lambda: 2  # a worker, whatever the host\n"
+            "config = runner.load_config('tiny.cfg')\n"
+            "runner.run_experiment(config, out_dir='out')\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        result = subprocess.run([sys.executable, "script.py"], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert "natmu.errors.WorkerDiedError" in result.stderr
+        assert 'if __name__ == "__main__":' in result.stderr
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["error"] == {"stage": "seed1/method:retrain", "type": "WorkerDiedError"}
+        assert 'if __name__ == "__main__":' in manifest["status"]
 
 
 class TestScenarioModes:
