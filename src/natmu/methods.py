@@ -112,8 +112,8 @@ def retrain(d_r: Dataset, config: TrainConfig, forbidden_ids=(), epoch_callback=
     `train`.
 
     Returns (model, audit). Every batch's instance ids are checked against
-    the forbidden (forgetting) ids on the worker before its step, and the
-    first batch holding one raises RetrainIsolationError; the audit counts
+    the forbidden (forgetting) ids before its step, where the loop runs, and
+    the first batch holding one raises RetrainIsolationError; the audit counts
     the ids checked ("batches_logged"), the forbidden ids and the
     violations (zero).
     """

@@ -2,13 +2,12 @@
 
 Dense rectifier MLP over flattened pixels, cross-entropy on hard labels or
 temperature-scaled KL on soft targets, SGD-momentum / decoupled-decay Adam
-optimizers, and a cosine-to-zero schedule. Everything is seeded and each
-model trains on one worker, so training is a pure function of (initial
-model, dataset, config.seed). The worker is a thread beside the caller, or
-a process (`process_worker`) that runs the same loop on its own copy of
-the model and data; the caller may observe each epoch's private copy while
-the worker trains at most two epochs ahead. Evaluation over a frozen model
-is read-only and safe to share.
+optimizers, and a cosine-to-zero schedule. Everything is seeded, so
+training is a pure function of (initial model, dataset, config.seed). A
+training call is one task: it runs on the calling thread, or as one job on
+a worker process (`process_worker`) that trains its own copy of the model
+and data and sends the result back. Evaluation over a frozen model is
+read-only and safe to share.
 
 Parameter arena: all of a model's parameters live in one contiguous vector,
 ``Model.flat``, in the order W0, b0, W1, b1, ... (each weight row-major,
@@ -26,10 +25,10 @@ import concurrent.futures
 import contextlib
 import math
 import os
+import pickle
 import struct
 import tempfile
-import threading
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -353,126 +352,69 @@ def train(model: Model, dataset, config: TrainConfig, *, temperature: float = 1.
     from config.seed (and ascent.seed), so identical inputs reproduce
     bit-identical parameters. Soft-labeled datasets are trained with the
     tempered KL loss. A step whose loss (descent minus alpha times ascent)
-    is not finite raises DivergenceError before the update.
+    or, with an ascent stream, whose combined gradient is not finite raises
+    DivergenceError before the update.
 
-    Every model trains on a one-worker `executor`: by default a new worker
-    thread beside the caller, or a process from `process_worker`, which
-    gets its own copy of the model and data and hands back the trained
-    arena. The two run the same loop and give the same bits.
+    Without an `executor` the loop runs here, on the calling thread. With
+    a one-process executor from `process_worker`, the call is one task:
+    the job (model, dataset, config, callbacks, ascent stream) reaches the
+    worker through a temporary pickle file, and the trained model and the
+    callbacks come back through another, loaded on the calling thread.
+    Both paths run the same loop and give the same bits.
     epoch_callback(epoch_index, model) gets a private copy of the model
     after each epoch's last step and subnormal flush, the one place
-    per-epoch outputs come from. It runs on the calling thread, in epoch
-    order, while the worker trains at most two epochs ahead; once it
-    raises, the epoch under way finishes and the queued one is cancelled.
-    batch_callback(ids) gets each batch's instance ids before its step, on
-    the worker; on a process worker it must be a picklable callable object,
-    and the attributes its copy holds after the last step are copied back
-    onto it. An error from either callback or from training reaches the
-    caller as itself, and no work of the call outlives it.
+    per-epoch outputs come from; batch_callback(ids) gets each batch's
+    instance ids before its step. Both run where the loop runs, in order.
+    On a process both must be picklable (not a lambda or a closure), and
+    the attributes their copies hold after the last step are copied back
+    onto them. An error from either callback or from
+    training reaches the caller as itself, and no batch runs after it.
     """
-    n = len(dataset)
-    if n == 0:
+    if len(dataset) == 0:
         raise ValidationError("cannot train on an empty dataset")
-    # Training moves to the worker, not the callback: the callbacks' large
-    # forwards then keep their temporaries in the main thread's malloc
-    # arena (a callback thread's own arena held them, +5 MB peak RSS on desk).
-    # Two tasks stay submitted: the worker trains on, but at most two epochs ahead.
-    pool = executor or ThreadPoolExecutor(max_workers=1)
-    pending = []
-    try:
-        with _shipped(pool, dataset, ascent) as (dataset, ascent):
-            pending = [pool.submit(_begin, model.copy(), dataset, config, temperature,
-                                   batch_callback, ascent),
-                       pool.submit(_next_epoch), pool.submit(_next_epoch)]
-            pending.pop(0).result()  # the worker has its copy of the data
-        while (handed := pending.pop(0).result())[0] is not None:
-            pending.append(pool.submit(_next_epoch))
-            if epoch_callback is not None:
-                epoch_callback(*handed)
-    finally:
-        if executor is None:
-            pool.shutdown(cancel_futures=True)
-        else:
-            for future in pending:
-                future.cancel()
-            wait(pending)
-    _, model, worked = handed
-    if worked is not batch_callback:  # a process worker's copy
-        vars(batch_callback).update(vars(worked))
+    if executor is None:
+        model = model.copy()
+        _train_in_place(model, dataset, config, temperature, epoch_callback, batch_callback,
+                        ascent)
+        return model
+    # The job and its result cross through files, not as the task's argument
+    # and value: a pickled argument's buffers stay in the caller's malloc
+    # arenas (a 5 MB training set raised desk's peak RSS by 15 MB), and the
+    # executor unpickles a value on its manager thread, whose own arena then
+    # holds it (a retrain's 30 epoch copies raised desk's peak RSS by 4 MB).
+    with _temporary_path() as job, _temporary_path() as result:
+        with open(job, "wb") as fh:
+            pickle.dump((model, dataset, config, temperature, epoch_callback, batch_callback,
+                         ascent), fh, protocol=5)
+        executor.submit(_work, job, result).result()
+        with open(result, "rb") as fh:
+            model, *worked = pickle.load(fh)
+    for sent, copy in zip((epoch_callback, batch_callback), worked):
+        if copy is not sent:
+            vars(sent).update(vars(copy))
     return model
 
 
-# The job a worker trains: `_begin` starts it in the worker's thread-local
-# storage and each `_next_epoch` trains its next epoch. A thread worker and
-# a process worker run these same two functions.
-_worker = threading.local()
-
-
-def _begin(model: Model, dataset, config: TrainConfig, temperature: float, batch_callback,
-           ascent: Ascent | None) -> None:
-    _worker.job = model, batch_callback, _epochs(model, dataset, config, temperature,
-                                                  batch_callback, ascent)
-
-
-def _next_epoch():
-    """The worker's job trained one more epoch, as (epoch, private copy of
-    the model); after its last epoch (None, model, batch_callback), and the
-    job ends. None without a job."""
-    job = getattr(_worker, "job", None)
-    if job is None:
-        return None
-    model, batch_callback, epochs = job
-    try:
-        epoch = next(epochs, None)
-    except BaseException:
-        del _worker.job
-        raise
-    if epoch is not None:
-        return epoch, model.copy()
-    del _worker.job
-    return None, model, batch_callback
-
-
 @contextlib.contextmanager
-def _shipped(pool: Executor, dataset, ascent: Ascent | None):
-    """`dataset` and `ascent` as `pool`'s worker is to receive them: a thread
-    shares them, a process loads their pixels from temporary files, removed
-    on exit. As an argument of a task the pixels would cross the executor's
-    pipe in one pickled message, whose buffers stay in the sender's malloc
-    arenas (a 5 MB training set raised desk's peak RSS by 15 MB)."""
-    if isinstance(pool, ThreadPoolExecutor):
-        yield dataset, ascent
-        return
-    with contextlib.ExitStack() as files:
-        def saved(data):
-            return replace(data, pixels=files.enter_context(_saved(data.pixels)))
-        dataset = saved(dataset)
-        if ascent is not None:
-            ascent = ascent._replace(data=saved(ascent.data))
-        yield dataset, ascent
-
-
-@contextlib.contextmanager
-def _saved(array: np.ndarray):
-    """`array` saved to a temporary `.npy` file, as a `_SavedArray`; the
-    file is removed on exit."""
-    fd, path = tempfile.mkstemp(suffix=".npy")
+def _temporary_path():
+    """The path of a new empty temporary file, removed on exit."""
+    fd, path = tempfile.mkstemp(suffix=".pickle")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            np.save(fh, array)
-        yield _SavedArray(path)
+        yield path
     finally:
         os.unlink(path)
 
 
-class _SavedArray:
-    """The array saved at `path`; it unpickles as the array loaded from there."""
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def __reduce__(self):
-        return np.load, (self.path,)
+def _work(job: str, result: str) -> None:
+    """A process worker's task: train the job pickled at `job` and pickle
+    the trained model and the callbacks' copies to `result`."""
+    with open(job, "rb") as fh:
+        model, dataset, config, temperature, epoch_callback, batch_callback, ascent = \
+            pickle.load(fh)
+    _train_in_place(model, dataset, config, temperature, epoch_callback, batch_callback, ascent)
+    with open(result, "wb") as fh:
+        pickle.dump((model, epoch_callback, batch_callback), fh, protocol=5)
 
 
 def process_worker() -> Executor:
@@ -481,14 +423,13 @@ def process_worker() -> Executor:
     import multiprocessing  # only here: a run on one CPU never loads it
     worker = concurrent.futures.ProcessPoolExecutor(
         max_workers=1, mp_context=multiprocessing.get_context("spawn"))
-    worker.submit(_next_epoch)  # no job: starts the process and imports nn there
+    worker.submit(cosine_lr, 0, 1, 1.0)  # starts the process and imports nn there
     return worker
 
 
-def _epochs(model: Model, dataset, config: TrainConfig, temperature: float,
-            batch_callback, ascent: Ascent | None):
-    """Train `model` in place, yielding each epoch's index after its last
-    step and subnormal flush."""
+def _train_in_place(model: Model, dataset, config: TrainConfig, temperature: float,
+                    epoch_callback, batch_callback, ascent: Ascent | None) -> None:
+    """Train `model` in place, the loop of `train`."""
     n = len(dataset)
     rng = np.random.default_rng(config.seed)
     opt = OPTIMIZERS[config.optimizer](model.flat)
@@ -518,12 +459,16 @@ def _epochs(model: Model, dataset, config: TrainConfig, temperature: float,
                     ascent_grads.flat *= ascent.alpha  # grads -= alpha * ascent_grads
                     grads.flat -= ascent_grads.flat
                     loss -= ascent.alpha * loss_f
+                    # alpha times a gradient can overflow where alpha times its loss does not
+                    if not np.isfinite(grads.flat).all():
+                        raise DivergenceError(f"non-finite training gradient at epoch {epoch}")
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             opt.step(model, grads, lr, config.weight_decay)
             step += 1
         _flush_subnormals(opt.state())
-        yield epoch
+        if epoch_callback is not None:
+            epoch_callback(epoch, model.copy())
 
 
 # ---------------------------------------------------------------------------

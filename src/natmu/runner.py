@@ -697,7 +697,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
         "config_hash": config.hash(),
         "version": __version__,
         "environment": {**run_environment(),
-                        "retrain_worker": "process" if processes else "thread",
+                        "retrain_worker": "process" if processes else "in-process",
                         "worker_peak_rss_mb": None},
         "seeds": list(config.seeds),
         "stage_seeds": {},

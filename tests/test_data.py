@@ -57,6 +57,12 @@ class TestUdsFormat:
         with pytest.raises(TruncatedPayloadError):
             data.load_raw(str(path))
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "header.uds"
+        path.write_bytes(data.MAGIC + struct.pack("<IIII", 1, 2, 2, 1))  # k is missing
+        with pytest.raises(TruncatedPayloadError, match="header"):
+            data.load_raw(str(path))
+
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "label.uds"
         pixels = np.zeros(4, dtype="<f4").tobytes()
@@ -310,3 +316,21 @@ class TestDatasetHelpers:
                            channels=1, k=6, soft_labels=soft)
         with pytest.raises(ValidationError):
             bad.validate()
+
+    @pytest.mark.parametrize("fault, error", [
+        ("pixel shape", ValidationError), ("label length", ValidationError),
+        ("id length", ValidationError), ("label range", LabelRangeError),
+        ("soft-label shape", ValidationError)])
+    def test_validate_refuses_each_inconsistency(self, fault, error):
+        ds = small_blobs()
+        bad = {"pixel shape": lambda: replace(ds, pixels=ds.pixels[:, :-1]),
+               "label length": lambda: replace(ds, labels=ds.labels[:-1]),
+               "id length": lambda: replace(ds, ids=ds.ids[:-1]),
+               "label range": lambda: replace(ds, labels=np.where(ds.labels == 0, ds.k,
+                                                                  ds.labels)),
+               "soft-label shape": lambda: replace(ds, soft_labels=np.full(
+                   (len(ds), ds.k + 1), 1.0 / (ds.k + 1), dtype=np.float32))}[fault]()
+        ds.validate()
+        with pytest.raises(error) as info:
+            bad.validate()
+        assert type(info.value) is error

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -262,6 +263,15 @@ class TestNegGradPlus:
                                   optimizer="sgd", seed=0))
         with pytest.raises(DivergenceError):
             methods.unlearn_neggrad_plus(request)
+
+    def test_overflowing_ascent_gradient_is_refused_before_the_update(self, world):
+        # alpha times the forgetting loss stays finite in float64, alpha times
+        # its gradient overflows float32: the step must not reach AdamW
+        request = make_request(world, params=methods.MethodParams(ascent_coefficient=1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="gradient"):
+                methods.unlearn_neggrad_plus(request)
 
     def test_negative_ascent_rejected(self):
         with pytest.raises(ValidationError):

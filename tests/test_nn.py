@@ -1,9 +1,9 @@
-import concurrent.futures
 import copy
 import multiprocessing
 import os
 import pickle
 import struct
+import tempfile
 import threading
 import time
 from dataclasses import replace
@@ -423,8 +423,8 @@ class CallbackFailure(NatmuError):
 
 
 class TestEpochHandOver:
-    """With an epoch callback, `train` trains on one worker thread and hands
-    the calling thread a private copy of each epoch's model."""
+    """`train` runs its loop on the calling thread and hands each epoch's
+    callback a private copy of the model."""
 
     CONFIG = nn.TrainConfig(epochs=4, batch_size=8, base_lr=1e-2, weight_decay=1e-3, seed=7)
 
@@ -450,8 +450,8 @@ class TestEpochHandOver:
                            batch_callback=lambda ids: trainers.add(threading.get_ident()))
         nn.train(model, ds, self.CONFIG, epoch_callback=fast_callback)
         assert [epoch for epoch, _, _ in slow] == list(range(self.CONFIG.epochs))
-        assert {thread for _, thread, _ in slow} == {threading.get_ident()}
-        assert len(trainers) == 1 and threading.get_ident() not in trainers
+        # the callbacks run on the thread that trains, which is the caller's
+        assert {thread for _, thread, _ in slow} == trainers == {threading.get_ident()}
         for (_, _, a), (_, _, b) in zip(slow, fast):
             assert np.array_equal(a.flat, b.flat)
         assert not any(np.array_equal(a.flat, b.flat) for (_, _, a), (_, _, b)
@@ -509,51 +509,30 @@ class TestEpochHandOver:
     def test_worker_stops_at_the_epoch_boundary_after_a_failed_callback(self):
         ds, model = self.world()
         per_epoch = -(-len(ds) // self.CONFIG.batch_size)
-        done = [threading.Event() for _ in range(self.CONFIG.epochs)]
         batches = []
 
         def callback(epoch, handed):
             if epoch == 1:
                 raise CallbackFailure("curve failed")
-            done[epoch].set()
-
-        def gate(ids):
-            # epoch e starts once epoch e - 1's callback is done, or after 0.5 s
-            batches.append(ids)
-            epoch, first = divmod(len(batches) - 1, per_epoch)
-            if epoch and not first:
-                done[epoch - 1].wait(0.5)
         with pytest.raises(CallbackFailure):
-            nn.train(model, ds, self.CONFIG, epoch_callback=callback, batch_callback=gate)
-        assert len(batches) == 3 * per_epoch  # epoch 2 was under way when epoch 1 failed
+            nn.train(model, ds, self.CONFIG, epoch_callback=callback,
+                     batch_callback=batches.append)
+        assert len(batches) == 2 * per_epoch  # no batch after epoch 1's callback
 
-    def test_worker_trains_at_most_two_epochs_ahead_of_a_slow_callback(self):
-        ds, model = self.world()
-        config = replace(self.CONFIG, epochs=6)
-        per_epoch = -(-len(ds) // config.batch_size)
-        batches, ahead = [], []
-
-        def callback(epoch, handed):
-            time.sleep(0.02)
-            # the latest epoch with a batch begun, against the one observed
-            ahead.append((len(batches) - 1) // per_epoch - epoch)
-        nn.train(model, ds, config, epoch_callback=callback,
-                 batch_callback=lambda ids: batches.append(ids))
-        assert len(ahead) == config.epochs and max(ahead) <= 2
-
-    def test_without_an_epoch_callback_the_model_trains_on_one_worker(self):
+    def test_without_an_executor_the_loop_runs_on_the_calling_thread(self):
         ds, model = self.world()
         threads, trainers = threading.active_count(), set()
-        trained = nn.train(model, ds, self.CONFIG,
-                           batch_callback=lambda ids: trainers.add(threading.get_ident()))
-        assert len(trainers) == 1 and threading.get_ident() not in trainers
-        assert threading.active_count() == threads
+
+        def trainer(ids):
+            trainers.add(threading.get_ident())
+            assert threading.active_count() == threads  # no thread was started
+        trained = nn.train(model, ds, self.CONFIG, batch_callback=trainer)
+        assert trainers == {threading.get_ident()}
         seen, callback = self.recorder(0.0)
         observed = nn.train(model, ds, self.CONFIG, epoch_callback=callback)
         assert np.array_equal(trained.flat, observed.flat)
         untrained = nn.train(model, ds, replace(self.CONFIG, epochs=0))
         assert untrained is not model and np.array_equal(untrained.flat, model.flat)
-        assert threading.active_count() == threads
         model.layers[0].weight[0, 0] = np.inf
         with pytest.raises(DivergenceError) as info:
             nn.train(model, ds, self.CONFIG)
@@ -561,15 +540,17 @@ class TestEpochHandOver:
         assert threading.active_count() == threads
 
 
-class BatchClock:
-    """A picklable batch callback: the time each batch began, on a clock
-    that every process shares."""
+class EpochRecorder:
+    """A picklable epoch callback: each epoch's index, the process it ran
+    in and a copy of its arena. It zeroes the copy it is handed, which
+    must change nothing."""
 
     def __init__(self):
-        self.times = []
+        self.seen = []
 
-    def __call__(self, ids):
-        self.times.append(time.monotonic())
+    def __call__(self, epoch, handed):
+        self.seen.append((epoch, os.getpid(), handed.flat.copy()))
+        handed.flat[:] = 0.0
 
 
 @pytest.fixture(scope="module")
@@ -582,13 +563,13 @@ def process_worker():
 
 
 class TestProcessWorker:
-    """`train` on a process executor runs the thread path's loop in the
+    """`train` on a process executor runs the in-process loop in the
     worker process and gives the same bits."""
 
     CONFIG = TestEpochHandOver.CONFIG
 
     @pytest.mark.parametrize("case", ["adamw", "sgd", "soft", "ascent", "zero epochs"])
-    def test_bit_equal_to_the_thread_path(self, process_worker, case):
+    def test_bit_equal_to_the_in_process_path(self, process_worker, case):
         ds, model = TestEpochHandOver.world()
         config, options = self.CONFIG, {}
         if case == "sgd":
@@ -605,72 +586,57 @@ class TestProcessWorker:
         assert trained is not model
         assert np.array_equal(trained.flat, nn.train(model, ds, config, **options).flat)
 
-    @pytest.mark.parametrize("with_ascent", [False, True])
-    def test_pixels_reach_a_process_through_temporary_files(self, with_ascent):
-        """Pixels pickled into a task would stay in the caller's malloc arenas."""
-        ds, _ = TestEpochHandOver.world()
-        ascent = nn.Ascent(ds.subset(np.arange(5)), alpha=0.1, seed=3) if with_ascent else None
-        with nn._shipped(concurrent.futures.Executor(), ds, ascent) as (sent, sent_ascent):
-            pairs = [(sent, ds)]
-            if with_ascent:
-                assert sent_ascent[1:] == ascent[1:]
-                pairs.append((sent_ascent.data, ascent.data))
-            else:
-                assert sent_ascent is None
-            for shipped, original in pairs:
-                assert isinstance(shipped.pixels, nn._SavedArray)
-                received = pickle.loads(pickle.dumps(shipped))
-                assert np.array_equal(received.pixels, original.pixels)
-                assert np.array_equal(received.labels, original.labels)
-            paths = [shipped.pixels.path for shipped, _ in pairs]
-        assert not any(os.path.exists(path) for path in paths)
-
-    def test_callbacks_get_the_thread_paths_copies_in_order(self, process_worker):
+    def test_callbacks_get_the_in_process_paths_copies_in_order(self, process_worker):
         ds, model = TestEpochHandOver.world()
         seen = {}
-        for path, executor in (("thread", None), ("process", process_worker)):
-            seen[path] = []
-
-            def callback(epoch, handed):
-                seen[path].append((epoch, threading.get_ident(), handed.flat.copy()))
-                handed.flat[:] = 0.0  # a private copy: training goes on unchanged
-            trained = nn.train(model, ds, self.CONFIG, epoch_callback=callback,
+        for path, executor in (("in-process", None), ("process", process_worker)):
+            recorder = EpochRecorder()
+            trained = nn.train(model, ds, self.CONFIG, epoch_callback=recorder,
                                executor=executor)
+            seen[path] = recorder.seen  # the worker's copy's, brought back
             assert np.array_equal(seen[path][-1][2], trained.flat)
         assert [e for e, _, _ in seen["process"]] == list(range(self.CONFIG.epochs))
-        assert {t for _, t, _ in seen["process"]} == {threading.get_ident()}
-        for (_, _, a), (_, _, b) in zip(seen["thread"], seen["process"]):
+        assert {pid for _, pid, _ in seen["in-process"]} == {os.getpid()}
+        assert os.getpid() not in {pid for _, pid, _ in seen["process"]}
+        for (_, _, a), (_, _, b) in zip(seen["in-process"], seen["process"]):
             assert np.array_equal(a, b)
 
     def test_divergence_reaches_the_caller_as_itself(self, process_worker):
         ds, model = TestEpochHandOver.world()
         model.layers[0].weight[0, 0] = np.inf
-        epochs = []
+        recorder = EpochRecorder()
         with pytest.raises(DivergenceError) as info:
-            nn.train(model, ds, self.CONFIG, executor=process_worker,
-                     epoch_callback=lambda epoch, handed: epochs.append(epoch))
-        assert type(info.value) is DivergenceError and epochs == []
+            nn.train(model, ds, self.CONFIG, executor=process_worker, epoch_callback=recorder)
+        assert type(info.value) is DivergenceError and recorder.seen == []
         # the worker takes the next job as before
         ds, model = TestEpochHandOver.world()
         assert np.array_equal(nn.train(model, ds, self.CONFIG, executor=process_worker).flat,
                               nn.train(model, ds, self.CONFIG).flat)
 
-    def test_worker_trains_at_most_two_epochs_ahead_of_a_slow_callback(self, process_worker):
+    @pytest.mark.parametrize("job", ["passes", "diverges", "unpicklable"])
+    def test_a_jobs_temporary_files_are_removed(self, process_worker, tmp_path, monkeypatch,
+                                                job):
+        """The job and its result cross through temporary pickle files, which
+        are gone once `train` returns or raises."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         ds, model = TestEpochHandOver.world()
-        config = replace(self.CONFIG, epochs=6)
-        per_epoch = -(-len(ds) // config.batch_size)
-        clock, observed = BatchClock(), []
-
-        def callback(epoch, handed):
-            time.sleep(0.02)
-            observed.append((epoch, time.monotonic()))
-        nn.train(model, ds, config, epoch_callback=callback, batch_callback=clock,
-                 executor=process_worker)
-        assert len(clock.times) == config.epochs * per_epoch  # the worker's, brought back
-        # the latest epoch with a batch begun, against the one observed
-        ahead = [(sum(t < at for t in clock.times) - 1) // per_epoch - epoch
-                 for epoch, at in observed]
-        assert len(ahead) == config.epochs and max(ahead) <= 2
+        ascent = nn.Ascent(ds.subset(np.arange(5)), alpha=0.1, seed=3)
+        if job == "passes":
+            recorder = EpochRecorder()
+            trained = nn.train(model, ds, self.CONFIG, ascent=ascent, epoch_callback=recorder,
+                               executor=process_worker)
+            assert np.array_equal(trained.flat, nn.train(model, ds, self.CONFIG,
+                                                         ascent=ascent).flat)
+            assert len(recorder.seen) == self.CONFIG.epochs
+        elif job == "diverges":
+            model.layers[0].weight[0, 0] = np.inf
+            with pytest.raises(DivergenceError):
+                nn.train(model, ds, self.CONFIG, ascent=ascent, executor=process_worker)
+        else:
+            with pytest.raises((pickle.PicklingError, AttributeError)):  # by Python version
+                nn.train(model, ds, self.CONFIG, executor=process_worker,
+                         epoch_callback=lambda epoch, handed: None)
+        assert list(tmp_path.iterdir()) == []
 
     def test_retrain_audit_counts_the_ids_the_worker_checked(self, process_worker):
         ds, _ = TestEpochHandOver.world()

@@ -582,7 +582,7 @@ class TestRetrainWorker:
             manifest = self.run(config, tmp_path / f"cpus{cpus}", monkeypatch, cpus)
             assert manifest["status"] == "complete"
             environment = manifest["environment"]
-            assert environment["retrain_worker"] == {1: "thread", 2: "process"}[cpus]
+            assert environment["retrain_worker"] == {1: "in-process", 2: "process"}[cpus]
             peak = environment["worker_peak_rss_mb"]
             assert peak is None if cpus == 1 else peak > 1
         csvs = sorted(p.relative_to(tmp_path / "cpus1") for p in (tmp_path / "cpus1").rglob("*.csv"))
@@ -797,7 +797,7 @@ class TestEnvironmentRecord:
             "python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": blas["name"], "version": blas["version"]},
             "openblas_core": core, "openblas_threads": None if core is None else min(2, cpus),
-            "retrain_worker": "process" if cpus >= 2 else "thread",
+            "retrain_worker": "process" if cpus >= 2 else "in-process",
             "worker_peak_rss_mb": worker_peak}
 
     def test_missing_symbols_and_old_numpy_record_null(self, tmp_path, monkeypatch):
