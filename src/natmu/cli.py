@@ -185,7 +185,8 @@ def _cmd_unlearn(args) -> int:
     source = None if args.method == "retrain" else args.model
     prep = prepare_seed(config, args.seed, checkpoints=checkpoints,
                         record_dir=Path(args.out).parent)
-    model, _, _ = prep.unlearn(args.method, None if source is None else prep.load(source))
+    request = None if source is None else prep.request(args.method, prep.load(source))
+    model, _ = prep.unlearn(args.method, request)
     _wrote(f"{args.method} model", args.out, prep.save(model, args.out, source))
     return EXIT_OK
 

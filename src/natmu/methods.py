@@ -2,8 +2,9 @@
 random relabeling, bad-teacher distillation, and ascent-descent fine-tuning.
 
 Every method fine-tunes a copy of the original model; inputs are never
-mutated. All randomness is derived from the request seed through named
-streams, so independent runs are reproducible and order-independent.
+mutated. Its training is one `nn.Job`, and its function hands back the model.
+All randomness is derived from the request seed through named streams, so
+independent runs are reproducible and order-independent.
 """
 
 import functools
@@ -17,7 +18,9 @@ from .errors import RetrainIsolationError, ValidationError
 from .masks import build_mask_set
 from .nn import (
     Ascent,
+    Job,
     Model,
+    Pending,
     TrainConfig,
     init_model,
     predict_logits,
@@ -65,10 +68,7 @@ class UnlearnRequest:
     config: TrainConfig
     params: MethodParams = field(default_factory=MethodParams)
     seed: int = 0
-    epoch_callback: object = None
-    executor: object = None  # the one-worker executor the method trains on (`nn.train`)
-    # training sets built from this request, each built once (`_once_per_request`,
-    # `finetune_set`)
+    # training sets built from this request, each built once (`_once_per_request`)
     built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -90,39 +90,32 @@ def _once_per_request(build):
     return once
 
 
-def _finetune(request: UnlearnRequest, dataset: Dataset, **train_options) -> Model:
-    """The request's model (its final layer re-initialized if the params say
-    so) trained on `dataset` from the request's fine-tuning seed."""
-    model = request.model
-    if request.params.reinit_final_layer:
-        model = model.copy()
-        reinit_layer(model, -1, derive_seed(request.seed, "reinit"))
-    return train(model, dataset, request.config.with_seed(derive_seed(request.seed, "finetune")),
-                 epoch_callback=request.epoch_callback, executor=request.executor,
-                 **train_options)
-
-
 # ---------------------------------------------------------------------------
 # retrain oracle
 
 
-def retrain(d_r: Dataset, config: TrainConfig, forbidden_ids=(), epoch_callback=None,
-            executor=None):
-    """Train a fresh model on the remaining data only, on `executor` as in
-    `train`.
+def fresh_job(dataset: Dataset, config: TrainConfig) -> Job:
+    """A fresh model trained on `dataset` from `config`'s seed: the pretrain, the retrain."""
+    model = init_model(default_dims(dataset.dim, dataset.k), derive_seed(config.seed, "init"))
+    return Job(model, dataset, config)
 
-    Returns (model, audit). Every batch's instance ids are checked against
-    the forbidden (forgetting) ids before its step, where the loop runs, and
-    the first batch holding one raises RetrainIsolationError; the audit counts
-    the ids checked ("batches_logged"), the forbidden ids and the
-    violations (zero).
-    """
+
+def retrain_job(d_r: Dataset, config: TrainConfig, forbidden_ids=()) -> Job:
+    """The retrain oracle's job: a fresh model trained on `d_r`, guarded by an `IsolationCheck`."""
     if len(d_r) == 0:
         raise ValidationError("cannot retrain on an empty remaining set")
-    model = init_model(default_dims(d_r.dim, d_r.k), derive_seed(config.seed, "init"))
-    check = IsolationCheck(forbidden_ids)
-    model = train(model, d_r, config, batch_callback=check, epoch_callback=epoch_callback,
-                  executor=executor)
+    return fresh_job(d_r, config)._replace(batch_callback=IsolationCheck(forbidden_ids))
+
+
+def retrain(d_r: Dataset, config: TrainConfig, forbidden_ids=(),
+            pending: Pending | None = None):
+    """The retrain oracle and its audit, from `pending`, its `retrain_job`
+    submitted (`nn.submit`), or else trained here. A batch holding a forbidden
+    id raises RetrainIsolationError where the loop runs; the audit counts
+    the ids checked ("batches_logged"), the forbidden ids and the violations (zero)."""
+    job = retrain_job(d_r, config, forbidden_ids) if pending is None else pending.job
+    model = train(*job) if pending is None else pending.result()
+    check = job.batch_callback
     return model, {"batches_logged": check.logged, "forbidden_ids": len(check.forbidden),
                    "violations": 0}
 
@@ -165,8 +158,8 @@ def natmu_finetune_set(request: UnlearnRequest) -> Dataset:
     return build_finetune_dataset(request.d_r, natmu_hybrids(request))
 
 
-def unlearn_natmu(request: UnlearnRequest) -> Model:
-    return _finetune(request, finetune_set("natmu", request))
+def unlearn_natmu(request: UnlearnRequest, pending: Pending | None = None) -> Model:
+    return _unlearned("natmu", request, pending)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +178,8 @@ def amnesiac_relabeled(request: UnlearnRequest) -> Dataset:
     return replace(d_f, labels=relabeled.astype(np.int64))
 
 
-def unlearn_amnesiac(request: UnlearnRequest) -> Model:
-    return _finetune(request, finetune_set("amnesiac", request))
+def unlearn_amnesiac(request: UnlearnRequest, pending: Pending | None = None) -> Model:
+    return _unlearned("amnesiac", request, pending)
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +203,15 @@ def badteacher_targets(request: UnlearnRequest) -> tuple[Dataset, Dataset]:
     return d_r, d_f
 
 
-def unlearn_badteacher(request: UnlearnRequest) -> Model:
-    return _finetune(request, finetune_set("badteacher", request),
-                     temperature=request.params.temperature)
+def unlearn_badteacher(request: UnlearnRequest, pending: Pending | None = None) -> Model:
+    return _unlearned("badteacher", request, pending)
 
 
 # ---------------------------------------------------------------------------
 # descent on remaining, ascent on forgetting
 
 
-def unlearn_neggrad_plus(request: UnlearnRequest) -> Model:
+def unlearn_neggrad_plus(request: UnlearnRequest, pending: Pending | None = None) -> Model:
     """Each step descends on a remaining batch and ascends on a forgetting
     batch: loss(remaining) - alpha * loss(forgetting).
 
@@ -228,11 +220,7 @@ def unlearn_neggrad_plus(request: UnlearnRequest) -> Model:
     forgetting set cycles with a reshuffle per epoch. Aborts if the
     combined loss turns non-finite.
     """
-    if len(request.d_r) == 0 or len(request.d_f) == 0:
-        raise ValidationError("need non-empty remaining and forgetting sets")
-    ascent = Ascent(request.d_f, request.params.ascent_coefficient,
-                    derive_seed(request.seed, "forget_order"))
-    return _finetune(request, finetune_set("neggrad", request), ascent=ascent)
+    return _unlearned("neggrad", request, pending)
 
 
 UNLEARN_METHODS = {
@@ -255,21 +243,33 @@ METHOD_PARAMS = {
 SETS_FROM_MODEL = ("natmu", "badteacher")  # unlearning sets that read the request's model
 
 
-def finetune_set(method: str, request: UnlearnRequest) -> Dataset:
-    """The dataset `method` fine-tunes on, built on the request's first call
-    and kept on it, so that a caller may build it before the method runs."""
-    key = f"{method} finetune set"
-    if key not in request.built:
-        if method == "natmu":
-            built = natmu_finetune_set(request)
-        elif method == "amnesiac":
-            built = concat(request.d_r, amnesiac_relabeled(request))
-        elif method == "badteacher":
-            built = concat(*badteacher_targets(request))
-        else:  # neggrad: the remaining set, with the forgetting set as its ascent stream
-            built = request.d_r
-        request.built[key] = built
-    return request.built[key]
+def unlearn_job(method: str, request: UnlearnRequest) -> Job:
+    """Unlearning `method`'s training job: `request`'s model (its final layer
+    re-initialized if the params say so) fine-tuned on the method's set."""
+    params, temperature, ascent = request.params, 1.0, None
+    if method == "natmu":
+        dataset = natmu_finetune_set(request)
+    elif method == "amnesiac":
+        dataset = concat(request.d_r, amnesiac_relabeled(request))
+    elif method == "badteacher":
+        dataset, temperature = concat(*badteacher_targets(request)), params.temperature
+    else:  # neggrad: the remaining set, with the forgetting set as its ascent stream
+        if len(request.d_r) == 0 or len(request.d_f) == 0:
+            raise ValidationError("need non-empty remaining and forgetting sets")
+        dataset = request.d_r
+        ascent = Ascent(request.d_f, params.ascent_coefficient,
+                        derive_seed(request.seed, "forget_order"))
+    model = request.model
+    if params.reinit_final_layer:
+        model = model.copy()
+        reinit_layer(model, -1, derive_seed(request.seed, "reinit"))
+    config = request.config.with_seed(derive_seed(request.seed, "finetune"))
+    return Job(model, dataset, config, temperature, ascent)
+
+
+def _unlearned(method: str, request: UnlearnRequest, pending: Pending | None) -> Model:
+    """`method`'s model on `request`, from `pending` (its submitted job) or trained here."""
+    return train(*unlearn_job(method, request)) if pending is None else pending.result()
 
 
 def unlearning_dataset(method: str, request: UnlearnRequest) -> Dataset | None:

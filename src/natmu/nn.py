@@ -4,10 +4,10 @@ Dense rectifier MLP over flattened pixels, cross-entropy on hard labels or
 temperature-scaled KL on soft targets, SGD-momentum / decoupled-decay Adam
 optimizers, and a cosine-to-zero schedule. Everything is seeded, so
 training is a pure function of (initial model, dataset, config.seed). A
-training call is one task: it runs on the calling thread, or as one job on
-a worker process (`process_worker`) that trains its own copy of the model
-and data and sends the result back. Evaluation over a frozen model is
-read-only and safe to share.
+training call is a `Job`: `train` runs it on the calling thread, and
+`submit` sends it whole to a worker process (`process_worker`) that trains
+while the caller goes on, or keeps it for the caller to train when its
+result is asked for. Evaluation of a frozen model is read-only and safe to share.
 
 Parameter arena: all of a model's parameters live in one contiguous vector,
 ``Model.flat``, in the order W0, b0, W1, b1, ... (each weight row-major,
@@ -22,10 +22,11 @@ per layer the weight matrix (row-major, out x in) followed by the bias.
 """
 
 import concurrent.futures
-import contextlib
 import math
 import os
 import pickle
+import resource
+import shutil
 import struct
 import tempfile
 from concurrent.futures import Executor
@@ -343,10 +344,21 @@ def _backward_on(model: Model, dataset, idx, temperature: float, out: Model) -> 
     return loss
 
 
-def train(model: Model, dataset, config: TrainConfig, *, temperature: float = 1.0,
-          epoch_callback=None, batch_callback=None, ascent: Ascent | None = None,
-          executor: Executor | None = None) -> Model:
-    """Mini-batch training; returns the trained copy.
+class Job(NamedTuple):
+    """The arguments of one `train` call, in its order: what `submit` sends."""
+
+    model: Model
+    dataset: object  # a Dataset
+    config: TrainConfig
+    temperature: float = 1.0
+    ascent: Ascent | None = None
+    epoch_callback: object = None
+    batch_callback: object = None
+
+
+def train(model: Model, dataset, config: TrainConfig, temperature: float = 1.0,
+          ascent: Ascent | None = None, epoch_callback=None, batch_callback=None) -> Model:
+    """Mini-batch training on the calling thread; returns the trained copy.
 
     The input model is never mutated. Batch order and all updates derive
     from config.seed (and ascent.seed), so identical inputs reproduce
@@ -355,70 +367,89 @@ def train(model: Model, dataset, config: TrainConfig, *, temperature: float = 1.
     or, with an ascent stream, whose combined gradient is not finite raises
     DivergenceError before the update.
 
-    Without an `executor` the loop runs here, on the calling thread. With
-    a one-process executor from `process_worker`, the call is one task:
-    the job (model, dataset, config, callbacks, ascent stream) reaches the
-    worker through a temporary pickle file, and the trained model and the
-    callbacks come back through another, loaded on the calling thread.
-    Both paths run the same loop and give the same bits.
     epoch_callback(epoch_index, model) gets a private copy of the model
     after each epoch's last step and subnormal flush, the one place
     per-epoch outputs come from; batch_callback(ids) gets each batch's
-    instance ids before its step. Both run where the loop runs, in order.
-    On a process both must be picklable (not a lambda or a closure), and
-    the attributes their copies hold after the last step are copied back
-    onto them. An error from either callback or from
-    training reaches the caller as itself, and no batch runs after it.
+    instance ids before its step. Both run on the thread that trains, in
+    order. An error from either callback or from training reaches the
+    caller as itself, and no batch runs after it.
     """
     if len(dataset) == 0:
         raise ValidationError("cannot train on an empty dataset")
-    if executor is None:
-        model = model.copy()
-        _train_in_place(model, dataset, config, temperature, epoch_callback, batch_callback,
-                        ascent)
+    model = model.copy()
+    _train_in_place(model, dataset, config, temperature, epoch_callback, batch_callback, ascent)
+    return model
+
+
+class Pending:
+    """The trained model of a job `submit` took: `result` trains it here if
+    it was kept, else loads it here once the worker is done, with the
+    attributes of the callbacks' copies copied back onto them. `close` waits
+    for the worker's task and removes its files, dropping a result not taken."""
+
+    def __init__(self, job: Job):
+        self.job, self.future, self.directory = job, None, None  # the worker's task, its files
+        self.worker_peak_rss_mb = None  # the worker's peak RSS, once its result is back
+
+    def result(self) -> Model:
+        if self.future is None:
+            return train(*self.job)
+        try:
+            self.future.result()
+            with open(os.path.join(self.directory, "result.pickle"), "rb") as fh:
+                model, *copies, self.worker_peak_rss_mb = pickle.load(fh)
+        finally:
+            self.close()
+        for sent, copy in zip((self.job.epoch_callback, self.job.batch_callback), copies):
+            if copy is not sent:
+                vars(sent).update(vars(copy))
         return model
+
+    def close(self) -> None:
+        if self.future is not None:
+            concurrent.futures.wait([self.future])
+        if self.directory is not None:
+            shutil.rmtree(self.directory)
+            self.directory = None
+
+
+def submit(job: Job, worker: Executor | None = None) -> Pending:
+    """`job` as one task for `worker`, a one-process executor from
+    `process_worker`, which trains it at once; without one, kept to train on
+    the thread that asks for its result. The bits are the same either way. A
+    worker's job crosses in a pickle file, so its callbacks must be picklable."""
+    pending = Pending(job)
+    if worker is None:
+        return pending
     # The job and its result cross through files, not as the task's argument
     # and value: a pickled argument's buffers stay in the caller's malloc
     # arenas (a 5 MB training set raised desk's peak RSS by 15 MB), and the
     # executor unpickles a value on its manager thread, whose own arena then
     # holds it (a retrain's 30 epoch copies raised desk's peak RSS by 4 MB).
-    with _temporary_path() as job, _temporary_path() as result:
-        with open(job, "wb") as fh:
-            pickle.dump((model, dataset, config, temperature, epoch_callback, batch_callback,
-                         ascent), fh, protocol=5)
-        executor.submit(_work, job, result).result()
-        with open(result, "rb") as fh:
-            model, *worked = pickle.load(fh)
-    for sent, copy in zip((epoch_callback, batch_callback), worked):
-        if copy is not sent:
-            vars(sent).update(vars(copy))
-    return model
-
-
-@contextlib.contextmanager
-def _temporary_path():
-    """The path of a new empty temporary file, removed on exit."""
-    fd, path = tempfile.mkstemp(suffix=".pickle")
-    os.close(fd)
+    pending.directory = tempfile.mkdtemp()
     try:
-        yield path
-    finally:
-        os.unlink(path)
+        with open(os.path.join(pending.directory, "job.pickle"), "wb") as fh:
+            pickle.dump(job, fh, protocol=5)
+        pending.future = worker.submit(_work, pending.directory)
+    except BaseException:
+        pending.close()
+        raise
+    return pending
 
 
-def _work(job: str, result: str) -> None:
-    """A process worker's task: train the job pickled at `job` and pickle
-    the trained model and the callbacks' copies to `result`."""
-    with open(job, "rb") as fh:
-        model, dataset, config, temperature, epoch_callback, batch_callback, ascent = \
-            pickle.load(fh)
-    _train_in_place(model, dataset, config, temperature, epoch_callback, batch_callback, ascent)
-    with open(result, "wb") as fh:
-        pickle.dump((model, epoch_callback, batch_callback), fh, protocol=5)
+def _work(directory: str) -> None:
+    """A worker's task: train the job pickled in `directory`; pickle the model,
+    the callbacks' copies and this process's peak RSS (MB; Linux gives KB) beside it."""
+    with open(os.path.join(directory, "job.pickle"), "rb") as fh:
+        job = pickle.load(fh)
+    model = train(*job)
+    with open(os.path.join(directory, "result.pickle"), "wb") as fh:
+        pickle.dump((model, job.epoch_callback, job.batch_callback,
+                     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0), fh, protocol=5)
 
 
 def process_worker() -> Executor:
-    """A one-process executor for `train`: a spawned interpreter, started
+    """A one-process executor for `submit`: a spawned interpreter, started
     now, that has imported this module by the time its first task runs."""
     import multiprocessing  # only here: a run on one CPU never loads it
     worker = concurrent.futures.ProcessPoolExecutor(

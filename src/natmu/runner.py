@@ -19,9 +19,8 @@ import hashlib
 import json
 import os
 import platform
-import resource
 import time
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin
@@ -66,19 +65,21 @@ from .methods import (
     UNLEARN_METHODS,
     MethodParams,
     UnlearnRequest,
-    default_dims,
-    finetune_set,
+    fresh_job,
     retrain,
+    retrain_job,
+    unlearn_job,
     unlearning_dataset,
 )
 from .nn import (
+    Job,
     Model,
     TrainConfig,
-    init_model,
     load_model,
     predict_logits,
     process_worker,
     save_model,
+    submit,
     train,
 )
 from .seeding import derive_seed
@@ -286,16 +287,13 @@ def pretrain_model(config: ExperimentConfig, train_ds: Dataset, root_seed: int,
     """The original model of `root_seed` and, with `with_trace`, its trace:
     per training row, in row order, the number of epochs after which the
     model classified the row right (uint32; None without `with_trace`)."""
-    seed = derive_seed(root_seed, "pretrain")
-    model = init_model(default_dims(train_ds.dim, train_ds.k), derive_seed(seed, "init"))
     counts = np.zeros(len(train_ds), dtype=np.uint32) if with_trace else None
 
     def count_correct(epoch, current):
         counts[predict_logits(current, train_ds.pixels).argmax(axis=1) == train_ds.labels] += 1
 
-    model = train(model, train_ds, config.pretrain.with_seed(seed),
-                  epoch_callback=count_correct if with_trace else None)
-    return model, counts
+    job = fresh_job(train_ds, config.pretrain.with_seed(derive_seed(root_seed, "pretrain")))
+    return train(*job._replace(epoch_callback=count_correct if with_trace else None)), counts
 
 
 # In difficult mode the split ranks samples by the pretrain's trace. Every
@@ -477,29 +475,28 @@ class PreparedSeed:
     def method_seed(self, method: str) -> int:
         return derive_seed(self.root, "method", method)
 
-    def request(self, method: str, model: Model | None, epoch_callback=None,
-                executor=None) -> UnlearnRequest:
+    def request(self, method: str, model: Model | None) -> UnlearnRequest:
         """`method`'s unlearning request on `model`: the original model, or
-        None to build an unlearning set that never reads it. The method
-        trains on `executor` as in `nn.train`."""
+        None to build an unlearning set that never reads it."""
         return UnlearnRequest(
             model=model, d_f=self.d_f, d_r=self.d_r,
             config=self.config.unlearn, params=self.config.params_for(method),
-            seed=self.method_seed(method), epoch_callback=epoch_callback, executor=executor)
+            seed=self.method_seed(method))
 
-    def unlearn(self, method: str, original: Model | None, epoch_callback=None,
-                executor=None):
-        """`method` run on this seed, on `executor` as in `nn.train`: (model,
-        request, audit). Retrain trains a fresh model and returns its audit;
-        an unlearner starts from `original` and returns the request it
-        trained from, which holds the sets it built."""
+    def job(self, method: str, request: UnlearnRequest | None = None) -> Job:
+        """`method`'s training job on this seed (an unlearner's on `request`)."""
         if method == "retrain":
             config = self.config.pretrain.with_seed(self.method_seed(method))
-            model, audit = retrain(self.d_r, config, forbidden_ids=self.d_f.ids,
-                                   epoch_callback=epoch_callback, executor=executor)
-            return model, None, audit
-        request = self.request(method, original, epoch_callback, executor)
-        return UNLEARN_METHODS[method](request), request, None
+            return retrain_job(self.d_r, config, forbidden_ids=self.d_f.ids)
+        return unlearn_job(method, request)
+
+    def unlearn(self, method: str, request: UnlearnRequest | None = None, pending=None):
+        """`method` run on this seed: (model, audit; None for an unlearner), from
+        `pending`, the submitted `job(method, request)`, by default kept to train here."""
+        pending = pending or submit(self.job(method, request))
+        if method == "retrain":
+            return retrain(self.d_r, pending.job.config, pending=pending)
+        return UNLEARN_METHODS[method](request, pending), None
 
     def report(self, model: Model, model_r: Model, method: str | None = None,
                request: UnlearnRequest | None = None) -> tuple[dict, float | None]:
@@ -656,20 +653,18 @@ def usable_cpus() -> int:
 
 class _Stages:
     """`stages(name)` times the stage `name` into `clock` (summed over its
-    entries) and keeps in `failed` the stage each exception escaped: with a
-    worker, a seed's pretrain and retrain run their stages at the same time,
-    and so do two of its methods, so each failure keeps its own stage."""
+    entries) and keeps in `failed` the stage the propagating exception escaped."""
 
     def __init__(self, clock: dict):
-        self.clock, self.failed = clock, {}
+        self.clock, self.failed = clock, None
 
     @contextlib.contextmanager
     def __call__(self, name):
         t0 = time.perf_counter()
         try:
             yield
-        except Exception as exc:
-            self.failed.setdefault(exc, name)
+        except Exception:
+            self.failed = name
             raise
         self.clock[name] = self.clock.get(name, 0.0) + time.perf_counter() - t0
 
@@ -678,15 +673,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
     """Execute the full pipeline; returns the manifest dict.
 
     Writes per-seed report and curve CSVs, a cross-seed aggregate, and
-    manifest.json. Where this process may use two or more CPUs, one worker
-    process (`nn.process_worker`) trains every seed's retrain oracle while
-    the pretrain trains here, and then every other unlearning method while
-    the one after it trains here; else all train here, in config order. On
-    failure the partial manifest is persisted with the failing stage and
-    the exception's class (`error`) before the error propagates; of two
-    failures at once, the one a run on one CPU meets first is reported,
-    and the worker stops either way. A worker that dies is a
-    WorkerDiedError.
+    manifest.json. Every model is trained from this thread, half of them by
+    one worker process (`nn.process_worker`) where this process may use two
+    or more CPUs (`_run_one_seed`). On failure the partial manifest is
+    persisted with the failing stage and the exception's class (`error`)
+    before the error propagates: of two failures, the one a run on one CPU
+    meets first. The worker stops either way; if it dies, WorkerDiedError.
     """
     config.validate()
     out_root = Path(out_dir or os.environ.get("OUTPUT_DIR", config.output_dir))
@@ -707,14 +699,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
         "status": "running",
     }
     stage = _Stages(manifest["wall_clock"])
-    worker = None
+    worker, peaks = None, []
     try:
         # started before seed 1's data is made, so the two overlap
         worker = process_worker() if processes else None
         per_seed_rows = {}
         for root in config.seeds:
             rows, audit, files, stage_seeds = _run_one_seed(config, root, out_root, stage,
-                                                            worker)
+                                                            worker, peaks)
             per_seed_rows[root] = rows
             manifest["retrain_audit"][str(root)] = audit
             manifest["files"] += files
@@ -726,7 +718,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
             manifest["files"].append(str(agg_path.relative_to(out_root)))
         manifest["status"] = "complete"
     except Exception as exc:
-        failed_at = stage.failed.get(exc, "setup")
+        failed_at = stage.failed or "setup"
         error = exc
         if worker is not None and isinstance(exc, BrokenExecutor):
             error = WorkerDiedError(
@@ -741,9 +733,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
     finally:
         if worker is not None:
             worker.shutdown(cancel_futures=True)
-            # the largest peak of the child processes waited for: the worker's
-            peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-            manifest["environment"]["worker_peak_rss_mb"] = peak
+            manifest["environment"]["worker_peak_rss_mb"] = max(filter(None, peaks), default=None)
         if manifest["status"] != "running":
             _write_manifest(out_root, manifest)
     return manifest
@@ -776,92 +766,69 @@ class _EpochCopies:
 
 
 def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, stages: _Stages,
-                  worker):
+                  worker, peaks: list):
     """The pretrain, the retrain oracle and each method, through
-    `PreparedSeed.unlearn` and `report`; writes the seed's CSVs. With a
-    `worker` (a process executor for `nn.train`) the retrain trains there
-    while the pretrain trains from a second thread, and then the 1st, 3rd,
-    ... unlearning method in config order trains there, called from that
-    thread, while the method after it trains here; without one the pretrain
-    comes first and the methods follow in config order. Each model's curve
-    rows are computed here from its epoch copies once it has trained, and
-    reports and curve rows are the same bytes either way. Returns the report
-    rows by method,
-    the retrain audit, the files written (relative to `out_root`) and the
-    stage seeds."""
+    `PreparedSeed.job`, `unlearn` and `report`, on one path for any CPU
+    count: the retrain's job is submitted (`nn.submit`) to `worker` (None:
+    trained here once collected), the pretrain trains here, and the retrain
+    is collected; then the 1st, 3rd, ... unlearner is submitted, the next
+    trains here, and the submitted one is collected. Writes the seed's CSVs
+    and adds each worker job's peak RSS to `peaks`; returns the report rows
+    by method, the retrain audit, the files written and the stage seeds."""
     def stage(name):
         return stages(f"seed{root}/{name}")
 
     prep = prepare_seed(config, root, stage)
-
-    def pretrain():
-        with stage("pretrain"):
-            prep.original  # trained here, so no method's clock counts it
-
-    # Each model's epoch copies wait until it has trained: their curve
-    # forwards would take CPU and cache from training, the worker's included.
-    retrain_copies = _EpochCopies(config.pretrain.epochs)
     curves, reports = {}, {}  # by method
 
-    def finish(method, model, request, copies):
-        """`method`'s curve rows, from its epoch copies, and its report."""
+    def send(method, slot):
+        """`method`'s job, built here and submitted to `slot`, with an epoch
+        callback that keeps its copies: (method, request, pending result)."""
+        with stage(f"method:{method}"):
+            request = None if method == "retrain" else prep.request(method, prep.original)
+            job = prep.job(method, request)
+            # each model's copies wait until it has trained: their curve forwards
+            # would take CPU and cache from training, the worker's included
+            job = job._replace(epoch_callback=_EpochCopies(job.config.epochs))
+            return method, request, submit(job, slot)
+
+    def collect(method, request, pending):
+        """`method`'s (model, audit), back from `pending`."""
+        with stage(f"method:{method}"):
+            model, audit = prep.unlearn(method, request, pending)
+        peaks.append(pending.worker_peak_rss_mb)
+        return model, audit
+
+    def finish(method, request, pending, model=None):
+        """`method`'s curve rows, from its job's epoch copies, and its report;
+        its model is collected unless given."""
+        model = model or collect(method, request, pending)[0]
         with stage(f"method:{method}"):
             curves[method] = [f"{method},{epoch},{accuracy(copy, prep.d_f):.6f},"
                               f"{accuracy(copy, prep.d_r):.6f}"
-                              for epoch, copy in copies.replay()]
+                              for epoch, copy in pending.job.epoch_callback.replay()]
             reports[method] = prep.report(model, model_r, method, request)
 
-    def in_process(method):
-        copies = _EpochCopies(config.unlearn.epochs)
-        with stage(f"method:{method}"):
-            model, request, _ = prep.unlearn(method, prep.original, copies)
-        finish(method, model, request, copies)
-
-    def on_worker(method, request):
-        with stage(f"method:{method}"):
-            return UNLEARN_METHODS[method](request)
-
-    def beside(method, after, first):
-        """`method` on the worker, called from `lane`, while the methods
-        `after` train here; the retrain's rows and report come first when
-        `first` is set. Each failure is reported in one-CPU order."""
-        copies = _EpochCopies(config.unlearn.epochs)
-        try:
-            with stage(f"method:{method}"):
-                request = prep.request(method, prep.original, copies, worker)
-                # built here: a set allocated on the lane takes its own malloc arena
-                finetune_set(method, request)
-            trained = lane.submit(on_worker, method, request)
-        finally:
-            if first:  # the reference of every report
-                finish("retrain", model_r, None, retrain_copies)
-        try:
-            for later in after:
-                in_process(later)
-        finally:
-            finish(method, trained.result(), request, copies)
-
+    retraining = send("retrain", worker)
+    with contextlib.closing(retraining[2]):  # dropped if the pretrain fails: it comes first
+        with stage("pretrain"):
+            prep.original  # trained here, so no method's clock counts it
+        model_r, retrain_audit = collect(*retraining)
+    prep.train = None  # read by the pretrain alone: release it before the methods' sets
     unlearners = [method for method in config.methods if method != "retrain"]
-    with ThreadPoolExecutor(max_workers=1) as lane:
-        pretrained = None if worker is None else lane.submit(pretrain)
-        if pretrained is None:
-            pretrain()
-        try:
-            with stage("method:retrain"):
-                model_r, _, retrain_audit = prep.unlearn("retrain", None, retrain_copies,
-                                                         worker)
-        finally:
-            if pretrained is not None:
-                pretrained.result()  # waits; a failed pretrain comes first
-        prep.train = None  # read by the pretrain alone: release it before the methods' sets
-        if worker is None or not unlearners:
-            finish("retrain", model_r, None, retrain_copies)  # the reference of every report
-            for method in unlearners:
-                in_process(method)
-        else:
-            # at most one worker-lane set is alive at a time
-            for i in range(0, len(unlearners), 2):
-                beside(unlearners[i], unlearners[i + 1:i + 2], first=i == 0)
+    if not unlearners:
+        finish(*retraining, model_r)  # the reference of every report
+    for i in range(0, len(unlearners), 2):
+        sent = send(unlearners[i], worker)
+        with contextlib.closing(sent[2]):  # dropped if the retrain's rows fail: they come first
+            if i == 0:
+                finish(*retraining, model_r)  # once the first worker job is out
+            try:
+                for method in unlearners[i + 1:i + 2]:
+                    finish(*send(method, None))
+            finally:  # collected even if the method here failed: its failure comes later
+                finish(*sent)
+        del sent  # at most one worker-side set is alive at a time
 
     seed_dir, rows, files = out_root / f"seed_{root}", {}, []
     order = ["retrain", *unlearners]

@@ -318,14 +318,14 @@ class TestUnlearningDataset:
     def test_a_set_built_before_the_method_is_the_one_it_trains_on(self, world, monkeypatch,
                                                                    method):
         request = make_request(world)
-        built = methods.finetune_set(method, request)
-        assert methods.finetune_set(method, request) is built
+        job = methods.unlearn_job(method, request)
         trained_on = []
-        train = methods.train
-        monkeypatch.setattr(methods, "train", lambda model, dataset, *a, **k:
+        train = nn.train
+        monkeypatch.setattr(nn, "train", lambda model, dataset, *a, **k:
                             trained_on.append(dataset) or train(model, dataset, *a, **k))
-        methods.UNLEARN_METHODS[method](request)
-        assert len(trained_on) == 1 and trained_on[0] is built
+        unlearned = methods.UNLEARN_METHODS[method](request, nn.submit(job))
+        assert len(trained_on) == 1 and trained_on[0] is job.dataset
+        assert np.array_equal(unlearned.flat, methods.UNLEARN_METHODS[method](request).flat)
 
     def test_matches_what_the_method_trained_on(self, world):
         request = make_request(world)

@@ -496,8 +496,8 @@ class TestEpochHandOver:
                 raise CallbackFailure("curve failed")
         with pytest.raises(error) as info:
             if failure == "audit":
-                methods.retrain(ds, self.CONFIG, forbidden_ids=ds.ids[-1:],
-                                epoch_callback=callback)
+                job = methods.retrain_job(ds, self.CONFIG, forbidden_ids=ds.ids[-1:])
+                nn.train(*job._replace(epoch_callback=callback))
             else:
                 if failure == "divergence":
                     model.layers[0].weight[0, 0] = np.inf
@@ -563,8 +563,8 @@ def process_worker():
 
 
 class TestProcessWorker:
-    """`train` on a process executor runs the in-process loop in the
-    worker process and gives the same bits."""
+    """A job `submit` sends to a process worker runs the in-process loop in
+    the worker process and gives the same bits."""
 
     CONFIG = TestEpochHandOver.CONFIG
 
@@ -582,17 +582,17 @@ class TestProcessWorker:
             options["ascent"] = nn.Ascent(ds.subset(np.arange(5)), alpha=0.1, seed=3)
         elif case == "zero epochs":
             config = replace(config, epochs=0)
-        trained = nn.train(model, ds, config, executor=process_worker, **options)
+        trained = nn.submit(nn.Job(model, ds, config, **options), process_worker).result()
         assert trained is not model
         assert np.array_equal(trained.flat, nn.train(model, ds, config, **options).flat)
 
     def test_callbacks_get_the_in_process_paths_copies_in_order(self, process_worker):
         ds, model = TestEpochHandOver.world()
         seen = {}
-        for path, executor in (("in-process", None), ("process", process_worker)):
+        for path, worker in (("in-process", None), ("process", process_worker)):
             recorder = EpochRecorder()
-            trained = nn.train(model, ds, self.CONFIG, epoch_callback=recorder,
-                               executor=executor)
+            trained = nn.submit(nn.Job(model, ds, self.CONFIG, epoch_callback=recorder),
+                                worker).result()
             seen[path] = recorder.seen  # the worker's copy's, brought back
             assert np.array_equal(seen[path][-1][2], trained.flat)
         assert [e for e, _, _ in seen["process"]] == list(range(self.CONFIG.epochs))
@@ -606,47 +606,51 @@ class TestProcessWorker:
         model.layers[0].weight[0, 0] = np.inf
         recorder = EpochRecorder()
         with pytest.raises(DivergenceError) as info:
-            nn.train(model, ds, self.CONFIG, executor=process_worker, epoch_callback=recorder)
+            nn.submit(nn.Job(model, ds, self.CONFIG, epoch_callback=recorder),
+                      process_worker).result()
         assert type(info.value) is DivergenceError and recorder.seen == []
         # the worker takes the next job as before
         ds, model = TestEpochHandOver.world()
-        assert np.array_equal(nn.train(model, ds, self.CONFIG, executor=process_worker).flat,
+        trained = nn.submit(nn.Job(model, ds, self.CONFIG), process_worker).result()
+        assert np.array_equal(trained.flat,
                               nn.train(model, ds, self.CONFIG).flat)
 
     @pytest.mark.parametrize("job", ["passes", "diverges", "unpicklable"])
     def test_a_jobs_temporary_files_are_removed(self, process_worker, tmp_path, monkeypatch,
                                                 job):
         """The job and its result cross through temporary pickle files, which
-        are gone once `train` returns or raises."""
+        are gone once the result is taken or raises."""
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         ds, model = TestEpochHandOver.world()
         ascent = nn.Ascent(ds.subset(np.arange(5)), alpha=0.1, seed=3)
         if job == "passes":
             recorder = EpochRecorder()
-            trained = nn.train(model, ds, self.CONFIG, ascent=ascent, epoch_callback=recorder,
-                               executor=process_worker)
+            trained = nn.submit(nn.Job(model, ds, self.CONFIG, ascent=ascent,
+                                       epoch_callback=recorder), process_worker).result()
             assert np.array_equal(trained.flat, nn.train(model, ds, self.CONFIG,
                                                          ascent=ascent).flat)
             assert len(recorder.seen) == self.CONFIG.epochs
         elif job == "diverges":
             model.layers[0].weight[0, 0] = np.inf
             with pytest.raises(DivergenceError):
-                nn.train(model, ds, self.CONFIG, ascent=ascent, executor=process_worker)
+                nn.submit(nn.Job(model, ds, self.CONFIG, ascent=ascent), process_worker).result()
         else:
             with pytest.raises((pickle.PicklingError, AttributeError)):  # by Python version
-                nn.train(model, ds, self.CONFIG, executor=process_worker,
-                         epoch_callback=lambda epoch, handed: None)
+                nn.submit(nn.Job(model, ds, self.CONFIG, epoch_callback=lambda epoch, handed: None),
+                          process_worker).result()
         assert list(tmp_path.iterdir()) == []
 
     def test_retrain_audit_counts_the_ids_the_worker_checked(self, process_worker):
         ds, _ = TestEpochHandOver.world()
-        audits = [methods.retrain(ds, self.CONFIG, forbidden_ids=[10_000], executor=executor)[1]
-                  for executor in (None, process_worker)]
+        job = methods.retrain_job(ds, self.CONFIG, forbidden_ids=[10_000])
+        audits = [methods.retrain(ds, self.CONFIG, forbidden_ids=[10_000], pending=pending)[1]
+                  for pending in (None, nn.submit(job, process_worker))]
         assert audits[0] == audits[1] == {"batches_logged": self.CONFIG.epochs * len(ds),
                                           "forbidden_ids": 1, "violations": 0}
         with pytest.raises(RetrainIsolationError) as info:
+            job = methods.retrain_job(ds, self.CONFIG, forbidden_ids=ds.ids[-1:])
             methods.retrain(ds, self.CONFIG, forbidden_ids=ds.ids[-1:],
-                            executor=process_worker)
+                            pending=nn.submit(job, process_worker))
         assert type(info.value) is RetrainIsolationError
 
 

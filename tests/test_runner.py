@@ -6,14 +6,16 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from natmu import BLAS_THREAD_VARIABLES, cli, data, runner
+from natmu import BLAS_THREAD_VARIABLES, cli, data, nn, runner
 from natmu.errors import (
     CategoryExhaustedError,
     ConfigError,
@@ -608,16 +610,16 @@ class TestRetrainWorker:
                                                                    cpus):
         leak_forgetting_ids(monkeypatch)
         # with a worker the pretrain fails once the retrain is under way
-        retraining, retrain = threading.Event(), runner.retrain
+        retraining, submit = threading.Event(), runner.submit
 
-        def started_retrain(*args, **kwargs):
+        def started_retrain(*args, **kwargs):  # the seed's first job is the retrain's
             retraining.set()
-            return retrain(*args, **kwargs)
+            return submit(*args, **kwargs)
 
         def diverging_pretrain(*args, **kwargs):
             assert cpus == 1 or retraining.wait(30)
             raise DivergenceError("non-finite training loss at epoch 0")
-        monkeypatch.setattr(runner, "retrain", started_retrain)
+        monkeypatch.setattr(runner, "submit", started_retrain)
         monkeypatch.setattr(runner, "pretrain_model", diverging_pretrain)
         with pytest.raises(DivergenceError):
             self.run(scenario_config(tmp_path, "random"), tmp_path / "out", monkeypatch, cpus)
@@ -652,7 +654,7 @@ class TestRetrainWorker:
         config = self.diverging_neggrad(scenario_config(tmp_path, "random"))
         config.methods = methods
 
-        def failing_amnesiac(request):
+        def failing_amnesiac(request, pending=None):
             raise CategoryExhaustedError("relabeling failed")
         monkeypatch.setitem(runner.UNLEARN_METHODS, "amnesiac", failing_amnesiac)
         error = {"neggrad": DivergenceError, "amnesiac": CategoryExhaustedError}[first]
@@ -660,6 +662,69 @@ class TestRetrainWorker:
             self.run(config, tmp_path / "out", monkeypatch, cpus)
         assert self.failure(tmp_path / "out") == {"stage": f"seed1/method:{first}",
                                                   "type": error.__name__}
+
+    @pytest.mark.parametrize("mode", ["random", "difficult"])
+    def test_every_model_trains_and_is_evaluated_on_the_calling_thread(self, tmp_path,
+                                                                       monkeypatch, mode):
+        """No second thread: the pretrain (in difficult mode with its trace
+        pass), the methods kept here and every curve row and report run
+        where `run` was called."""
+        calls = []
+
+        def on_thread(name, function):
+            def traced(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return function(*args, **kwargs)
+            return traced
+        monkeypatch.setattr(nn, "_train_in_place", on_thread("train", nn._train_in_place))
+        predict = on_thread("predict", nn.predict_logits)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("natmu") and vars(module).get("predict_logits") is predict_logits:
+                monkeypatch.setattr(module, "predict_logits", predict)
+        manifest = self.run(scenario_config(tmp_path, mode), tmp_path / "out",
+                            monkeypatch, 2)
+        assert manifest["environment"]["retrain_worker"] == "process"
+        assert {name for name, _ in calls} == {"train", "predict"}
+        assert {thread for _, thread in calls} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("failure", ["pretrain", "method"])
+    def test_a_failure_beside_a_worker_job_leaves_no_file(self, tmp_path, monkeypatch,
+                                                          failure):
+        """A pretrain that fails while the retrain trains on the worker, and
+        a method here that fails beside a worker-side one: the worker's
+        temporary files are removed and its process is stopped."""
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        config = scenario_config(tmp_path, "random")
+        if failure == "pretrain":
+            # a retrain of about a second here; the pretrain fails halfway, once
+            # the worker has loaded the job and before it writes the result
+            config.pretrain = replace(config.pretrain, epochs=1000)
+
+            def diverging_pretrain(*args, **kwargs):
+                time.sleep(0.5)
+                raise DivergenceError("non-finite training loss at epoch 0")
+            monkeypatch.setattr(runner, "pretrain_model", diverging_pretrain)
+            stage = "seed1/pretrain"
+        else:
+            config = self.diverging_neggrad(config)
+            config.methods = ("retrain", "amnesiac", "neggrad")  # amnesiac on the worker
+            stage = "seed1/method:neggrad"
+        with pytest.raises(DivergenceError):
+            self.run(config, tmp_path / "out", monkeypatch, 2)  # checks no child is left
+        assert self.failure(tmp_path / "out") == {"stage": stage, "type": "DivergenceError"}
+        assert list((tmp_path / "tmp").iterdir()) == []
+
+    def test_the_worker_peak_is_the_run_workers_own(self, tmp_path, monkeypatch):
+        """Not the largest peak of any child this process has waited for: a
+        child that touched 300 MB between two runs leaves the second alone."""
+        config = scenario_config(tmp_path, "random")
+        config.methods = ("retrain",)
+        peaks = [self.run(config, tmp_path / "first", monkeypatch, 2)]
+        subprocess.run([sys.executable, "-c", "b'x' * (300 << 20)"], check=True)
+        peaks.append(self.run(config, tmp_path / "second", monkeypatch, 2))
+        peaks = [manifest["environment"]["worker_peak_rss_mb"] for manifest in peaks]
+        assert all(1 < peak < 300 for peak in peaks), peaks
 
     def test_a_script_without_the_main_guard_names_it(self, tmp_path):
         """The spawned worker imports the script, whose run starts a worker
