@@ -22,6 +22,7 @@ per layer the weight matrix (row-major, out x in) followed by the bias.
 """
 
 import concurrent.futures
+import contextlib
 import math
 import os
 import pickle
@@ -29,6 +30,7 @@ import resource
 import shutil
 import struct
 import tempfile
+import time
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -384,20 +386,24 @@ def train(model: Model, dataset, config: TrainConfig, temperature: float = 1.0,
 class Pending:
     """The trained model of a job `submit` took: `result` trains it here if
     it was kept, else loads it here once the worker is done, with the
-    attributes of the callbacks' copies copied back onto them. `close` waits
-    for the worker's task and removes its files, dropping a result not taken."""
+    attributes of the callbacks' copies copied back onto them. `cancel` and
+    `close` drop a result not taken. Once the job has been sent or trained,
+    `job` keeps only its config, temperature and callbacks."""
 
     def __init__(self, job: Job):
         self.job, self.future, self.directory = job, None, None  # the worker's task, its files
         self.worker_peak_rss_mb = None  # the worker's peak RSS, once its result is back
+        self.span = None  # the training's (start, end, cpu_s): `_timed_train`
 
     def result(self) -> Model:
         if self.future is None:
-            return train(*self.job)
+            job = self._release()
+            model, self.span = _timed_train(job)
+            return model
         try:
             self.future.result()
             with open(os.path.join(self.directory, "result.pickle"), "rb") as fh:
-                model, *copies, self.worker_peak_rss_mb = pickle.load(fh)
+                model, *copies, self.worker_peak_rss_mb, self.span = pickle.load(fh)
         finally:
             self.close()
         for sent, copy in zip((self.job.epoch_callback, self.job.batch_callback), copies):
@@ -405,19 +411,36 @@ class Pending:
                 vars(sent).update(vars(copy))
         return model
 
+    def cancel(self) -> None:
+        """Keep the worker from training the job if it has not started it:
+        the task is cancelled or, once the executor has handed it on (after
+        which it cannot be), finds no job and ends at once. Returns at once."""
+        if self.future is not None and self.directory is not None and not self.future.cancel():
+            with contextlib.suppress(FileNotFoundError):  # cancelled before
+                os.remove(os.path.join(self.directory, "job.pickle"))
+
     def close(self) -> None:
+        """`cancel`, wait for the worker's task and remove its files."""
+        if self.directory is None:
+            return
+        self.cancel()
         if self.future is not None:
             concurrent.futures.wait([self.future])
-        if self.directory is not None:
-            shutil.rmtree(self.directory)
-            self.directory = None
+        shutil.rmtree(self.directory)
+        self.directory = None
+
+    def _release(self) -> Job:
+        """The job; `job` keeps it without its model, dataset and ascent stream."""
+        job, self.job = self.job, self.job._replace(model=None, dataset=None, ascent=None)
+        return job
 
 
 def submit(job: Job, worker: Executor | None = None) -> Pending:
     """`job` as one task for `worker`, a one-process executor from
-    `process_worker`, which trains it at once; without one, kept to train on
-    the thread that asks for its result. The bits are the same either way. A
-    worker's job crosses in a pickle file, so its callbacks must be picklable."""
+    `process_worker`, which trains its tasks in the order they came; without
+    one, kept to train on the thread that asks for its result. The bits are
+    the same either way. A worker's job crosses in a pickle file, so its
+    callbacks must be picklable."""
     pending = Pending(job)
     if worker is None:
         return pending
@@ -429,7 +452,7 @@ def submit(job: Job, worker: Executor | None = None) -> Pending:
     pending.directory = tempfile.mkdtemp()
     try:
         with open(os.path.join(pending.directory, "job.pickle"), "wb") as fh:
-            pickle.dump(job, fh, protocol=5)
+            pickle.dump(pending._release(), fh, protocol=5)
         pending.future = worker.submit(_work, pending.directory)
     except BaseException:
         pending.close()
@@ -437,15 +460,25 @@ def submit(job: Job, worker: Executor | None = None) -> Pending:
     return pending
 
 
+def _timed_train(job: Job) -> tuple[Model, tuple[float, float, float]]:
+    """`train(*job)` and its span: `time.monotonic` at its start and end,
+    and the `time.process_time` it took."""
+    start, cpu = time.monotonic(), time.process_time()
+    model = train(*job)
+    return model, (start, time.monotonic(), time.process_time() - cpu)
+
+
 def _work(directory: str) -> None:
     """A worker's task: train the job pickled in `directory`; pickle the model,
-    the callbacks' copies and this process's peak RSS (MB; Linux gives KB) beside it."""
+    the callbacks' copies with what they kept or computed, this process's
+    peak RSS (MB; Linux gives KB) and the training's span beside it."""
     with open(os.path.join(directory, "job.pickle"), "rb") as fh:
         job = pickle.load(fh)
-    model = train(*job)
+    model, span = _timed_train(job)
     with open(os.path.join(directory, "result.pickle"), "wb") as fh:
         pickle.dump((model, job.epoch_callback, job.batch_callback,
-                     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0), fh, protocol=5)
+                     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, span),
+                    fh, protocol=5)
 
 
 def process_worker() -> Executor:

@@ -653,32 +653,48 @@ def usable_cpus() -> int:
 
 class _Stages:
     """`stages(name)` times the stage `name` into `clock` (summed over its
-    entries) and keeps in `failed` the stage the propagating exception escaped."""
+    entries) and keeps in `failed` the stage the propagating exception
+    escaped. `job` enters a model's training span in `jobs`, the run's
+    timeline, in seconds from this object's creation; `stages(name,
+    job=(seed, model))` enters the stage's own, as a model trained in it on
+    this thread."""
 
-    def __init__(self, clock: dict):
-        self.clock, self.failed = clock, None
+    def __init__(self, clock: dict, jobs: dict):
+        self.clock, self.jobs, self.failed = clock, jobs, None
+        self.start = time.monotonic()
 
     @contextlib.contextmanager
-    def __call__(self, name):
-        t0 = time.perf_counter()
+    def __call__(self, name, job=None):
+        t0, start, cpu = time.perf_counter(), time.monotonic(), time.process_time()
         try:
             yield
         except Exception:
             self.failed = name
             raise
         self.clock[name] = self.clock.get(name, 0.0) + time.perf_counter() - t0
+        if job is not None:
+            self.job(*job, "caller", (start, time.monotonic(), time.process_time() - cpu))
+
+    def job(self, seed, model: str, slot: str, span) -> None:
+        """Enter `model`'s training `span` (`nn.Pending.span`) in `seed`'s timeline."""
+        start, end, cpu = span
+        self.jobs.setdefault(str(seed), {})[model] = {
+            "slot": slot, "start_s": round(start - self.start, 6),
+            "end_s": round(end - self.start, 6), "cpu_s": round(cpu, 6)}
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Execute the full pipeline; returns the manifest dict.
 
     Writes per-seed report and curve CSVs, a cross-seed aggregate, and
-    manifest.json. Every model is trained from this thread, half of them by
-    one worker process (`nn.process_worker`) where this process may use two
-    or more CPUs (`_run_one_seed`). On failure the partial manifest is
-    persisted with the failing stage and the exception's class (`error`)
-    before the error propagates: of two failures, the one a run on one CPU
-    meets first. The worker stops either way; if it dies, WorkerDiedError.
+    manifest.json, whose `jobs` timeline gives each model's slot, span and
+    CPU time. Every model is trained from this thread; where this process
+    may use two or more CPUs, each seed's retrain and every other unlearner
+    train on one worker process (`nn.process_worker`, `_run_one_seed`). On
+    failure the partial manifest is persisted with the failing stage and
+    the exception's class (`error`) before the error propagates: of two
+    failures, the earlier in the order pretrain, retrain, methods in config
+    order. The worker stops either way; if it dies, WorkerDiedError.
     """
     config.validate()
     out_root = Path(out_dir or os.environ.get("OUTPUT_DIR", config.output_dir))
@@ -694,11 +710,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
         "seeds": list(config.seeds),
         "stage_seeds": {},
         "wall_clock": {},
+        "jobs": {},
         "files": [],
         "retrain_audit": {},
         "status": "running",
     }
-    stage = _Stages(manifest["wall_clock"])
+    stage = _Stages(manifest["wall_clock"], manifest["jobs"])
     worker, peaks = None, []
     try:
         # started before seed 1's data is made, so the two overlap
@@ -744,94 +761,135 @@ def _write_manifest(out_root: Path, manifest: dict) -> None:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-class _EpochCopies:
-    """An epoch callback that keeps each epoch's private copy of a model in
-    one array, so that its curve rows can be computed once it has trained
-    (`replay`)."""
+def _curve_row(method: str, epoch: int, model: Model, d_f: Dataset, d_r: Dataset) -> str:
+    """`method`'s curves.csv row of `epoch`: `model`'s accuracy on `d_f` and `d_r`."""
+    return f"{method},{epoch},{accuracy(model, d_f):.6f},{accuracy(model, d_r):.6f}"
 
-    def __init__(self, epochs: int):
-        self.epochs, self.arenas, self.shapes = epochs, None, None
+
+class _CurveRows:
+    """An epoch callback that makes `method`'s curve rows (`_curve_row`).
+    Given the splits (d_f, d_r), it makes each epoch's row where the model
+    trains, and a worker sends the rows back without the splits; else it
+    keeps each epoch's copy in one array until `rows` makes their rows."""
+
+    def __init__(self, method: str, epochs: int, splits=None):
+        self.method, self.epochs, self.splits = method, epochs, splits
+        self.made, self.arenas, self.shapes = [], None, None
+
+    def __getstate__(self):
+        if len(self.made) == self.epochs:  # every row made: the splits stay here
+            return {**vars(self), "splits": None}
+        return vars(self)
 
     def __call__(self, epoch, model):
+        if self.splits is not None:
+            self.made.append(_curve_row(self.method, epoch, model, *self.splits))
+            return
         if self.arenas is None:
             self.arenas = np.empty((self.epochs, model.flat.size), model.flat.dtype)
             self.shapes = model.shapes
         self.arenas[epoch] = model.flat
 
-    def replay(self):
-        """Each kept (epoch, model) in epoch order; the copies are released after."""
-        for epoch in range(0 if self.arenas is None else self.epochs):
-            yield epoch, Model.on_arena(self.arenas[epoch], self.shapes)
-        self.arenas = None
+    def rows(self, d_f: Dataset, d_r: Dataset) -> list[str]:
+        """Every epoch's row, those of the kept copies made now; the copies are released."""
+        copies, self.arenas = self.arenas, None
+        return self.made + [_curve_row(self.method, epoch, Model.on_arena(flat, self.shapes),
+                                       d_f, d_r)
+                            for epoch, flat in enumerate(() if copies is None else copies)]
 
 
 def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, stages: _Stages,
                   worker, peaks: list):
     """The pretrain, the retrain oracle and each method, through
     `PreparedSeed.job`, `unlearn` and `report`, on one path for any CPU
-    count: the retrain's job is submitted (`nn.submit`) to `worker` (None:
-    trained here once collected), the pretrain trains here, and the retrain
-    is collected; then the 1st, 3rd, ... unlearner is submitted, the next
-    trains here, and the submitted one is collected. Writes the seed's CSVs
-    and adds each worker job's peak RSS to `peaks`; returns the report rows
-    by method, the retrain audit, the files written and the stage seeds."""
+    count. The retrain's job is submitted (`nn.submit`) to `worker` (None:
+    kept, and trained here once collected) before the pretrain trains here,
+    and the 1st, 3rd, ... unlearner's right after the pretrain, so that
+    they queue behind the retrain. Then the 2nd, 4th, ... train here, and
+    only after them are the retrain and each submitted unlearner collected;
+    the reports come last. A submitted unlearner's curve rows are made
+    where it trains; the retrain's and those of the methods trained here,
+    from their epoch copies here. Of two failures the earlier in the order
+    pretrain, retrain, methods in config order is raised, and the jobs of
+    the methods after a failure are dropped if the worker has not started
+    them. Writes the seed's CSVs, enters each model's span in `stages`'
+    timeline and adds each worker job's peak RSS to `peaks`; returns the
+    report rows by method, the retrain audit, the files written and the
+    stage seeds."""
     def stage(name):
-        return stages(f"seed{root}/{name}")
+        # the pretrain trains in its stage, here or in `prepare_seed`
+        return stages(f"seed{root}/{name}", job=(root, name) if name == "pretrain" else None)
 
     prep = prepare_seed(config, root, stage)
-    curves, reports = {}, {}  # by method
-
-    def send(method, slot):
-        """`method`'s job, built here and submitted to `slot`, with an epoch
-        callback that keeps its copies: (method, request, pending result)."""
-        with stage(f"method:{method}"):
-            request = None if method == "retrain" else prep.request(method, prep.original)
-            job = prep.job(method, request)
-            # each model's copies wait until it has trained: their curve forwards
-            # would take CPU and cache from training, the worker's included
-            job = job._replace(epoch_callback=_EpochCopies(job.config.epochs))
-            return method, request, submit(job, slot)
-
-    def collect(method, request, pending):
-        """`method`'s (model, audit), back from `pending`."""
-        with stage(f"method:{method}"):
-            model, audit = prep.unlearn(method, request, pending)
-        peaks.append(pending.worker_peak_rss_mb)
-        return model, audit
-
-    def finish(method, request, pending, model=None):
-        """`method`'s curve rows, from its job's epoch copies, and its report;
-        its model is collected unless given."""
-        model = model or collect(method, request, pending)[0]
-        with stage(f"method:{method}"):
-            curves[method] = [f"{method},{epoch},{accuracy(copy, prep.d_f):.6f},"
-                              f"{accuracy(copy, prep.d_r):.6f}"
-                              for epoch, copy in pending.job.epoch_callback.replay()]
-            reports[method] = prep.report(model, model_r, method, request)
-
-    retraining = send("retrain", worker)
-    with contextlib.closing(retraining[2]):  # dropped if the pretrain fails: it comes first
-        with stage("pretrain"):
-            prep.original  # trained here, so no method's clock counts it
-        model_r, retrain_audit = collect(*retraining)
-    prep.train = None  # read by the pretrain alone: release it before the methods' sets
     unlearners = [method for method in config.methods if method != "retrain"]
-    if not unlearners:
-        finish(*retraining, model_r)  # the reference of every report
-    for i in range(0, len(unlearners), 2):
-        sent = send(unlearners[i], worker)
-        with contextlib.closing(sent[2]):  # dropped if the retrain's rows fail: they come first
-            if i == 0:
-                finish(*retraining, model_r)  # once the first worker job is out
-            try:
-                for method in unlearners[i + 1:i + 2]:
-                    finish(*send(method, None))
-            finally:  # collected even if the method here failed: its failure comes later
-                finish(*sent)
-        del sent  # at most one worker-side set is alive at a time
+    order, queued = ["retrain", *unlearners], unlearners[0::2]
+    sent, made, reports, failures = {}, {}, {}, {}  # by method
+
+    def send(method, slot, splits=None):
+        """Build `method`'s job here, with a `_CurveRows` of `splits`, and
+        submit it to `slot`."""
+        request = None if method == "retrain" else prep.request(method, prep.original)
+        job = prep.job(method, request)
+        job = job._replace(epoch_callback=_CurveRows(method, job.config.epochs, splits))
+        sent[method] = request, submit(job, slot), "caller" if slot is None else "worker"
+
+    def collect(method):
+        """`method`'s model, audit, request and curve rows, from its sent job."""
+        request, pending, slot = sent[method]
+        model, audit = prep.unlearn(method, request, pending)
+        peaks.append(pending.worker_peak_rss_mb)
+        stages.job(root, method, slot, pending.span)
+        made[method] = model, audit, request, pending.job.epoch_callback.rows(prep.d_f, prep.d_r)
+
+    def report(method):
+        model, _, request, _ = made[method]
+        reports[method] = prep.report(model, made["retrain"][0], method, request)
+
+    def attempt(step, method, *args):
+        """`step(method, *args)` at `method`'s stage, unless an earlier
+        method (or this one) has failed; a failure is kept, and the jobs of
+        the methods after it are dropped."""
+        at = order.index(method)
+        if any(order.index(failed) <= at for failed in failures):
+            return
+        try:
+            with stage(f"method:{method}"):
+                step(method, *args)
+        except Exception as exc:
+            failures[method] = exc
+            for later in order[at + 1:]:
+                if later in sent:
+                    sent[later][1].cancel()
+
+    try:
+        with stage("method:retrain"):
+            send("retrain", worker)
+        if prep.model_o is None:  # in difficult mode the split's pretrain made it
+            with stage("pretrain"):
+                prep.original  # trained here, so no method's clock counts it
+        prep.train = None  # read by the pretrain alone: release it before the methods' sets
+        for method in queued:
+            attempt(send, method, worker, (prep.d_f, prep.d_r))
+        for method in unlearners[1::2]:
+            attempt(send, method, None)
+            attempt(collect, method)
+        for method in ["retrain", *queued]:
+            attempt(collect, method)
+        # reporting the models at hand before the worker's are back raised
+        # desk's peak RSS by 4 MB
+        for method in order:
+            attempt(report, method)
+    finally:  # every job not collected is dropped at once, then waited for if started
+        for _, pending, _ in sent.values():
+            pending.cancel()
+        for _, pending, _ in sent.values():
+            pending.close()
+    if failures:
+        first = min(failures, key=order.index)
+        with stage(f"method:{first}"):
+            raise failures[first]
 
     seed_dir, rows, files = out_root / f"seed_{root}", {}, []
-    order = ["retrain", *unlearners]
     with stage("reports"):
         seed_dir.mkdir(parents=True, exist_ok=True)
         for method in order:
@@ -840,9 +898,9 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, stages: _
             rows[method] = write_report_csv(path, values, kl, reports["retrain"][0])
             files.append(path)
         curve_path = seed_dir / "curves.csv"
-        lines = ["method,epoch,fa,ra", *(row for method in order for row in curves[method])]
+        lines = ["method,epoch,fa,ra", *(row for method in order for row in made[method][3])]
         curve_path.write_text("\n".join(lines) + "\n", encoding="ascii")
         files.append(curve_path)
 
     stage_seeds = {**prep.stage_seeds, **{f"method:{m}": prep.method_seed(m) for m in order}}
-    return rows, retrain_audit, [str(f.relative_to(out_root)) for f in files], stage_seeds
+    return rows, made["retrain"][1], [str(f.relative_to(out_root)) for f in files], stage_seeds

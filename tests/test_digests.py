@@ -122,8 +122,8 @@ CASES = (*RUNS, "stages-difficult")
 
 def digests(work: Path, case: str) -> dict:
     """SHA-256 of every file `case` writes under `work/out`, by relative path.
-    A manifest is hashed without `wall_clock` and `environment`, which
-    describe the host and not the result."""
+    A manifest is hashed without `wall_clock`, `jobs` and `environment`,
+    which describe the host and not the result."""
     if case == "stages-difficult":
         _stages(work)
     else:
@@ -134,7 +134,7 @@ def digests(work: Path, case: str) -> dict:
             blob = path.read_bytes()
             if path.name == "manifest.json":
                 manifest = json.loads(blob)
-                del manifest["wall_clock"], manifest["environment"]
+                del manifest["wall_clock"], manifest["jobs"], manifest["environment"]
                 blob = json.dumps(manifest, sort_keys=True).encode()
             out[path.relative_to(work / "out").as_posix()] = hashlib.sha256(blob).hexdigest()
     return out

@@ -640,6 +640,60 @@ class TestProcessWorker:
                           process_worker).result()
         assert list(tmp_path.iterdir()) == []
 
+    def test_cancel_drops_the_jobs_the_worker_has_not_started(self, process_worker, tmp_path,
+                                                              monkeypatch):
+        """Of three jobs out on the one worker, the executor hands the 2nd
+        (and maybe the 3rd) on while the 1st trains, and from then on they
+        cannot be cancelled. Cancelled and closed, neither trains: closing
+        them ends soon after the 1st has trained, and leaves no file."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        ds, model = TestEpochHandOver.world()
+        config = replace(self.CONFIG, epochs=2000)
+        first, *dropped = (nn.submit(nn.Job(model, ds, config), process_worker)
+                           for _ in range(3))
+        time.sleep(0.2)  # the executor has handed on the 1st and the 2nd
+        for pending in dropped:
+            pending.cancel()
+        for pending in dropped:
+            pending.close()
+        first.result()
+        start_s, end_s, _ = first.span
+        assert time.monotonic() - end_s < 0.5 * (end_s - start_s)
+        assert not dropped[0].future.cancelled()  # handed on: it found no job
+        assert isinstance(dropped[0].future.exception(), FileNotFoundError)
+        assert (dropped[1].future.cancelled()
+                or isinstance(dropped[1].future.exception(), FileNotFoundError))
+        assert list(tmp_path.iterdir()) == []
+        # the worker takes the next job as before
+        trained = nn.submit(nn.Job(model, ds, self.CONFIG), process_worker).result()
+        assert np.array_equal(trained.flat, nn.train(model, ds, self.CONFIG).flat)
+
+    def test_a_pending_job_keeps_no_model_and_no_set(self, process_worker):
+        """Once a job is sent to the worker, or trained here, `pending.job`
+        holds its config, temperature and callbacks but not its model,
+        dataset and ascent stream; the methods read no more of it."""
+        ds, model = TestEpochHandOver.world()
+        d_f, d_r = ds.subset(np.arange(5)), ds.subset(np.arange(5, len(ds)))
+        ascent = nn.Ascent(d_f, alpha=0.1, seed=3)
+        for worker in (process_worker, None):
+            recorder = EpochRecorder()
+            job = nn.Job(model, ds, self.CONFIG, 2.0, ascent, recorder)
+            pending = nn.submit(job, worker)
+            if worker is None:
+                pending.result()
+            assert pending.job == job._replace(model=None, dataset=None, ascent=None)
+            if worker is not None:
+                pending.result()
+            assert len(recorder.seen) == self.CONFIG.epochs
+            retrain = methods.retrain_job(d_r, self.CONFIG, forbidden_ids=d_f.ids)
+            _, audit = methods.retrain(d_r, self.CONFIG, pending=nn.submit(retrain, worker))
+            assert audit["batches_logged"] == self.CONFIG.epochs * len(d_r)
+            request = methods.UnlearnRequest(model, d_f, d_r, self.CONFIG, seed=4)
+            unlearned = methods.UNLEARN_METHODS["neggrad"](
+                request, nn.submit(methods.unlearn_job("neggrad", request), worker))
+            assert np.array_equal(unlearned.flat,
+                                  methods.UNLEARN_METHODS["neggrad"](request).flat)
+
     def test_retrain_audit_counts_the_ids_the_worker_checked(self, process_worker):
         ds, _ = TestEpochHandOver.world()
         job = methods.retrain_job(ds, self.CONFIG, forbidden_ids=[10_000])

@@ -553,10 +553,11 @@ def leak_forgetting_ids(monkeypatch):
 
 
 class TestRetrainWorker:
-    """Where the process may use two CPUs, `run` trains each seed's retrain in
-    one worker process beside the pretrain, and then every other unlearning
-    method there beside the next one; on one CPU all train in-process. Each
-    run here starts at most one worker process."""
+    """Where the process may use two CPUs, `run` queues each seed's retrain
+    and then its 1st, 3rd, ... unlearner on one worker process while the
+    pretrain and the other unlearners train in-process, and collects the
+    worker's jobs after those; on one CPU all train in-process. Each run
+    here starts at most one worker process."""
 
     # unlearners natmu, neggrad, badteacher, amnesiac: natmu and badteacher
     # on the worker, and the retrain neither first nor last
@@ -580,6 +581,7 @@ class TestRetrainWorker:
         config = scenario_config(tmp_path, mode)
         if methods is not None:
             config.methods = tuple(methods.split(","))
+        unlearners = [method for method in config.methods if method != "retrain"]
         for cpus in (1, 2):
             manifest = self.run(config, tmp_path / f"cpus{cpus}", monkeypatch, cpus)
             assert manifest["status"] == "complete"
@@ -587,6 +589,18 @@ class TestRetrainWorker:
             assert environment["retrain_worker"] == {1: "in-process", 2: "process"}[cpus]
             peak = environment["worker_peak_rss_mb"]
             assert peak is None if cpus == 1 else peak > 1
+            # the timeline: one span per model, each slot training one model at a time
+            jobs = manifest["jobs"]["1"]
+            assert set(jobs) == {"pretrain", *config.methods}
+            on_worker = {"retrain", *unlearners[0::2]} if cpus == 2 else set()
+            slots = {model: job["slot"] for model, job in jobs.items()}
+            assert slots == {model: "worker" if model in on_worker else "caller" for model in jobs}
+            for slot in ("caller", "worker"):
+                spans = sorted((job["start_s"], job["end_s"]) for job in jobs.values()
+                               if job["slot"] == slot)
+                assert all(0 <= start <= end for start, end in spans)
+                assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+            assert all(job["cpu_s"] >= 0 for job in jobs.values())
         csvs = sorted(p.relative_to(tmp_path / "cpus1") for p in (tmp_path / "cpus1").rglob("*.csv"))
         assert len(csvs) == 7  # five reports, curves, aggregate
         for rel in csvs:
@@ -648,15 +662,19 @@ class TestRetrainWorker:
     @pytest.mark.parametrize("methods, first", [
         # the worker's method fails after the one beside it, which fails at once
         (("retrain", "neggrad", "amnesiac"), "neggrad"),
-        (("retrain", "amnesiac", "neggrad"), "amnesiac")])
+        (("retrain", "amnesiac", "neggrad"), "amnesiac"),
+        # two jobs queue on the worker: the 3rd (NegGrad+) fails after the 4th,
+        # which fails at once here
+        (("retrain", "amnesiac", "natmu", "neggrad", "badteacher"), "neggrad")])
     def test_the_earlier_of_two_failed_methods_is_reported(self, tmp_path, monkeypatch, cpus,
                                                           methods, first):
         config = self.diverging_neggrad(scenario_config(tmp_path, "random"))
         config.methods = methods
+        at_once = "badteacher" if "badteacher" in methods else "amnesiac"
 
-        def failing_amnesiac(request, pending=None):
+        def failing_at_once(request, pending=None):
             raise CategoryExhaustedError("relabeling failed")
-        monkeypatch.setitem(runner.UNLEARN_METHODS, "amnesiac", failing_amnesiac)
+        monkeypatch.setitem(runner.UNLEARN_METHODS, at_once, failing_at_once)
         error = {"neggrad": DivergenceError, "amnesiac": CategoryExhaustedError}[first]
         with pytest.raises(error):
             self.run(config, tmp_path / "out", monkeypatch, cpus)
@@ -713,6 +731,29 @@ class TestRetrainWorker:
         with pytest.raises(DivergenceError):
             self.run(config, tmp_path / "out", monkeypatch, 2)  # checks no child is left
         assert self.failure(tmp_path / "out") == {"stage": stage, "type": "DivergenceError"}
+        assert list((tmp_path / "tmp").iterdir()) == []
+
+    def test_a_failure_here_drops_the_worker_jobs_after_it(self, tmp_path, monkeypatch):
+        """NegGrad+ (the 1st unlearner) and natmu (the 3rd) queue on the
+        worker as 10000-epoch jobs, and amnesiac (the 2nd) fails here at
+        once. NegGrad+ diverges in its first epoch and natmu, after the
+        failure, is dropped before it starts: the run ends well under one
+        such job, and leaves no child process and no temporary file."""
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        config = self.diverging_neggrad(scenario_config(tmp_path, "random"))
+        config.methods = ("retrain", "neggrad", "amnesiac", "natmu")
+        config.unlearn = replace(config.unlearn, epochs=10_000)  # natmu: about 7 s here
+
+        def failing_amnesiac(request, pending=None):
+            raise CategoryExhaustedError("relabeling failed")
+        monkeypatch.setitem(runner.UNLEARN_METHODS, "amnesiac", failing_amnesiac)
+        start = time.monotonic()
+        with pytest.raises(DivergenceError):
+            self.run(config, tmp_path / "out", monkeypatch, 2)  # checks no child is left
+        assert time.monotonic() - start < 2.5
+        assert self.failure(tmp_path / "out") == {"stage": "seed1/method:neggrad",
+                                                  "type": "DivergenceError"}
         assert list((tmp_path / "tmp").iterdir()) == []
 
     def test_the_worker_peak_is_the_run_workers_own(self, tmp_path, monkeypatch):
