@@ -7,7 +7,9 @@ Pixels are stored flattened in (row, column, channel) order.
 Datasets are immutable after construction and safe for shared reads. Every
 instance carries a stable integer id (its index in the originating set),
 which splits preserve; the retrain audit keys on ids, and difficult-sample
-ranking breaks ties by them.
+ranking breaks ties by them. `concat` joins two datasets without copying
+their rows: training reads a batch from both parts (`rows`), and
+`save_raw` writes them one after the other.
 """
 
 import struct
@@ -37,6 +39,10 @@ DEFAULT_SPREAD = 0.9
 
 @dataclass
 class Dataset:
+    """Rows of pixels with their labels and ids, each column one array.
+    Training reads a batch of rows through `rows`, as it reads the rows of
+    two datasets joined by `concat` (a `Joined`)."""
+
     pixels: np.ndarray              # (N, d) float32 in [0, 1]
     labels: np.ndarray              # (N,) int64 hard class indices
     height: int
@@ -72,6 +78,15 @@ class Dataset:
             if len(self.soft_labels) and np.abs(self.soft_labels.sum(axis=1) - 1.0).max() > 1e-5:
                 raise ValidationError("soft labels must sum to 1")
 
+    @property
+    def parts(self) -> tuple["Dataset"]:
+        return (self,)
+
+    def rows(self, idx: np.ndarray):
+        """The (pixels, labels, soft labels or None) of the rows at `idx`."""
+        soft = None if self.soft_labels is None else self.soft_labels[idx]
+        return self.pixels[idx], self.labels[idx], soft
+
     def subset(self, indices: np.ndarray) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
         return replace(
@@ -95,24 +110,75 @@ def check_pixels(pixels: np.ndarray, where: str = "") -> None:
         raise PixelRangeError(f"pixel outside [0, 1] or not finite{where}")
 
 
-def concat(first: Dataset, second: Dataset) -> Dataset:
-    """Concatenate two compatible datasets (one geometry, both hard- or both
-    soft-labeled), preserving order and ids."""
+def concat(first: Dataset, second: Dataset) -> "Joined":
+    """The rows of `first`, then those of `second`, with their ids, as a
+    `Joined` that refers to both and copies neither. They must have one
+    geometry and be both hard- or both soft-labeled."""
     if (first.height, first.width, first.channels, first.k) != (
             second.height, second.width, second.channels, second.k):
         raise ValidationError("cannot concatenate datasets of different geometry")
     if (first.soft_labels is None) != (second.soft_labels is None):
         raise ValidationError("cannot concatenate a soft-labeled dataset with a hard-labeled one")
-    soft = None if first.soft_labels is None else np.concatenate(
-        [first.soft_labels, second.soft_labels], axis=0)
-    return Dataset(
-        pixels=np.concatenate([first.pixels, second.pixels], axis=0),
-        labels=np.concatenate([first.labels, second.labels]),
-        height=first.height, width=first.width, channels=first.channels,
-        k=first.k,
-        ids=np.concatenate([first.ids, second.ids]),
-        soft_labels=soft,
-    )
+    return Joined(first, second)
+
+
+@dataclass
+class Joined:
+    """Two datasets read as one (`concat`): the rows of `first`, then those
+    of `second`. Only the ids are joined into one array; a batch's pixels,
+    labels and soft labels are gathered from the parts (`rows`), and
+    `subset` copies the rows it is asked for into a `Dataset`."""
+
+    first: Dataset
+    second: Dataset
+
+    def __post_init__(self):
+        self.ids = np.concatenate([self.first.ids, self.second.ids])
+
+    def __len__(self) -> int:
+        return len(self.first) + len(self.second)
+
+    height = property(lambda self: self.first.height)
+    width = property(lambda self: self.first.width)
+    channels = property(lambda self: self.first.channels)
+    k = property(lambda self: self.first.k)
+
+    @property
+    def parts(self) -> tuple[Dataset, Dataset]:
+        return self.first, self.second
+
+    def validate(self) -> None:
+        for part in self.parts:
+            part.validate()
+
+    def rows(self, idx: np.ndarray):
+        """As `Dataset.rows`: each column taken from `first`, then the rows
+        whose index falls in `second` overwritten from there. Which rows
+        those are is found once and serves every column."""
+        first, second = self.first, self.second
+        n = len(first)
+        if n == 0:  # nothing to take the columns from
+            return second.rows(idx)
+        # an index into `second` reads `first`'s last row here, overwritten below
+        pixels = first.pixels.take(idx, axis=0, mode="clip")
+        labels = first.labels.take(idx, mode="clip")
+        soft = None if first.soft_labels is None else first.soft_labels.take(
+            idx, axis=0, mode="clip")
+        later = (idx >= n).nonzero()[0]
+        if len(later):
+            back = idx[later] - n
+            pixels[later] = second.pixels.take(back, axis=0)
+            labels[later] = second.labels.take(back)
+            if soft is not None:
+                soft[later] = second.soft_labels.take(back, axis=0)
+        return pixels, labels, soft
+
+    def subset(self, indices: np.ndarray) -> Dataset:
+        indices = np.asarray(indices, dtype=np.int64)
+        pixels, labels, soft = self.rows(indices)
+        return Dataset(pixels=pixels, labels=labels, height=self.height, width=self.width,
+                       channels=self.channels, k=self.k, ids=self.ids[indices],
+                       soft_labels=soft)
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +189,18 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("label", "<u2"), ("pixels", "<f4", (dim,))])
 
 
-def save_raw(dataset: Dataset, path: str) -> None:
+def save_raw(dataset: Dataset | Joined, path: str) -> None:
+    """Write `dataset` as a UDS file; a joined one part by part, the same bytes."""
     dataset.validate()
-    records = np.zeros(len(dataset), dtype=_record_dtype(dataset.dim))
-    records["label"] = dataset.labels
-    records["pixels"] = dataset.pixels
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIIII", len(dataset), dataset.height, dataset.width,
                              dataset.channels, dataset.k))
-        fh.write(records.tobytes())
+        for part in dataset.parts:
+            records = np.zeros(len(part), dtype=_record_dtype(part.dim))
+            records["label"] = part.labels
+            records["pixels"] = part.pixels
+            fh.write(records.tobytes())
 
 
 def load_raw(path: str) -> Dataset:

@@ -23,6 +23,7 @@ per layer the weight matrix (row-major, out x in) followed by the bias.
 
 import concurrent.futures
 import contextlib
+import importlib
 import math
 import os
 import pickle
@@ -340,9 +341,9 @@ class Ascent(NamedTuple):
 
 
 def _backward_on(model: Model, dataset, idx, temperature: float, out: Model) -> float:
-    soft = None if dataset.soft_labels is None else dataset.soft_labels[idx]
-    loss, _ = backward(model, dataset.pixels[idx], labels=dataset.labels[idx],
-                       soft_targets=soft, temperature=temperature, out=out)
+    pixels, labels, soft = dataset.rows(idx)
+    loss, _ = backward(model, pixels, labels=labels, soft_targets=soft,
+                       temperature=temperature, out=out)
     return loss
 
 
@@ -362,8 +363,10 @@ def train(model: Model, dataset, config: TrainConfig, temperature: float = 1.0,
           ascent: Ascent | None = None, epoch_callback=None, batch_callback=None) -> Model:
     """Mini-batch training on the calling thread; returns the trained copy.
 
-    The input model is never mutated. Batch order and all updates derive
-    from config.seed (and ascent.seed), so identical inputs reproduce
+    `dataset` is a `data.Dataset`, or two joined by `data.concat`, whose
+    batches are gathered from its two parts: the same rows as from one
+    array. The input model is never mutated. Batch order and all updates
+    derive from config.seed (and ascent.seed), so identical inputs reproduce
     bit-identical parameters. Soft-labeled datasets are trained with the
     tempered KL loss. A step whose loss (descent minus alpha times ascent)
     or, with an ascent stream, whose combined gradient is not finite raises
@@ -483,11 +486,13 @@ def _work(directory: str) -> None:
 
 def process_worker() -> Executor:
     """A one-process executor for `submit`: a spawned interpreter, started
-    now, that has imported this module by the time its first task runs."""
+    now, that has imported this package and `natmu.runner`, whose epoch
+    callbacks the run's jobs carry, by the time its first task runs."""
     import multiprocessing  # only here: a run on one CPU never loads it
     worker = concurrent.futures.ProcessPoolExecutor(
-        max_workers=1, mp_context=multiprocessing.get_context("spawn"))
-    worker.submit(cosine_lr, 0, 1, 1.0)  # starts the process and imports nn there
+        max_workers=1, mp_context=multiprocessing.get_context("spawn"),
+        initializer=importlib.import_module, initargs=("natmu.runner",))
+    worker.submit(cosine_lr, 0, 1, 1.0)  # starts the process
     return worker
 
 

@@ -311,8 +311,9 @@ def _trace_key(config: ExperimentConfig, root: int, train_ds: Dataset) -> dict:
     [pretrain] section and the training set (its hash and its ids)."""
     digest = hashlib.sha256(json.dumps([len(train_ds), train_ds.height, train_ds.width,
                                         train_ds.channels, train_ds.k]).encode())
-    digest.update(train_ds.pixels.astype("<f4", copy=False).tobytes())
-    digest.update(train_ds.labels.astype("<i8", copy=False).tobytes())
+    # the arrays' own buffers, converted (copied) only if not already in these dtypes
+    digest.update(np.ascontiguousarray(train_ds.pixels, dtype="<f4"))
+    digest.update(np.ascontiguousarray(train_ds.labels, dtype="<i8"))
     return {"seed": root, "pretrain": config.semantic_dict()["pretrain"],
             "data_sha256": digest.hexdigest(), "ids": train_ds.ids.tolist()}
 
@@ -360,20 +361,29 @@ def _differing_key(record: dict, key: dict) -> str | None:
     return next((name for name, value in fields.items() if record.get(name) != value), None)
 
 
+def _counts_array(counts, n: int, epochs: int) -> np.ndarray | None:
+    """`counts`, a record's JSON value, as an array if it is a list of `n`
+    ints in [0, epochs], else None."""
+    if not (isinstance(counts, list) and len(counts) == n
+            and set(map(type, counts)) <= {int}):  # not bool, not float
+        return None
+    counts = np.array(counts)
+    return counts if ((counts >= 0) & (counts <= epochs)).all() else None
+
+
 def _agreed_counts(records: list, key: dict) -> np.ndarray:
     """The trace counts the (path, record) pairs `records`, each matching
     `key`, hold: one count in [0, epochs] per id, the same in every record,
     or a ValidationError names the file and `counts`."""
     trace, epochs = None, key["pretrain"]["epochs"]
     for path, record in records:
-        counts = record.get("counts")
-        if not (isinstance(counts, list) and len(counts) == len(key["ids"])
-                and all(type(c) is int and 0 <= c <= epochs for c in counts)):
+        counts = _counts_array(record.get("counts"), len(key["ids"]), epochs)
+        if counts is None:
             raise ValidationError(f"trace record {path}: counts must hold one count "
                                   f"in [0, epochs] per id")
         if trace is None:
-            trace = np.array(counts, dtype=np.uint32)
-        elif counts != trace.tolist():
+            trace = counts.astype(np.uint32)
+        elif not np.array_equal(counts, trace):
             raise ValidationError(f"trace record {path}: counts differ from {records[0][0]}")
     return trace
 
@@ -427,6 +437,7 @@ class PreparedSeed:
     counts: np.ndarray | None = None  # the pretrain's trace (`pretrain_model`)
     model_o: Model | None = None
     original_path: str | None = None
+    key: dict | None = None  # the trace's `_trace_key`, once computed (`trace_key`)
 
     @property
     def original(self) -> Model:
@@ -438,6 +449,12 @@ class PreparedSeed:
             else:
                 self.model_o, _ = pretrain_model(self.config, self.train, self.root)
         return self.model_o
+
+    def trace_key(self) -> dict:
+        """`_trace_key` of this seed's training set, computed once."""
+        if self.key is None:
+            self.key = _trace_key(self.config, self.root, self.train)
+        return self.key
 
     def load(self, path: str) -> Model:
         """The checkpoint at `path`, refused with a CheckpointFormatError
@@ -455,8 +472,8 @@ class PreparedSeed:
         `data_sha256`, `ids`, `counts` and `epochs`. `source`, the checkpoint
         the model at hand started from, adds a `source` key: that file's path
         relative to the record's directory and the SHA-256 of its bytes."""
-        record = {**_trace_key(self.config, self.root, self.train),
-                  "counts": self.counts.tolist(), "epochs": self.config.pretrain.epochs}
+        record = {**self.trace_key(), "counts": self.counts.tolist(),
+                  "epochs": self.config.pretrain.epochs}
         if source is not None:
             record["source"] = {"path": os.path.relpath(source, Path(path).parent),
                                 "sha256": _file_sha256(source)}
@@ -534,20 +551,21 @@ def prepare_seed(config: ExperimentConfig, root: int,
         config.check_natmu_n(train_ds.k)  # over UDS files K and N are known only now
         if spec.mode != "class":
             forget_count(spec.ratio, len(train_ds))
-    model_o = counts = original_path = None
-    if spec.mode == "difficult" and checkpoints:
-        counts, original_path = _read_trace_records(
-            [checkpoint + RECORD_SUFFIX for checkpoint in checkpoints],
-            _trace_key(config, root, train_ds))
-    elif spec.mode == "difficult" and record_dir is not None:
-        counts = _cached_trace(record_dir, _trace_key(config, root, train_ds))
+    model_o = counts = original_path = key = None
+    if spec.mode == "difficult" and (checkpoints or record_dir is not None):
+        key = _trace_key(config, root, train_ds)
+        if checkpoints:
+            counts, original_path = _read_trace_records(
+                [checkpoint + RECORD_SUFFIX for checkpoint in checkpoints], key)
+        else:
+            counts = _cached_trace(record_dir, key)
     if counts is None and (with_trace or spec.mode == "difficult"):
         with stage("pretrain"):
             model_o, counts = pretrain_model(config, train_ds, root, with_trace=True)
     with stage("forget"):
         d_f, d_r = split_forget(train_ds, spec, counts)
     return PreparedSeed(config, root, train_ds, test_ds, spec, d_f, d_r, seeds,
-                        counts, model_o, original_path)
+                        counts, model_o, original_path, key)
 
 
 def _fmt(value) -> str:

@@ -96,6 +96,7 @@ class TestReference:
         for column in (hybrids.forget_ids, hybrids.remaining_ids, hybrids.mask_index):
             assert column.shape == (0,)
         finetune = builder.build_finetune_dataset(d_r, hybrids)
+        finetune = finetune.subset(np.arange(len(finetune)))
         for name in ("pixels", "labels", "ids"):
             a, b = getattr(finetune, name), getattr(d_r, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -320,6 +321,7 @@ class TestFinetuneDataset:
         ft = builder.build_finetune_dataset(
             d_r, builder.build_unlearning_set(empty, d_r, model, mask_set, seed=5))
         assert len(ft) == len(d_r)
+        ft = ft.subset(np.arange(len(ft)))
         assert np.array_equal(ft.pixels, d_r.pixels)
         assert np.array_equal(ft.labels, d_r.labels)
         assert np.array_equal(ft.ids, d_r.ids)
@@ -335,6 +337,7 @@ class TestFinetuneDataset:
         _, d_f, d_r, model, mask_set = blob_world
         hybrids = builder.build_unlearning_set(d_f, d_r, model, mask_set, seed=5)
         ft = builder.build_finetune_dataset(d_r, hybrids)
+        ft = ft.subset(np.arange(len(ft)))
         for name in ("pixels", "labels", "ids"):
             assert np.array_equal(getattr(ft, name)[len(d_r):], getattr(hybrids.data, name))
         for column in (hybrids.forget_ids, hybrids.remaining_ids, hybrids.mask_index):
@@ -344,6 +347,7 @@ class TestFinetuneDataset:
         _, d_f, d_r, model, mask_set = blob_world
         hybrids = builder.build_unlearning_set(d_f, d_r, model, mask_set, seed=5)
         ft = builder.build_finetune_dataset(d_r, hybrids)
+        ft = ft.subset(np.arange(len(ft)))
         assert np.array_equal(ft.pixels[:len(d_r)], d_r.pixels)
         assert np.array_equal(ft.labels[:len(d_r)], d_r.labels)
         assert np.array_equal(ft.ids[:len(d_r)], d_r.ids)

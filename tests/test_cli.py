@@ -474,15 +474,18 @@ class TestTraceRecord:
         assert len(stage["calls"]) == 1
         assert filecmp.cmp(out + runner.RECORD_SUFFIX, original, shallow=False)
 
-    @pytest.mark.parametrize("fault", ["counts differ", "count above epochs"])
+    @pytest.mark.parametrize("fault", ["counts differ", "count above epochs", "a true count",
+                                       "a float count"])
     def test_matching_record_with_bad_counts_refused(self, stage, capsys, fault):
         record = json.loads(Path(stage["original"] + runner.RECORD_SUFFIX).read_text())
         counts = record["counts"]
         if fault == "counts differ":
             first = next(i for i, c in enumerate(counts) if c != counts[0])
             counts[0], counts[first] = counts[first], counts[0]
-        else:
+        elif fault == "count above epochs":
             counts[0] = record["epochs"] + 1
+        else:  # JSON `true` and `1.0`, each equal to the count 1
+            counts[0] = True if fault == "a true count" else 1.0
         copy = f"{stage['dir'] / 'copy.nmu'}{runner.RECORD_SUFFIX}"
         Path(copy).write_text(json.dumps(record))
         self.refused(stage, capsys, self.retrain(stage, stage["dir"] / "out"), copy, "counts")

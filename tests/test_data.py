@@ -307,7 +307,55 @@ class TestDatasetHelpers:
         for first, second in ((hard, soft), (soft, hard)):
             with pytest.raises(ValidationError, match="soft-labeled .* hard-labeled"):
                 data.concat(first, second)
-        assert data.concat(soft, soft).soft_labels.shape == (2 * len(hard), hard.k)
+        joined = data.concat(soft, soft)
+        assert joined.subset(np.arange(len(joined))).soft_labels.shape == (2 * len(hard), hard.k)
+
+    @staticmethod
+    def one_array(first, second):
+        """The rows of `first` and `second` joined into one array per column."""
+        soft = None if first.soft_labels is None else np.concatenate(
+            [first.soft_labels, second.soft_labels])
+        return data.Dataset(np.concatenate([first.pixels, second.pixels]),
+                            np.concatenate([first.labels, second.labels]),
+                            first.height, first.width, first.channels, first.k,
+                            ids=np.concatenate([first.ids, second.ids]), soft_labels=soft)
+
+    @pytest.mark.parametrize("labels", ["hard", "soft"])
+    @pytest.mark.parametrize("sizes", [(100, 20), (0, 20), (100, 0)])
+    def test_joined_rows_are_the_rows_of_one_array(self, labels, sizes):
+        ds = small_blobs()
+        if labels == "soft":
+            soft = nn.softmax(np.random.default_rng(3).normal(size=(len(ds), ds.k)))
+            ds = replace(ds, soft_labels=soft.astype(np.float32))
+        first = ds.subset(np.arange(sizes[0]))
+        second = ds.subset(np.arange(len(ds) - sizes[1], len(ds)))
+        joined, whole = data.concat(first, second), self.one_array(first, second)
+        assert len(joined) == len(whole) and np.array_equal(joined.ids, whole.ids)
+        rng = np.random.default_rng(4)
+        n = len(whole)
+        for idx in (np.arange(n), rng.permutation(n)[:7], np.arange(sizes[0]),
+                    np.arange(sizes[0], n), np.array([], dtype=np.int64)):
+            for got, want in zip(joined.rows(idx), whole.rows(idx)):
+                assert (got is None and want is None) or (
+                    got.dtype == want.dtype and np.array_equal(got, want))
+        backwards = np.arange(n)[::-1]
+        for name in ("pixels", "labels", "ids", "soft_labels"):
+            got, want = (getattr(d.subset(backwards), name) for d in (joined, whole))
+            assert (got is None and want is None) or np.array_equal(got, want), name
+
+    def test_joined_set_refers_to_its_parts(self):
+        ds = small_blobs()
+        first, second = ds.subset(np.arange(100)), ds.subset(np.arange(100, 120))
+        joined = data.concat(first, second)
+        assert joined.parts == (first, second) and joined.first.pixels is first.pixels
+        assert joined.second.labels is second.labels and joined.k == ds.k
+
+    def test_joined_set_saves_the_bytes_of_one_array(self, tmp_path):
+        ds = small_blobs()
+        first, second = ds.subset(np.arange(30, len(ds))), ds.subset(np.arange(30))
+        data.save_raw(data.concat(first, second), str(tmp_path / "joined.uds"))
+        data.save_raw(self.one_array(first, second), str(tmp_path / "whole.uds"))
+        assert (tmp_path / "joined.uds").read_bytes() == (tmp_path / "whole.uds").read_bytes()
 
     def test_validate_catches_bad_soft_labels(self):
         ds = small_blobs()

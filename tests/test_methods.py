@@ -103,6 +103,7 @@ class TestNatmu:
     def test_finetune_set_keeps_remaining_labels(self, world):
         _, _, d_r, _ = world
         finetune = methods.natmu_finetune_set(make_request(world))
+        finetune = finetune.subset(np.arange(len(finetune)))
         assert np.array_equal(finetune.labels[:len(d_r)], d_r.labels)
         assert finetune.soft_labels is None
 
@@ -331,8 +332,43 @@ class TestUnlearningDataset:
         request = make_request(world)
         a = methods.unlearning_dataset("natmu", request)
         finetune = methods.natmu_finetune_set(request)
+        finetune = finetune.subset(np.arange(len(finetune)))
         assert np.array_equal(a.pixels, finetune.pixels[len(request.d_r):])
         assert np.array_equal(a.labels, finetune.labels[len(request.d_r):])
+
+
+class TestJoinedSets:
+    """natmu, amnesiac and badteacher train on the remaining set joined to
+    their relabeled set (`data.concat`), which refers to `d_r`'s rows."""
+
+    @pytest.mark.parametrize("method", ["natmu", "amnesiac", "badteacher"])
+    def test_the_joined_set_shares_the_remaining_sets_pixels(self, world, method):
+        request = make_request(world)
+        joined = methods.unlearn_job(method, request).dataset
+        assert np.shares_memory(joined.first.pixels, request.d_r.pixels)
+        assert len(joined.first) == len(request.d_r)
+
+    @pytest.mark.parametrize("method", ["natmu", "amnesiac", "badteacher"])
+    def test_training_on_it_is_training_on_one_array(self, world, method):
+        """Hard labels (natmu, amnesiac) and soft ones (badteacher): the
+        batches, their ids and the trained bits of one array of its rows."""
+        job = methods.unlearn_job(method, make_request(world))
+        first, second = job.dataset.parts
+        soft = None if first.soft_labels is None else np.concatenate(
+            [first.soft_labels, second.soft_labels])
+        whole = data.Dataset(np.concatenate([first.pixels, second.pixels]),
+                             np.concatenate([first.labels, second.labels]),
+                             first.height, first.width, first.channels, first.k,
+                             ids=np.concatenate([first.ids, second.ids]), soft_labels=soft)
+        batches = {}
+        trained = {}
+        for name, dataset in (("joined", job.dataset), ("whole", whole)):
+            seen = batches[name] = []
+            trained[name] = nn.train(*job._replace(
+                dataset=dataset, batch_callback=lambda ids, seen=seen: seen.append(ids)))
+        assert all(np.array_equal(a, b) for a, b in zip(batches["joined"], batches["whole"]))
+        assert len(batches["joined"]) == len(batches["whole"]) > 0
+        assert np.array_equal(trained["joined"].flat, trained["whole"].flat)
 
 
 class TestMethodParams:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from natmu import methods, nn
+from natmu import data, methods, nn
 from natmu.data import Dataset, synth_blobs
 from natmu.errors import (
     CheckpointFormatError,
@@ -553,6 +553,18 @@ class EpochRecorder:
         handed.flat[:] = 0.0
 
 
+def test_the_worker_has_imported_the_runner_before_its_first_job():
+    """The epoch callbacks of a run's jobs live in `natmu.runner`: the
+    worker imports it while it starts, not when a job's callback is first
+    unpickled there. The probe is a builtin, whose unpickling imports nothing."""
+    worker = nn.process_worker()
+    try:
+        probe = worker.submit(eval, "'natmu.runner' in __import__('sys').modules")
+        assert probe.result() is True
+    finally:
+        worker.shutdown()
+
+
 @pytest.fixture(scope="module")
 def process_worker():
     """One worker process for the module's tests, stopped after them."""
@@ -585,6 +597,20 @@ class TestProcessWorker:
         trained = nn.submit(nn.Job(model, ds, config, **options), process_worker).result()
         assert trained is not model
         assert np.array_equal(trained.flat, nn.train(model, ds, config, **options).flat)
+
+    def test_a_joined_set_trains_as_one_array(self, process_worker):
+        """A set joined by `data.concat` crosses to the worker with its two
+        parts and trains to the bits of one array of its rows."""
+        ds, model = TestEpochHandOver.world()
+        first, second = ds.subset(np.arange(7, len(ds))), ds.subset(np.arange(7))
+        columns = {name: np.concatenate([getattr(first, name), getattr(second, name)])
+                   for name in ("pixels", "labels", "ids")}
+        whole = Dataset(**columns, height=ds.height, width=ds.width, channels=ds.channels,
+                        k=ds.k)
+        want = nn.train(model, whole, self.CONFIG)
+        job = nn.Job(model, data.concat(first, second), self.CONFIG)
+        for worker in (None, process_worker):
+            assert np.array_equal(nn.submit(job, worker).result().flat, want.flat)
 
     def test_callbacks_get_the_in_process_paths_copies_in_order(self, process_worker):
         ds, model = TestEpochHandOver.world()

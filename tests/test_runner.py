@@ -756,6 +756,29 @@ class TestRetrainWorker:
                                                   "type": "DivergenceError"}
         assert list((tmp_path / "tmp").iterdir()) == []
 
+    def test_an_amnesiac_job_file_holds_the_remaining_set_once(self, tmp_path, monkeypatch):
+        """The worker-side amnesiac job carries the remaining set in its
+        joined training set and in its curve rows' splits; its file holds
+        the pixels once (desk's data, one epoch each)."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        config = runner.load_config(str(REPO / "configs" / "desk.cfg"))
+        config.seeds, config.methods = (1,), ("retrain", "amnesiac")  # amnesiac on the worker
+        config.pretrain = replace(config.pretrain, epochs=1)
+        config.unlearn = replace(config.unlearn, epochs=1)
+        sizes, submit = {}, runner.submit
+
+        def measured(job, worker=None):
+            pending = submit(job, worker)
+            if pending.directory is not None:
+                sizes[job.epoch_callback.method] = os.path.getsize(
+                    os.path.join(pending.directory, "job.pickle"))
+            return pending
+        monkeypatch.setattr(runner, "submit", measured)
+        assert self.run(config, tmp_path / "out", monkeypatch, 2)["status"] == "complete"
+        d_r = runner.prepare_seed(config, 1).d_r
+        assert set(sizes) == {"retrain", "amnesiac"}
+        assert sizes["amnesiac"] < 1.1 * d_r.pixels.nbytes, (sizes, d_r.pixels.nbytes)
+
     def test_the_worker_peak_is_the_run_workers_own(self, tmp_path, monkeypatch):
         """Not the largest peak of any child this process has waited for: a
         child that touched 300 MB between two runs leaves the second alone."""
