@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 validation error (bad inputs or config),
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -246,6 +248,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # every file a command writes must go into an existing directory, checked
+        # before any work, so that a bad path wastes none and leaves no output
+        for flag in ("out", "trace", "provenance", "hist_prefix"):
+            path = getattr(args, flag, None)
+            if path is not None and not Path(path).parent.is_dir():
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

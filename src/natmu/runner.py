@@ -340,86 +340,56 @@ def _read_source(path: str, source) -> str:
     return str(checkpoint)
 
 
-def _read_record(path) -> dict:
-    """The trace record at `path` as a JSON object, or a ValidationError
-    (MissingTraceError for a missing file) that names the file."""
-    try:
-        record = json.loads(Path(path).read_text(encoding="ascii"))
-    except FileNotFoundError as exc:
-        raise MissingTraceError(f"trace record not found: {path}") from exc
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"unreadable trace record {path}: {exc}") from exc
-    if not isinstance(record, dict):
-        raise ValidationError(f"trace record {path} is not a JSON object")
-    return record
-
-
-def _differing_key(record: dict, key: dict) -> str | None:
-    """The first field of `key` (`_trace_key`), or `epochs`, that `record`
-    does not match; None if it matches."""
-    fields = {**key, "epochs": key["pretrain"]["epochs"]}
-    return next((name for name, value in fields.items() if record.get(name) != value), None)
-
-
-def _counts_array(counts, n: int, epochs: int) -> np.ndarray | None:
-    """`counts`, a record's JSON value, as an array if it is a list of `n`
-    ints in [0, epochs], else None."""
-    if not (isinstance(counts, list) and len(counts) == n
-            and set(map(type, counts)) <= {int}):  # not bool, not float
-        return None
-    counts = np.array(counts)
-    return counts if ((counts >= 0) & (counts <= epochs)).all() else None
-
-
-def _agreed_counts(records: list, key: dict) -> np.ndarray:
-    """The trace counts the (path, record) pairs `records`, each matching
-    `key`, hold: one count in [0, epochs] per id, the same in every record,
-    or a ValidationError names the file and `counts`."""
-    trace, epochs = None, key["pretrain"]["epochs"]
+def _read_trace(paths, key: dict, strict: bool) -> tuple[np.ndarray | None, str | None]:
+    """The trace counts held by the trace records at `paths` (see
+    `PreparedSeed.write_trace_record`) that match `key` (`_trace_key`) and its
+    epochs, and the checkpoint the first record's `source` names (None
+    without one). Strict, for the records beside checkpoints: a record that is
+    missing (MissingTraceError), does not parse, is not a JSON object or
+    differs in a key field is refused with a ValidationError that names the
+    file and the field. Lenient, for the cache in an output directory: such a
+    record is skipped, `source` is not read, and the counts are None if no
+    record matches (the caller pretrains, which gives the same counts). The
+    matching records must hold one int count in [0, epochs] per id, the same
+    in each, or a ValidationError names the file and `counts`."""
+    wanted = {**key, "epochs": key["pretrain"]["epochs"]}
+    records = []
+    for path in paths:
+        try:
+            try:
+                record = json.loads(Path(path).read_text(encoding="ascii"))
+            except FileNotFoundError as exc:
+                raise MissingTraceError(f"trace record not found: {path}") from exc
+            except (OSError, ValueError) as exc:
+                raise ValidationError(f"unreadable trace record {path}: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValidationError(f"trace record {path} is not a JSON object")
+            for name, value in wanted.items():
+                if record.get(name) != value:
+                    raise ValidationError(f"trace record {path}: {name} does not match "
+                                          f"the config and seed")
+            records.append((path, record))
+        except ValidationError:
+            if strict:
+                raise
+    if not records:
+        return None, None
+    trace = None
     for path, record in records:
-        counts = _counts_array(record.get("counts"), len(key["ids"]), epochs)
-        if counts is None:
+        counts = record.get("counts")
+        if (isinstance(counts, list) and len(counts) == len(key["ids"])
+                and set(map(type, counts)) <= {int}):  # not bool, not float
+            counts = np.array(counts)
+        if not (isinstance(counts, np.ndarray)
+                and ((counts >= 0) & (counts <= wanted["epochs"])).all()):
             raise ValidationError(f"trace record {path}: counts must hold one count "
                                   f"in [0, epochs] per id")
         if trace is None:
             trace = counts.astype(np.uint32)
         elif not np.array_equal(counts, trace):
             raise ValidationError(f"trace record {path}: counts differ from {records[0][0]}")
-    return trace
-
-
-def _read_trace_records(paths, key: dict) -> tuple[np.ndarray, str | None]:
-    """The trace counts in the trace records at `paths` (see
-    `PreparedSeed.write_trace_record`), and the checkpoint that the first
-    record's `source` names (None without one). Each record must match `key`
-    and hold the same counts, or a ValidationError names the file and the key."""
-    records = []
-    for path in paths:
-        record = _read_record(path)
-        name = _differing_key(record, key)
-        if name is not None:
-            raise ValidationError(f"trace record {path}: {name} does not match "
-                                  f"the config and seed")
-        records.append((path, record))
-    trace = _agreed_counts(records, key)
-    first = records[0][1]
-    return trace, None if "source" not in first else _read_source(paths[0], first["source"])
-
-
-def _cached_trace(directory, key: dict) -> np.ndarray | None:
-    """The trace counts held by the trace records in `directory` that match
-    `key`, checked as in `_agreed_counts`; None if no record matches. A file
-    that does not parse, or whose key differs, is skipped: without a match
-    the caller pretrains, which gives the same counts. `source` is not read."""
-    records = []
-    for path in sorted(Path(directory).glob("*" + RECORD_SUFFIX)):
-        try:
-            record = _read_record(path)
-        except ValidationError:
-            continue
-        if _differing_key(record, key) is None:
-            records.append((path, record))
-    return _agreed_counts(records, key) if records else None
+    path, first = records[0]
+    return trace, _read_source(path, first["source"]) if strict and "source" in first else None
 
 
 @dataclass
@@ -536,14 +506,13 @@ def prepare_seed(config: ExperimentConfig, root: int,
                  stage=lambda name: contextlib.nullcontext(),
                  with_trace: bool = False, checkpoints=(), record_dir=None) -> PreparedSeed:
     """Data, forgetting split and stage seeds of one root seed. In difficult
-    mode the trace comes from the records beside `checkpoints` when given
-    (checked by `_read_trace_records`), and the original model from the
-    checkpoint the first record names as its `source`, if any; without
-    checkpoints, from the records in `record_dir` that match this seed
-    (`_cached_trace`), if any. Otherwise the original model is pretrained
-    here, with its trace, when the split ranks samples by it (difficult
-    mode) or `with_trace` is set; else on first use. `stage(name)` is a
-    context manager around each step."""
+    mode one call of `_read_trace` gives the trace: strict over the records
+    beside `checkpoints` when given, with the original model from the
+    checkpoint the first record names as its `source`, if any; else lenient
+    over the records in `record_dir`, if given. Without a trace from there,
+    the original model is pretrained here, with its trace, when the split
+    ranks samples by it (difficult mode) or `with_trace` is set; else on
+    first use. `stage(name)` is a context manager around each step."""
     seeds = {name: derive_seed(root, name) for name in ("dataset", "pretrain", "forget")}
     spec = config.forget_spec(seeds["forget"])
     with stage("dataset"):
@@ -554,11 +523,9 @@ def prepare_seed(config: ExperimentConfig, root: int,
     model_o = counts = original_path = key = None
     if spec.mode == "difficult" and (checkpoints or record_dir is not None):
         key = _trace_key(config, root, train_ds)
-        if checkpoints:
-            counts, original_path = _read_trace_records(
-                [checkpoint + RECORD_SUFFIX for checkpoint in checkpoints], key)
-        else:
-            counts = _cached_trace(record_dir, key)
+        paths = ([checkpoint + RECORD_SUFFIX for checkpoint in checkpoints]
+                 or sorted(Path(record_dir).glob("*" + RECORD_SUFFIX)))
+        counts, original_path = _read_trace(paths, key, strict=bool(checkpoints))
     if counts is None and (with_trace or spec.mode == "difficult"):
         with stage("pretrain"):
             model_o, counts = pretrain_model(config, train_ds, root, with_trace=True)

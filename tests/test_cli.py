@@ -205,6 +205,29 @@ class TestPipelineCommands:
             cli.EXIT_VALIDATION
         assert calls == [] and not report.exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("pretrain", "--out"), ("pretrain", "--trace"), ("build", "--out"),
+        ("build", "--provenance"), ("unlearn", "--out"), ("evaluate", "--out"),
+        ("evaluate", "--hist-prefix")])
+    def test_output_in_a_missing_directory_exits_before_any_work(
+            self, tmp_path, config_path, monkeypatch, capsys, command, flag):
+        calls = []
+        monkeypatch.setattr(cli, "prepare_seed", lambda *a, **k: calls.append(a))
+        model = str(tmp_path / "m.nmu")
+        argv = [command, "--config", config_path, "--out", str(tmp_path / "out")]
+        argv += {"pretrain": ["--trace", str(tmp_path / "trace.json")],
+                 "build": ["--model", model, "--provenance", str(tmp_path / "prov.jsonl")],
+                 "unlearn": ["--method", "retrain"],
+                 "evaluate": ["--model", model, "--retrain", model,
+                              "--hist-prefix", str(tmp_path / "h")]}[command]
+        missing = str(tmp_path / "nodir" / "file")
+        argv[argv.index(flag) + 1] = missing
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(argv) == cli.EXIT_RUNTIME
+        assert calls == [] and sorted(tmp_path.rglob("*")) == before
+        err = capsys.readouterr().err
+        assert err.startswith("io failure:") and missing in err
+
     @pytest.mark.parametrize("n", ["0", "6"])  # K = 6 leaves 1..5
     def test_bad_build_n_exits_before_any_work(self, tmp_path, config_path, monkeypatch,
                                                n):
@@ -392,6 +415,10 @@ class TestTraceRecord:
     MALFORMED = [  # (fault, the record's text made from the one `pretrain` wrote, error word)
         ("not an object", lambda record: json.dumps(record["counts"]), "not a JSON object"),
         ("not JSON", lambda record: json.dumps(record)[:-1], "unreadable"),
+        ("other ids", lambda record: json.dumps({**record, "ids": record["ids"][::-1]}),
+         "ids does not match"),
+        ("other epochs", lambda record: json.dumps({**record, "epochs": record["epochs"] + 1}),
+         "epochs does not match"),
         ("count above epochs", lambda record: json.dumps(
             {**record, "counts": [record["epochs"] + 1, *record["counts"][1:]]}), "counts"),
         ("source without sha256", lambda record: json.dumps(
@@ -458,17 +485,22 @@ class TestTraceRecord:
         for suffix in ("", runner.RECORD_SUFFIX):
             assert filecmp.cmp(f"{cached}{suffix}", f"{given}{suffix}", shallow=False)
 
-    @pytest.mark.parametrize("held", ["nothing", "another seed's record", "unparsable"])
+    HELD = {  # a record's text made from the one `pretrain` wrote, matching no key
+        "another seed's record": lambda record: json.dumps({**record, "seed": 2}),
+        "another [pretrain]": lambda record: json.dumps(
+            {**record, "pretrain": {**record["pretrain"], "base_lr": 0.001}}),
+        "not a JSON object": lambda record: json.dumps(record["counts"]),
+        "unparsable": lambda record: "{",
+    }
+
+    @pytest.mark.parametrize("held", ["nothing", *HELD])
     def test_retrain_without_a_matching_record_pretrains(self, stage, held):
         original = stage["original"] + runner.RECORD_SUFFIX
         other = stage["dir"] / "other"
         other.mkdir()
-        if held == "another seed's record":
+        if held != "nothing":
             record = json.loads(Path(original).read_text())
-            (other / f"original.nmu{runner.RECORD_SUFFIX}").write_text(
-                json.dumps({**record, "seed": 2}))
-        elif held == "unparsable":
-            (other / f"original.nmu{runner.RECORD_SUFFIX}").write_text("{")
+            (other / f"original.nmu{runner.RECORD_SUFFIX}").write_text(self.HELD[held](record))
         out = str(other / "retrain.nmu")
         assert cli.main(self.retrain(stage, out)) == 0
         assert len(stage["calls"]) == 1

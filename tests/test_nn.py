@@ -422,7 +422,7 @@ class CallbackFailure(NatmuError):
     pass
 
 
-class TestEpochHandOver:
+class TestEpochCallbacks:
     """`train` runs its loop on the calling thread and hands each epoch's
     callback a private copy of the model."""
 
@@ -506,7 +506,7 @@ class TestEpochHandOver:
         assert threading.active_count() == threads
         assert epochs == ([0, 1] if failure == "callback" else [])
 
-    def test_worker_stops_at_the_epoch_boundary_after_a_failed_callback(self):
+    def test_training_stops_at_the_epoch_boundary_after_a_failed_callback(self):
         ds, model = self.world()
         per_epoch = -(-len(ds) // self.CONFIG.batch_size)
         batches = []
@@ -519,7 +519,7 @@ class TestEpochHandOver:
                      batch_callback=batches.append)
         assert len(batches) == 2 * per_epoch  # no batch after epoch 1's callback
 
-    def test_without_an_executor_the_loop_runs_on_the_calling_thread(self):
+    def test_the_loop_runs_on_the_calling_thread_and_starts_no_thread(self):
         ds, model = self.world()
         threads, trainers = threading.active_count(), set()
 
@@ -578,11 +578,11 @@ class TestProcessWorker:
     """A job `submit` sends to a process worker runs the in-process loop in
     the worker process and gives the same bits."""
 
-    CONFIG = TestEpochHandOver.CONFIG
+    CONFIG = TestEpochCallbacks.CONFIG
 
     @pytest.mark.parametrize("case", ["adamw", "sgd", "soft", "ascent", "zero epochs"])
     def test_bit_equal_to_the_in_process_path(self, process_worker, case):
-        ds, model = TestEpochHandOver.world()
+        ds, model = TestEpochCallbacks.world()
         config, options = self.CONFIG, {}
         if case == "sgd":
             config = replace(config, optimizer="sgd")
@@ -601,7 +601,7 @@ class TestProcessWorker:
     def test_a_joined_set_trains_as_one_array(self, process_worker):
         """A set joined by `data.concat` crosses to the worker with its two
         parts and trains to the bits of one array of its rows."""
-        ds, model = TestEpochHandOver.world()
+        ds, model = TestEpochCallbacks.world()
         first, second = ds.subset(np.arange(7, len(ds))), ds.subset(np.arange(7))
         columns = {name: np.concatenate([getattr(first, name), getattr(second, name)])
                    for name in ("pixels", "labels", "ids")}
@@ -613,7 +613,7 @@ class TestProcessWorker:
             assert np.array_equal(nn.submit(job, worker).result().flat, want.flat)
 
     def test_callbacks_get_the_in_process_paths_copies_in_order(self, process_worker):
-        ds, model = TestEpochHandOver.world()
+        ds, model = TestEpochCallbacks.world()
         seen = {}
         for path, worker in (("in-process", None), ("process", process_worker)):
             recorder = EpochRecorder()
@@ -628,7 +628,7 @@ class TestProcessWorker:
             assert np.array_equal(a, b)
 
     def test_divergence_reaches_the_caller_as_itself(self, process_worker):
-        ds, model = TestEpochHandOver.world()
+        ds, model = TestEpochCallbacks.world()
         model.layers[0].weight[0, 0] = np.inf
         recorder = EpochRecorder()
         with pytest.raises(DivergenceError) as info:
@@ -636,7 +636,7 @@ class TestProcessWorker:
                       process_worker).result()
         assert type(info.value) is DivergenceError and recorder.seen == []
         # the worker takes the next job as before
-        ds, model = TestEpochHandOver.world()
+        ds, model = TestEpochCallbacks.world()
         trained = nn.submit(nn.Job(model, ds, self.CONFIG), process_worker).result()
         assert np.array_equal(trained.flat,
                               nn.train(model, ds, self.CONFIG).flat)
@@ -647,7 +647,7 @@ class TestProcessWorker:
         """The job and its result cross through temporary pickle files, which
         are gone once the result is taken or raises."""
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        ds, model = TestEpochHandOver.world()
+        ds, model = TestEpochCallbacks.world()
         ascent = nn.Ascent(ds.subset(np.arange(5)), alpha=0.1, seed=3)
         if job == "passes":
             recorder = EpochRecorder()
@@ -673,7 +673,7 @@ class TestProcessWorker:
         cannot be cancelled. Cancelled and closed, neither trains: closing
         them ends soon after the 1st has trained, and leaves no file."""
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        ds, model = TestEpochHandOver.world()
+        ds, model = TestEpochCallbacks.world()
         config = replace(self.CONFIG, epochs=2000)
         first, *dropped = (nn.submit(nn.Job(model, ds, config), process_worker)
                            for _ in range(3))
@@ -698,7 +698,7 @@ class TestProcessWorker:
         """Once a job is sent to the worker, or trained here, `pending.job`
         holds its config, temperature and callbacks but not its model,
         dataset and ascent stream; the methods read no more of it."""
-        ds, model = TestEpochHandOver.world()
+        ds, model = TestEpochCallbacks.world()
         d_f, d_r = ds.subset(np.arange(5)), ds.subset(np.arange(5, len(ds)))
         ascent = nn.Ascent(d_f, alpha=0.1, seed=3)
         for worker in (process_worker, None):
@@ -721,7 +721,7 @@ class TestProcessWorker:
                                   methods.UNLEARN_METHODS["neggrad"](request).flat)
 
     def test_retrain_audit_counts_the_ids_the_worker_checked(self, process_worker):
-        ds, _ = TestEpochHandOver.world()
+        ds, _ = TestEpochCallbacks.world()
         job = methods.retrain_job(ds, self.CONFIG, forbidden_ids=[10_000])
         audits = [methods.retrain(ds, self.CONFIG, forbidden_ids=[10_000], pending=pending)[1]
                   for pending in (None, nn.submit(job, process_worker))]
