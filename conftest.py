@@ -9,8 +9,27 @@ default thread count. ``src`` goes on the path first, as in
 """
 
 import sys
+import tracemalloc
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "src"))
 
 import natmu  # noqa: E402, F401
+
+
+@pytest.fixture
+def traced_peak():
+    """`traced_peak(fn)` calls `fn` and returns its result and the peak
+    bytes allocated while it ran (numpy's array buffers included), less
+    those still held when it began."""
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    return measure

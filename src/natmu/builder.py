@@ -7,7 +7,9 @@ The blended sample takes the drawn instance's label. Merging the remaining
 set with all such instances yields the fine-tuning dataset.
 
 The hybrids are built as columns: one batched forward ranks the categories
-of every forgetting sample and one broadcast expression blends them all.
+of every forgetting sample, and the blend fills one array of all hybrids,
+BLEND_CHUNK forgetting samples at a time, so its temporaries stay a fixed
+size whatever the size of the set.
 Construction is a pure function of its inputs: every forgetting sample draws
 its picks and its masks from its own RNG streams keyed by id, so a sample's
 hybrids do not depend on the order of the forgetting set.
@@ -29,6 +31,11 @@ SEGMENTATION_ONLY = "segmentation_only"
 
 VARIANTS = (NATMU, MULTI_LABEL, SEGMENTATION_ONLY)
 
+# Forgetting samples blended at a time by `build_unlearning_set`. Each pixel
+# takes the same operations at any chunk size, so the hybrids do not depend
+# on it.
+BLEND_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class HybridSet:
@@ -46,9 +53,12 @@ class HybridSet:
         return len(self.data)
 
 
-def inject(x_f: np.ndarray, x_r: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Blend flattened images: x_f where the weight is 1, x_r where it is 0.
-    x_f and x_r broadcast to the shape of `weights`, which the result takes."""
+def inject(x_f: np.ndarray, x_r: np.ndarray, weights: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Blend flattened float32 images: x_f where the weight is 1, x_r where it
+    is 0, as x_f * w + x_r * (1 - w) through in-place ufuncs. x_f and x_r
+    broadcast to the shape of `weights`, which the result takes; it is
+    written into `out` if given."""
     try:
         shape = np.broadcast_shapes(x_f.shape, x_r.shape, weights.shape)
     except ValueError:
@@ -57,7 +67,11 @@ def inject(x_f: np.ndarray, x_r: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(
             f"inject shapes differ: {x_f.shape}, {x_r.shape}, weights {weights.shape}"
         )
-    return (x_f * weights + x_r * (1.0 - weights)).astype(np.float32, copy=False)
+    blend = np.multiply(x_f, weights, out=out)
+    rest = np.subtract(1.0, weights)
+    rest *= x_r
+    blend += rest
+    return blend
 
 
 def select_remaining(model_o: Model, d_f: Dataset, d_r: Dataset, n: int,
@@ -126,10 +140,15 @@ def build_unlearning_set(d_f: Dataset, d_r: Dataset, model_o: Model,
     if variant == MULTI_LABEL:
         pixels = np.repeat(d_f.pixels, n, axis=0)
     else:
-        weights = np.stack([mask.flat(d_f.channels) for mask in mask_set])[mask_index]
-        x_r = (d_r.pixels[positions] if variant == NATMU
-               else np.zeros(d_f.dim, dtype=np.float32))
-        pixels = inject(d_f.pixels[:, None, :], x_r, weights).reshape(-1, d_f.dim)
+        family = np.stack([mask.flat(d_f.channels) for mask in mask_set])
+        pixels = np.empty((len(d_f) * n, d_f.dim), dtype=np.float32)
+        blended = pixels.reshape(len(d_f), n, d_f.dim)
+        for start in range(0, len(d_f), BLEND_CHUNK):
+            rows = slice(start, start + BLEND_CHUNK)
+            x_r = (d_r.pixels[positions[rows]] if variant == NATMU
+                   else np.zeros(d_f.dim, dtype=np.float32))
+            inject(d_f.pixels[rows, None, :], x_r, family[mask_index[rows]],
+                   out=blended[rows])
     base = int(max(d_f.ids.max(initial=-1), d_r.ids.max(initial=-1))) + 1
     hybrids = Dataset(
         pixels=pixels, labels=categories.reshape(-1),

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    DatasetFormatError,
     EmptyClassError,
     LabelRangeError,
     MissingTraceError,
@@ -35,6 +36,10 @@ MAGIC = b"UDS1"
 # identifiable, which relabeling-based unlearning needs to show its failure
 # modes.
 DEFAULT_SPREAD = 0.9
+
+# Classes a dataset needs, be it synthetic, read from a UDS file or mapped to
+# superclasses: a classifier of one class has nothing to learn or forget.
+MIN_CLASSES = 2
 
 
 @dataclass
@@ -108,6 +113,14 @@ def check_pixels(pixels: np.ndarray, where: str = "") -> None:
     are written so that they hold: NaN fails each, and min and max carry it."""
     if pixels.size and not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
         raise PixelRangeError(f"pixel outside [0, 1] or not finite{where}")
+
+
+def _check_least(what: str, least: dict, where: str = "", error=ValidationError) -> None:
+    """Refuse the first of `least`'s {name: (value, bound)} whose value is not
+    >= its bound, with `error` naming `what` and the field."""
+    for name, (value, bound) in least.items():
+        if not value >= bound:
+            raise error(f"{what} {name} must be >= {bound}, got {value}{where}")
 
 
 def concat(first: Dataset, second: Dataset) -> "Joined":
@@ -189,18 +202,29 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("label", "<u2"), ("pixels", "<f4", (dim,))])
 
 
+# Rows per write in `save_raw`: one record buffer of this many rows is filled
+# and written at a time, so no whole-set copy is made. The bytes written do
+# not depend on it.
+SAVE_CHUNK = 1024
+
+
 def save_raw(dataset: Dataset | Joined, path: str) -> None:
-    """Write `dataset` as a UDS file; a joined one part by part, the same bytes."""
+    """Write `dataset` as a UDS file; a joined one part by part, the same bytes.
+    The records go through one buffer of SAVE_CHUNK rows, reused for each
+    chunk of rows and handed to the file as it is."""
     dataset.validate()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIIII", len(dataset), dataset.height, dataset.width,
                              dataset.channels, dataset.k))
+        records = np.zeros(min(len(dataset), SAVE_CHUNK),
+                           dtype=_record_dtype(dataset.parts[0].dim))
         for part in dataset.parts:
-            records = np.zeros(len(part), dtype=_record_dtype(part.dim))
-            records["label"] = part.labels
-            records["pixels"] = part.pixels
-            fh.write(records.tobytes())
+            for start in range(0, len(part), SAVE_CHUNK):
+                chunk = records[:len(part) - start]
+                chunk["label"] = part.labels[start:start + len(chunk)]
+                chunk["pixels"] = part.pixels[start:start + len(chunk)]
+                fh.write(chunk)
 
 
 def load_raw(path: str) -> Dataset:
@@ -211,6 +235,8 @@ def load_raw(path: str) -> Dataset:
     if len(blob) < 24:
         raise TruncatedPayloadError(f"truncated UDS header in {path}")
     n, height, width, channels, k = struct.unpack_from("<IIIII", blob, 4)
+    _check_least("UDS header", {"H": (height, 1), "W": (width, 1), "C": (channels, 1),
+                               "K": (k, MIN_CLASSES)}, f" in {path}", DatasetFormatError)
     dim = height * width * channels
     record = 2 + 4 * dim
     if len(blob) != 24 + n * record:
@@ -235,12 +261,10 @@ def check_synth(k: int, height: int, width: int, channels: int, spread: float,
                 **per_class: int) -> None:
     """The synth parameters' rules, checked before any data is made;
     `per_class` gives each per-class sample count by its name."""
-    least = {"k": (k, 2), **{name: (n, 1) for name, n in per_class.items()},
-             "height": (height, 1), "width": (width, 1), "channels": (channels, 1),
-             "spread": (spread, 0)}
-    for name, (value, bound) in least.items():
-        if not value >= bound:
-            raise ValidationError(f"synth {name} must be >= {bound}, got {value}")
+    _check_least("synth", {"k": (k, MIN_CLASSES),
+                          **{name: (n, 1) for name, n in per_class.items()},
+                          "height": (height, 1), "width": (width, 1),
+                          "channels": (channels, 1), "spread": (spread, 0)})
 
 
 def synth_blobs(k: int, per_class: int, height: int, width: int, channels: int,
@@ -262,7 +286,8 @@ def synth_blobs(k: int, per_class: int, height: int, width: int, channels: int,
     for c in range(k):
         block = slice(c * per_class, (c + 1) * per_class)
         noise = noise_rng.normal(0.0, spread, size=(per_class, dim))
-        pixels[block] = np.clip(means[c] + noise, 0.0, 1.0)
+        noise += means[c]  # means[c] + noise in place: IEEE addition commutes
+        pixels[block] = np.clip(noise, 0.0, 1.0, out=noise)
         labels[block] = c
     return Dataset(pixels=pixels, labels=labels, height=height, width=width,
                    channels=channels, k=k)
@@ -270,13 +295,14 @@ def synth_blobs(k: int, per_class: int, height: int, width: int, channels: int,
 
 def check_superclass_map(mapping, k: int) -> np.ndarray:
     """`mapping` as an int64 array, refused unless it gives each of `k` fine
-    classes a superclass label >= 0."""
+    classes a superclass label >= 0 and leaves at least 2 superclasses."""
     mapping = np.asarray(mapping, dtype=np.int64)
     if len(mapping) != k:
         raise ValidationError(f"superclass mapping must cover every class: "
                               f"{len(mapping)} entries for k = {k}")
     if (mapping < 0).any():
         raise ValidationError(f"superclass labels must be >= 0, got {mapping.min()}")
+    _check_least("superclass mapping", {"classes": (len(np.unique(mapping)), MIN_CLASSES)})
     return mapping
 
 

@@ -130,24 +130,26 @@ def reinit_layer(model: Model, index: int, seed: int) -> None:
 # forward / losses
 
 
-def forward(model: Model, batch: np.ndarray) -> np.ndarray:
-    """Logits (B, K) for a pixel batch (B, d)."""
-    return _forward_cached(model, batch)[0]
-
-
-def _forward_cached(model: Model, batch: np.ndarray):
-    """Logits and every layer's input (kept for backprop) for a pixel batch."""
+def forward(model: Model, batch: np.ndarray, keep: list | None = None) -> np.ndarray:
+    """Logits (B, K) for a pixel batch (B, d). Each layer's bias add and
+    rectifier run in place on its matmul's output. With a list `keep`, every
+    layer's input is appended to it, for backprop; without, no layer's
+    activations outlive the next layer's matmul."""
     x = np.atleast_2d(np.asarray(batch))
     if x.shape[1] != model.input_dim:
         raise ShapeMismatchError(
             f"batch has {x.shape[1]} features, model expects {model.input_dim}"
         )
-    acts = [x.astype(model.flat.dtype, copy=False)]
-    for lyr in model.layers[:-1]:
-        acts.append(np.maximum(acts[-1] @ lyr.weight.T + lyr.bias, 0.0))
-    last = model.layers[-1]
-    logits = acts[-1] @ last.weight.T + last.bias
-    return logits, acts
+    x = x.astype(model.flat.dtype, copy=False)
+    last = len(model.layers) - 1
+    for i, lyr in enumerate(model.layers):
+        if keep is not None:
+            keep.append(x)
+        x = x @ lyr.weight.T
+        x += lyr.bias
+        if i < last:
+            np.maximum(x, 0.0, out=x)
+    return x
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -175,7 +177,8 @@ def backward(model: Model, batch: np.ndarray, labels=None, soft_targets=None,
     from the targets to the tempered softmax. The gradients are written
     into `out`, an arena of the model's layout (a new one if None).
     """
-    logits, acts = _forward_cached(model, batch)
+    acts = []
+    logits = forward(model, batch, keep=acts)
     n = len(logits)
     # softmax(z) = e / total and log_softmax(z) = shifted - log(total)
     z = logits if soft_targets is None else logits / temperature
@@ -322,11 +325,12 @@ PREDICT_CHUNK = 4096
 
 
 def predict_logits(model: Model, pixels: np.ndarray) -> np.ndarray:
-    """Forward over a full array in chunks of PREDICT_CHUNK rows; returns
-    (N, K) logits."""
-    outs = [forward(model, pixels[i:i + PREDICT_CHUNK])
-            for i in range(0, len(pixels), PREDICT_CHUNK)]
-    return np.concatenate(outs, axis=0) if outs else np.zeros((0, model.class_count))
+    """Forward over a full array in chunks of PREDICT_CHUNK rows, each
+    chunk's logits written into one (N, K) array, which is returned."""
+    logits = np.empty((len(pixels), model.class_count), dtype=model.flat.dtype)
+    for i in range(0, len(pixels), PREDICT_CHUNK):
+        logits[i:i + PREDICT_CHUNK] = forward(model, pixels[i:i + PREDICT_CHUNK])
+    return logits
 
 
 class Ascent(NamedTuple):

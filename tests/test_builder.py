@@ -72,11 +72,13 @@ class TestReference:
         model = nn.init_model([ds.dim, 16, ds.k], seed=63)
         return d_f, d_r, model, masks.four_masks(4, 4, -0.031)
 
+    @pytest.mark.parametrize("chunk", [1, 5, 1000])  # a sample, an odd size, the whole set
     @pytest.mark.parametrize("n", [2, 4, 6])
     @pytest.mark.parametrize("shuffle_masks", [False, True])
     @pytest.mark.parametrize("variant", builder.VARIANTS)
-    def test_columns_equal_the_per_row_construction(self, wide_world, variant,
-                                                    shuffle_masks, n):
+    def test_columns_equal_the_per_row_construction(self, wide_world, monkeypatch, variant,
+                                                    shuffle_masks, n, chunk):
+        monkeypatch.setattr(builder, "BLEND_CHUNK", chunk)
         d_f, d_r, model, mask_set = wide_world
         hybrids = builder.build_unlearning_set(d_f, d_r, model, mask_set, variant=variant,
                                                seed=9, n=n, shuffle_masks=shuffle_masks)
@@ -88,7 +90,9 @@ class TestReference:
                                "mask_index"), got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
-    def test_empty_forgetting_set_builds_no_hybrids(self, wide_world):
+    @pytest.mark.parametrize("chunk", [1, 5, 1000])
+    def test_empty_forgetting_set_builds_no_hybrids(self, wide_world, monkeypatch, chunk):
+        monkeypatch.setattr(builder, "BLEND_CHUNK", chunk)
         d_f, d_r, model, mask_set = wide_world
         empty = d_f.subset(np.array([], dtype=np.int64))
         hybrids = builder.build_unlearning_set(empty, d_r, model, mask_set, seed=9)
@@ -100,6 +104,18 @@ class TestReference:
         for name in ("pixels", "labels", "ids"):
             a, b = getattr(finetune, name), getattr(d_r, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestBlendMemory:
+    def test_blend_temporaries_stay_a_fixed_size(self, traced_peak):
+        # subclass-sgd's scale: 500 forgetting samples, n = 4 hybrids each, 16x16
+        ds = data.synth_blobs(10, 500, 16, 16, 1, seed=1)
+        d_f, d_r = ds.subset(np.arange(500)), ds.subset(np.arange(500, 5000))
+        model = nn.init_model([ds.dim, 64, 64, ds.k], seed=0)
+        hybrids, peak = traced_peak(lambda: builder.build_unlearning_set(
+            d_f, d_r, model, masks.four_masks(16, 16, -0.031), seed=1))
+        # the whole-set broadcast blend took 4 times the hybrids' pixels
+        assert peak < hybrids.data.pixels.nbytes + 1_000_000
 
 
 class TestInject:
@@ -130,6 +146,13 @@ class TestInject:
         out = builder.inject(x_f, x_r, weights)  # one forgetting row, two hybrids
         np.testing.assert_allclose(out, [[0.1, 0.2, 0.7, 0.8], [0.1, 0.2, 0.9, 0.9]],
                                    atol=1e-7)
+
+    def test_writes_into_out(self):
+        rng = np.random.default_rng(4)
+        x_f, x_r, weights = (rng.random((3, 4), dtype=np.float32) for _ in range(3))
+        out = np.empty((3, 4), dtype=np.float32)
+        assert builder.inject(x_f, x_r, weights, out=out) is out
+        assert np.array_equal(out, x_f * weights + x_r * (1.0 - weights))
 
     def test_shape_mismatch(self):
         ones = np.ones(4, dtype=np.float32)

@@ -1,6 +1,7 @@
 import filecmp
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +79,14 @@ class TestDatasetCommands:
         assert not out.exists()
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
-    def test_inspect_bad_file_exits_validation(self, tmp_path, capsys):
+    @pytest.mark.parametrize("blob", [
+        b"JUNKJUNKJUNK" + b"\x00" * 30,
+        data.MAGIC + struct.pack("<IIIII", 3, 4, 0, 1, 2) + bytes(3 * 2),  # W = 0
+        data.MAGIC + struct.pack("<IIIII", 3, 2, 2, 1, 1) + bytes(3 * 18)],  # K = 1
+        ids=["junk", "zero-width", "one-class"])
+    def test_inspect_bad_file_exits_validation(self, tmp_path, capsys, blob):
         bad = tmp_path / "junk.uds"
-        bad.write_bytes(b"JUNKJUNKJUNK" + b"\x00" * 30)
+        bad.write_bytes(blob)
         assert cli.main(["dataset", "inspect", str(bad)]) == cli.EXIT_VALIDATION
 
     def test_missing_file_is_runtime_error(self, tmp_path):

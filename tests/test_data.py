@@ -7,6 +7,7 @@ import pytest
 from natmu import data, nn
 from natmu.errors import (
     BadMagicError,
+    DatasetFormatError,
     EmptyClassError,
     LabelRangeError,
     MissingTraceError,
@@ -23,7 +24,54 @@ def small_blobs(**overrides):
     return data.synth_blobs(**kwargs)
 
 
+def reference_uds(dataset) -> bytes:
+    """The UDS bytes of `dataset`, each part written as one record array."""
+    blob = data.MAGIC + struct.pack("<IIIII", len(dataset), dataset.height, dataset.width,
+                                    dataset.channels, dataset.k)
+    for part in dataset.parts:
+        records = np.zeros(len(part), dtype=[("label", "<u2"), ("pixels", "<f4", (part.dim,))])
+        records["label"] = part.labels
+        records["pixels"] = part.pixels
+        blob += records.tobytes()
+    return blob
+
+
 class TestUdsFormat:
+    @pytest.mark.parametrize("chunk", [1, 7, 120])  # a row, an odd size, the whole set
+    @pytest.mark.parametrize("rows, joined_at", [(0, None), (120, None), (120, 0),
+                                                 (120, 45), (120, 120)])
+    def test_chunked_writes_give_the_bytes_of_one_record_array(
+            self, tmp_path, monkeypatch, chunk, rows, joined_at):
+        monkeypatch.setattr(data, "SAVE_CHUNK", chunk)
+        ds = small_blobs().subset(np.arange(rows))
+        if joined_at is not None:
+            ds = data.concat(ds.subset(np.arange(joined_at)),
+                             ds.subset(np.arange(joined_at, rows)))
+        path = tmp_path / "chunked.uds"
+        data.save_raw(ds, str(path))
+        assert path.read_bytes() == reference_uds(ds)
+
+    def test_writing_keeps_no_copy_of_the_whole_set(self, tmp_path, traced_peak):
+        # a fine-tuning set at subclass-sgd's scale: 4500 remaining rows and
+        # 2000 hybrids of 16x16 pixels, 6.7 MB on disk
+        ds = data.synth_blobs(10, 650, 16, 16, 1, seed=1)
+        finetune = data.concat(ds.subset(np.arange(4500)), ds.subset(np.arange(4500, 6500)))
+        path = tmp_path / "finetune.uds"
+        _, peak = traced_peak(lambda: data.save_raw(finetune, str(path)))
+        # one record array per part and its bytes took 1.4 times the file
+        assert peak < 0.25 * path.stat().st_size
+
+    @pytest.mark.parametrize("field, header", [
+        ("H", (0, 2, 1, 3)), ("W", (2, 0, 1, 3)), ("C", (2, 2, 0, 3)),
+        ("K", (2, 2, 1, 1)), ("K", (2, 2, 1, 0))])
+    def test_zero_size_or_one_class_header_refused(self, tmp_path, field, header):
+        height, width, channels, k = header
+        path = tmp_path / "header.uds"
+        path.write_bytes(data.MAGIC + struct.pack("<IIIII", 2, *header)
+                         + bytes(2 * (2 + 4 * height * width * channels)))
+        with pytest.raises(DatasetFormatError, match=f"UDS header {field} must be >= "):
+            data.load_raw(str(path))
+
     def test_empty_dataset_roundtrip(self, tmp_path):
         ds = small_blobs().subset(np.array([], dtype=int))
         path = tmp_path / "empty.uds"
@@ -277,6 +325,11 @@ class TestSuperclass:
     def test_mapping_must_cover_classes(self):
         with pytest.raises(ValidationError):
             data.to_superclass(small_blobs(), [0, 0, 1])
+
+    @pytest.mark.parametrize("mapping", [[0] * 6, [2] * 6])
+    def test_mapping_to_one_class_refused(self, mapping):
+        with pytest.raises(ValidationError, match="mapping classes must be >= 2, got 1"):
+            data.to_superclass(small_blobs(), mapping)
 
     def test_negative_superclass_refused_for_uds_input(self, tmp_path):
         # a label of -1 would index the last class in training and never

@@ -80,6 +80,29 @@ class TestForward:
         with pytest.raises(TypeError):
             nn.predict_logits(model, pixels, chunk=256)
 
+    def test_inference_and_training_forwards_are_bit_equal(self):
+        model = nn.init_model([16, 12, 8, 5], seed=4)
+        x = np.random.default_rng(5).random((33, 16)).astype(np.float32)
+        before = x.copy()
+        acts = [x]  # each layer's input, as a new array per operation
+        for lyr in model.layers[:-1]:
+            acts.append(np.maximum(acts[-1] @ lyr.weight.T + lyr.bias, 0.0))
+        want = acts[-1] @ model.layers[-1].weight.T + model.layers[-1].bias
+        kept = []
+        assert np.array_equal(nn.forward(model, x, keep=kept), want)
+        assert np.array_equal(nn.forward(model, x), want)
+        assert len(kept) == len(acts) and all(map(np.array_equal, kept, acts))
+        assert np.array_equal(x, before)  # the in-place steps leave the batch alone
+
+    def test_predict_logits_keeps_no_activations(self, traced_peak):
+        model = nn.init_model([256, 64, 64, 10], seed=0)  # the run's model
+        pixels = np.random.default_rng(6).random((4500, 256), dtype=np.float32)
+        logits, peak = traced_peak(lambda: nn.predict_logits(model, pixels))
+        # a chunk's two hidden layers are alive at once, and nothing else of
+        # it; the parent's kept activations and per-step arrays took 3.2 MB
+        layer = nn.PREDICT_CHUNK * 64 * 4
+        assert peak < logits.nbytes + 2.5 * layer
+
     def test_dimension_mismatch_raises(self):
         model = nn.init_model([4, 3], seed=0)
         with pytest.raises(ShapeMismatchError):

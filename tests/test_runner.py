@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import platform
+import struct
 import subprocess
 import sys
 import tempfile
@@ -331,7 +332,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize("kind, superclass_map, match", [
         ("synth", "-1,0,1,1", "superclass labels must be >= 0, got -1"),
         ("synth", "0,0,1", "3 entries for k = 4"),
-        ("uds", "-1,0,1,1", "superclass labels must be >= 0, got -1")])
+        ("synth", "0,0,0,0", "classes must be >= 2, got 1"),
+        ("uds", "-1,0,1,1", "superclass labels must be >= 0, got -1"),
+        ("uds", "1,1,1,1", "classes must be >= 2, got 1")])
     def test_bad_superclass_map_fails_before_the_pretrain(self, tmp_path, monkeypatch,
                                                           kind, superclass_map, match):
         calls = []
@@ -353,6 +356,25 @@ class TestConfigParsing:
         assert cli.main(["run", "--config", str(path),
                          "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
         assert calls == []
+
+    @pytest.mark.parametrize("header", [(4, 0, 1, 2), (2, 2, 1, 1)])  # W = 0, K = 1
+    def test_zero_size_or_one_class_uds_fails_at_the_dataset_stage(self, tmp_path,
+                                                                    monkeypatch, header):
+        calls = []
+        monkeypatch.setattr(runner, "pretrain_model", lambda *a, **k: calls.append(a))
+        height, width, channels, _ = header
+        uds = tmp_path / "data.uds"
+        uds.write_bytes(data.MAGIC + struct.pack("<IIIII", 20, *header)
+                        + bytes(20 * (2 + 4 * height * width * channels)))
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[dataset]\nkind = uds\ntrain_path = {uds}\ntest_path = {uds}\n"
+                        "[forget]\nratio = 0.1\n[run]\nmethods = retrain\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(out)]) == cli.EXIT_VALIDATION
+        assert calls == [] and not (out / "seed_1").exists()
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error == {"stage": "seed1/dataset", "type": "DatasetFormatError"}
 
     def test_readme_full_surface_block_loads(self, tmp_path):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
