@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, builder, data, masks, metrics
 from .errors import NatmuError, ValidationError
-from .methods import METHOD_NAMES, natmu_finetune_set, natmu_hybrids
+from .methods import METHODS, natmu_finetune_set, natmu_hybrids
 from .runner import SynthSpec, load_config, prepare_seed, run_experiment, write_report_csv
 
 EXIT_OK = 0
@@ -79,7 +79,7 @@ def build_parser() -> _Parser:
     build.add_argument("--provenance", default=None, help="JSON-lines sidecar path")
 
     un = sub.add_parser("unlearn", parents=[seeded], help="run one unlearning method")
-    un.add_argument("--method", choices=METHOD_NAMES, required=True)
+    un.add_argument("--method", choices=tuple(METHODS), required=True)
     un.add_argument("--model", default=None,
                     help="original model checkpoint (for retrain, optional: only "
                          "its trace record is read; without it, a retrain in "
@@ -91,7 +91,7 @@ def build_parser() -> _Parser:
                         help="metrics report against a retrain reference")
     ev.add_argument("--model", required=True)
     ev.add_argument("--retrain", required=True)
-    ev.add_argument("--method", choices=METHOD_NAMES, default=None,
+    ev.add_argument("--method", choices=tuple(METHODS), default=None,
                     help="method that produced the model; enables the KL column")
     ev.add_argument("--out", required=True)
     ev.add_argument("--hist-prefix", default=None,

@@ -2,7 +2,8 @@
 
 UDS file layout: magic ``UDS1``; little-endian u32 fields N, H, W, C, K;
 then N records of (u16 label, H*W*C little-endian f32 pixels in [0, 1]).
-Pixels are stored flattened in (row, column, channel) order.
+Pixels are stored flattened in (row, column, channel) order. `save_raw` and
+`load_raw` refuse one header alike (`check_header`).
 
 Datasets are immutable after construction and safe for shared reads. Every
 instance carries a stable integer id (its index in the originating set),
@@ -40,6 +41,8 @@ DEFAULT_SPREAD = 0.9
 # Classes a dataset needs, be it synthetic, read from a UDS file or mapped to
 # superclasses: a classifier of one class has nothing to learn or forget.
 MIN_CLASSES = 2
+# Classes a UDS file can hold: its labels are u16.
+MAX_UDS_CLASSES = 1 << 16
 
 
 @dataclass
@@ -70,6 +73,7 @@ class Dataset:
         return self.height * self.width * self.channels
 
     def validate(self) -> None:
+        check_header(self.height, self.width, self.channels, self.k)
         if self.pixels.ndim != 2 or self.pixels.shape[1] != self.dim:
             raise ValidationError("pixel array does not match H*W*C")
         if len(self.labels) != len(self.pixels) or len(self.ids) != len(self.pixels):
@@ -121,6 +125,16 @@ def _check_least(what: str, least: dict, where: str = "", error=ValidationError)
     for name, (value, bound) in least.items():
         if not value >= bound:
             raise error(f"{what} {name} must be >= {bound}, got {value}{where}")
+
+
+def check_header(height: int, width: int, channels: int, k: int, where: str = "",
+                 error=ValidationError) -> None:
+    """The UDS header rule, kept by the files `save_raw` writes and `load_raw`
+    reads: H, W and C at least 1, and K from 2 to MAX_UDS_CLASSES."""
+    _check_least("UDS header", {"H": (height, 1), "W": (width, 1), "C": (channels, 1),
+                               "K": (k, MIN_CLASSES)}, where, error)
+    if k > MAX_UDS_CLASSES:
+        raise error(f"UDS header K must be <= {MAX_UDS_CLASSES}, got {k}{where}")
 
 
 def concat(first: Dataset, second: Dataset) -> "Joined":
@@ -235,8 +249,7 @@ def load_raw(path: str) -> Dataset:
     if len(blob) < 24:
         raise TruncatedPayloadError(f"truncated UDS header in {path}")
     n, height, width, channels, k = struct.unpack_from("<IIIII", blob, 4)
-    _check_least("UDS header", {"H": (height, 1), "W": (width, 1), "C": (channels, 1),
-                               "K": (k, MIN_CLASSES)}, f" in {path}", DatasetFormatError)
+    check_header(height, width, channels, k, f" in {path}", DatasetFormatError)
     dim = height * width * channels
     record = 2 + 4 * dim
     if len(blob) != 24 + n * record:

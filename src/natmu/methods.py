@@ -8,14 +8,16 @@ independent runs are reproducible and order-independent.
 """
 
 import functools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .builder import NATMU, HybridSet, build_finetune_dataset, build_unlearning_set
+from .builder import NATMU, VARIANTS, HybridSet, build_finetune_dataset, build_unlearning_set
 from .data import Dataset, concat
 from .errors import RetrainIsolationError, ValidationError
-from .masks import build_mask_set
+from .masks import MASK_FAMILIES, build_mask_set
 from .nn import (
     Ascent,
     Job,
@@ -56,13 +58,18 @@ class MethodParams:
             raise ValidationError(f"temperature must be > 0, got {self.temperature}")
         if self.ascent_coefficient < 0:
             raise ValidationError(
-                f"ascent coefficient must be >= 0, got {self.ascent_coefficient}"
-            )
+                f"ascent coefficient must be >= 0, got {self.ascent_coefficient}")
+        if not math.isfinite(self.delta):
+            raise ValidationError(f"delta must be finite, got {self.delta}")
+        for name, value, known in (("mask family", self.mask_family, MASK_FAMILIES),
+                                   ("variant", self.variant, VARIANTS)):
+            if value not in known:
+                raise ValidationError(f"unknown {name} {value!r}; expected one of {known}")
 
 
 @dataclass
 class UnlearnRequest:
-    model: Model | None  # None: only for the sets outside SETS_FROM_MODEL
+    model: Model | None  # None: only for a method whose sets never read it
     d_f: Dataset
     d_r: Dataset
     config: TrainConfig
@@ -137,33 +144,23 @@ class IsolationCheck:
 
 
 # ---------------------------------------------------------------------------
-# hybrid-injection fine-tuning
+# the unlearners: their sets, the method table, and the entry points
 
 
 @_once_per_request
 def natmu_hybrids(request: UnlearnRequest) -> HybridSet:
-    """The hybrids this method fine-tunes on (deterministic)."""
+    """The hybrids natmu fine-tunes on (deterministic)."""
     p = request.params
     masks = build_mask_set(p.mask_family, request.d_f.height, request.d_f.width,
                            p.delta, p.cutmix_edge)
     return build_unlearning_set(
         request.d_f, request.d_r, request.model, masks, variant=p.variant,
-        seed=derive_seed(request.seed, "build"), n=p.n,
-        shuffle_masks=p.shuffle_masks)
+        seed=derive_seed(request.seed, "build"), n=p.n, shuffle_masks=p.shuffle_masks)
 
 
 def natmu_finetune_set(request: UnlearnRequest) -> Dataset:
-    """The fine-tuning dataset this method trains on: the remaining set,
-    then the hybrids."""
+    """The fine-tuning dataset natmu trains on: the remaining set, then the hybrids."""
     return build_finetune_dataset(request.d_r, natmu_hybrids(request))
-
-
-def unlearn_natmu(request: UnlearnRequest, pending: Pending | None = None) -> Model:
-    return _unlearned("natmu", request, pending)
-
-
-# ---------------------------------------------------------------------------
-# random relabeling
 
 
 @_once_per_request
@@ -176,14 +173,6 @@ def amnesiac_relabeled(request: UnlearnRequest) -> Dataset:
     draws = rng.integers(0, d_f.k - 1, size=len(d_f))
     relabeled = np.where(draws >= d_f.labels, draws + 1, draws)
     return replace(d_f, labels=relabeled.astype(np.int64))
-
-
-def unlearn_amnesiac(request: UnlearnRequest, pending: Pending | None = None) -> Model:
-    return _unlearned("amnesiac", request, pending)
-
-
-# ---------------------------------------------------------------------------
-# bad-teacher distillation
 
 
 @_once_per_request
@@ -203,64 +192,60 @@ def badteacher_targets(request: UnlearnRequest) -> tuple[Dataset, Dataset]:
     return d_r, d_f
 
 
-def unlearn_badteacher(request: UnlearnRequest, pending: Pending | None = None) -> Model:
-    return _unlearned("badteacher", request, pending)
-
-
-# ---------------------------------------------------------------------------
-# descent on remaining, ascent on forgetting
-
-
-def unlearn_neggrad_plus(request: UnlearnRequest, pending: Pending | None = None) -> Model:
-    """Each step descends on a remaining batch and ascends on a forgetting
-    batch: loss(remaining) - alpha * loss(forgetting).
+def ascent_training_set(request: UnlearnRequest):
+    """NegGrad+'s set: each step descends on a remaining batch and ascends on
+    a forgetting batch, loss(remaining) - alpha * loss(forgetting).
 
     Remaining batches follow the same seeded order as plain training, so
     alpha = 0 reproduces pure remaining-data fine-tuning exactly. The
-    forgetting set cycles with a reshuffle per epoch. Aborts if the
+    forgetting set cycles with a reshuffle per epoch. Training aborts if the
     combined loss turns non-finite.
     """
-    return _unlearned("neggrad", request, pending)
+    if len(request.d_r) == 0 or len(request.d_f) == 0:
+        raise ValidationError("need non-empty remaining and forgetting sets")
+    return request.d_r, 1.0, Ascent(request.d_f, request.params.ascent_coefficient,
+                                    derive_seed(request.seed, "forget_order"))
 
 
-UNLEARN_METHODS = {
-    "natmu": unlearn_natmu,
-    "amnesiac": unlearn_amnesiac,
-    "badteacher": unlearn_badteacher,
-    "neggrad": unlearn_neggrad_plus,
+@dataclass(frozen=True)
+class Method:
+    """One method's facts, held under its name in `METHODS` in the CLI's order.
+    Its callables call the set builders by their names here, so patches reach them."""
+
+    params: tuple[str, ...] = ()  # the MethodParams fields it reads: its [method.X] keys
+    reads_model: bool = False     # whether its sets read the request's model
+    # request -> (dataset, temperature, ascent or None) it fine-tunes on; None: the retrain
+    training_set: Callable[[UnlearnRequest], tuple] | None = None
+    # request -> the relabeled set its naturalness KL is taken over; None: it relabels nothing
+    kl_set: Callable[[UnlearnRequest], Dataset] | None = None
+
+
+METHODS = {
+    "retrain": Method(),
+    "natmu": Method(
+        ("n", "delta", "mask_family", "cutmix_edge", "shuffle_masks", "variant",
+         "reinit_final_layer"), reads_model=True,
+        training_set=lambda r: (natmu_finetune_set(r), 1.0, None),
+        kl_set=lambda r: natmu_hybrids(r).data),
+    "amnesiac": Method(
+        ("reinit_final_layer",),
+        training_set=lambda r: (concat(r.d_r, amnesiac_relabeled(r)), 1.0, None),
+        kl_set=lambda r: amnesiac_relabeled(r)),
+    "badteacher": Method(
+        ("temperature", "reinit_final_layer"), reads_model=True,
+        training_set=lambda r: (concat(*badteacher_targets(r)), r.params.temperature, None),
+        kl_set=lambda r: badteacher_targets(r)[1]),
+    "neggrad": Method(("ascent_coefficient", "reinit_final_layer"),
+                      training_set=ascent_training_set),
 }
-
-METHOD_NAMES = ("retrain",) + tuple(UNLEARN_METHODS)
-# the MethodParams fields each method reads, the only keys its [method.X] section takes
-METHOD_PARAMS = {
-    "retrain": (),
-    "natmu": ("n", "delta", "mask_family", "cutmix_edge", "shuffle_masks", "variant",
-              "reinit_final_layer"),
-    "amnesiac": ("reinit_final_layer",),
-    "badteacher": ("temperature", "reinit_final_layer"),
-    "neggrad": ("ascent_coefficient", "reinit_final_layer"),
-}
-SETS_FROM_MODEL = ("natmu", "badteacher")  # unlearning sets that read the request's model
 
 
 def unlearn_job(method: str, request: UnlearnRequest) -> Job:
     """Unlearning `method`'s training job: `request`'s model (its final layer
     re-initialized if the params say so) fine-tuned on the method's set."""
-    params, temperature, ascent = request.params, 1.0, None
-    if method == "natmu":
-        dataset = natmu_finetune_set(request)
-    elif method == "amnesiac":
-        dataset = concat(request.d_r, amnesiac_relabeled(request))
-    elif method == "badteacher":
-        dataset, temperature = concat(*badteacher_targets(request)), params.temperature
-    else:  # neggrad: the remaining set, with the forgetting set as its ascent stream
-        if len(request.d_r) == 0 or len(request.d_f) == 0:
-            raise ValidationError("need non-empty remaining and forgetting sets")
-        dataset = request.d_r
-        ascent = Ascent(request.d_f, params.ascent_coefficient,
-                        derive_seed(request.seed, "forget_order"))
+    dataset, temperature, ascent = METHODS[method].training_set(request)
     model = request.model
-    if params.reinit_final_layer:
+    if request.params.reinit_final_layer:
         model = model.copy()
         reinit_layer(model, -1, derive_seed(request.seed, "reinit"))
     config = request.config.with_seed(derive_seed(request.seed, "finetune"))
@@ -272,13 +257,27 @@ def _unlearned(method: str, request: UnlearnRequest, pending: Pending | None) ->
     return train(*unlearn_job(method, request)) if pending is None else pending.result()
 
 
+def unlearn_natmu(request: UnlearnRequest, pending: Pending | None = None) -> Model:
+    return _unlearned("natmu", request, pending)
+
+
+def unlearn_amnesiac(request: UnlearnRequest, pending: Pending | None = None) -> Model:
+    return _unlearned("amnesiac", request, pending)
+
+
+def unlearn_badteacher(request: UnlearnRequest, pending: Pending | None = None) -> Model:
+    return _unlearned("badteacher", request, pending)
+
+
+def unlearn_neggrad_plus(request: UnlearnRequest, pending: Pending | None = None) -> Model:
+    return _unlearned("neggrad", request, pending)
+
+
+UNLEARN_METHODS = {"natmu": unlearn_natmu, "amnesiac": unlearn_amnesiac,
+                   "badteacher": unlearn_badteacher, "neggrad": unlearn_neggrad_plus}
+
+
 def unlearning_dataset(method: str, request: UnlearnRequest) -> Dataset | None:
-    """The relabeled instances a method fine-tunes on, for naturalness
-    evaluation; None for methods that never relabel."""
-    if method == "natmu":
-        return natmu_hybrids(request).data
-    if method == "amnesiac":
-        return amnesiac_relabeled(request)
-    if method == "badteacher":
-        return badteacher_targets(request)[1]
-    return None
+    """The relabeled instances `method` fine-tunes on, for its naturalness KL; else None."""
+    kl_set = METHODS[method].kl_set
+    return None if kl_set is None else kl_set(request)

@@ -48,6 +48,7 @@ from .errors import (
     ValidationError,
     WorkerDiedError,
 )
+from .masks import CUTMIX_CORNER
 from .metrics import (
     accuracy,
     accuracy_of_logits,
@@ -59,9 +60,7 @@ from .metrics import (
     mia_ratio,
 )
 from .methods import (
-    METHOD_NAMES,
-    METHOD_PARAMS,
-    SETS_FROM_MODEL,
+    METHODS,
     UNLEARN_METHODS,
     MethodParams,
     UnlearnRequest,
@@ -122,8 +121,8 @@ class ExperimentConfig:
         if not self.methods or len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"need one or more distinct methods, got {list(self.methods)}")
         for m in (*self.methods, *self.method_params):
-            if m not in METHOD_NAMES:
-                raise ConfigError(f"unknown method {m!r}; expected one of {METHOD_NAMES}")
+            if m not in METHODS:
+                raise ConfigError(f"unknown method {m!r}; expected one of {tuple(METHODS)}")
         if self.synth is not None:
             s = self.synth
             check_synth(s.k, s.height, s.width, s.channels, s.spread,
@@ -131,7 +130,7 @@ class ExperimentConfig:
             k = s.k
             if self.superclass_map is not None:
                 k = int(check_superclass_map(self.superclass_map, k).max()) + 1
-            self.check_natmu_n(k)
+            self.check_natmu(k, s.height, s.width)
         paths = [path for path in (self.train_path, self.test_path) if path]
         if len(paths) != (2 if self.synth is None else 0):
             raise ConfigError("a synth dataset takes no train_path or test_path; "
@@ -143,13 +142,21 @@ class ExperimentConfig:
         if self.synth is not None and spec.mode != "class":
             forget_count(spec.ratio, self.synth.k * self.synth.per_class)
 
-    def check_natmu_n(self, k: int) -> None:
+    def check_natmu(self, k: int, height: int, width: int) -> None:
         """Refuse a natmu `n` above K-1, the categories a hybrid can take
-        among the training set's `k` classes."""
-        n = self.params_for("natmu").n
-        if "natmu" in (*self.methods, *self.method_params) and n > k - 1:
-            raise ConfigError(f"[method.natmu] n = {n} exceeds K-1 = {k - 1}, "
+        among the training set's `k` classes, and a cutmix-corner edge outside
+        [0, min(height, width)], the patches its images can hold."""
+        if "natmu" not in (*self.methods, *self.method_params):
+            return
+        p = self.params_for("natmu")
+        if p.n > k - 1:
+            raise ConfigError(f"[method.natmu] n = {p.n} exceeds K-1 = {k - 1}, "
                               "the categories a hybrid can take")
+        edge = min(height, width)
+        if (p.mask_family == CUTMIX_CORNER and p.cutmix_edge is not None
+                and not 0 <= p.cutmix_edge <= edge):
+            raise ConfigError(f"[method.natmu] cutmix_edge = {p.cutmix_edge} is outside "
+                              f"[0, {edge}], the patches a {height}x{width} image can hold")
 
     def forget_spec(self, seed: int = 0) -> ForgettingSpec:
         return ForgettingSpec(mode=self.forget_mode, ratio=self.forget_ratio,
@@ -253,8 +260,8 @@ def _config_from_sections(sections: dict) -> ExperimentConfig:
     for name, section in sections.items():
         if name.startswith("method."):
             method = name[len("method."):]
-            read = METHOD_PARAMS.get(method)  # validate refuses an unknown method
-            keys = None if read is None else {key: key for key in read}
+            known = METHODS.get(method)  # validate refuses an unknown method
+            keys = None if known is None else {key: key for key in known.params}
             cfg.method_params[method] = _take(section, MethodParams(), keys)
     unknown = [f"[{name}] {key}" for name, section in sections.items() for key in section]
     if unknown:
@@ -493,10 +500,10 @@ class PreparedSeed:
         `request` built (by default one on the original model, trained only if
         the set reads it)."""
         kl = 0.0 if method == "retrain" else None
-        if method in UNLEARN_METHODS:
+        record = METHODS.get(method)
+        if record is not None and record.training_set is not None:  # an unlearner
             if request is None:
-                original = self.original if method in SETS_FROM_MODEL else None
-                request = self.request(method, original)
+                request = self.request(method, self.original if record.reads_model else None)
             kl_set = unlearning_dataset(method, request)
             kl = None if kl_set is None else kl_avg(model_r, kl_set)
         return evaluate_model(model, self.d_r, self.d_f, self.test, self.spec), kl
@@ -517,7 +524,8 @@ def prepare_seed(config: ExperimentConfig, root: int,
     spec = config.forget_spec(seeds["forget"])
     with stage("dataset"):
         train_ds, test_ds = materialize_data(config, seeds["dataset"])
-        config.check_natmu_n(train_ds.k)  # over UDS files K and N are known only now
+        # over UDS files K, N and the image size are known only now
+        config.check_natmu(train_ds.k, train_ds.height, train_ds.width)
         if spec.mode != "class":
             forget_count(spec.ratio, len(train_ds))
     model_o = counts = original_path = key = None

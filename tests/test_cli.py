@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import hashlib
 import json
@@ -79,6 +80,15 @@ class TestDatasetCommands:
         assert not out.exists()
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
+    def test_synth_with_more_classes_than_u16_labels_hold_writes_nothing(self, tmp_path,
+                                                                         capsys):
+        out = tmp_path / "wide.uds"
+        assert cli.main(["dataset", "synth", "--out", str(out), "--k", "65537",
+                         "--per-class", "1", "--height", "1", "--width", "1"]) == \
+            cli.EXIT_VALIDATION
+        assert not out.exists()
+        assert "UDS header K must be <= 65536" in capsys.readouterr().err
+
     @pytest.mark.parametrize("blob", [
         b"JUNKJUNKJUNK" + b"\x00" * 30,
         data.MAGIC + struct.pack("<IIIII", 3, 4, 0, 1, 2) + bytes(3 * 2),  # W = 0
@@ -156,6 +166,14 @@ class TestPipelineCommands:
         hist_rows = (tmp_path / "hist_forget.csv").read_text().splitlines()
         assert hist_rows[0] == "bin_left,count"
         assert sum(int(r.split(",")[1]) for r in hist_rows[1:]) == 12
+
+    @pytest.mark.parametrize("command", ["unlearn", "evaluate"])
+    def test_method_choices_are_the_method_table(self, command):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in commands.choices[command]._actions if a.dest == "method")
+        assert method.choices == tuple(methods.METHODS) == (
+            "retrain", "natmu", "amnesiac", "badteacher", "neggrad")
 
     @pytest.mark.parametrize("method", ["amnesiac", "badteacher", "neggrad"])
     def test_unlearn_each_method(self, tmp_path, config_path, method):
@@ -242,6 +260,15 @@ class TestPipelineCommands:
         out = tmp_path / "finetune.uds"
         assert cli.main(["build", "--config", config_path, "--model",
                          str(tmp_path / "m.nmu"), "--n", n, "--out", str(out)]) == \
+            cli.EXIT_VALIDATION
+        assert calls == [] and not out.exists()
+
+    def test_bad_build_delta_exits_before_any_work(self, tmp_path, config_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "prepare_seed", lambda *a, **k: calls.append(a))
+        out = tmp_path / "finetune.uds"
+        assert cli.main(["build", "--config", config_path, "--model",
+                         str(tmp_path / "m.nmu"), "--delta", "nan", "--out", str(out)]) == \
             cli.EXIT_VALIDATION
         assert calls == [] and not out.exists()
 

@@ -72,6 +72,34 @@ class TestUdsFormat:
         with pytest.raises(DatasetFormatError, match=f"UDS header {field} must be >= "):
             data.load_raw(str(path))
 
+    def test_header_with_more_classes_than_u16_labels_hold_refused(self, tmp_path):
+        path = tmp_path / "header.uds"
+        path.write_bytes(data.MAGIC + struct.pack("<IIIII", 1, 1, 1, 1, 65537) + bytes(6))
+        with pytest.raises(DatasetFormatError, match="UDS header K must be <= 65536, got 65537"):
+            data.load_raw(str(path))
+
+    @pytest.mark.parametrize("field, header", [
+        ("H", (0, 2, 1, 3)), ("W", (2, 0, 1, 3)), ("C", (2, 2, 0, 3)),
+        ("K", (2, 2, 1, 1)), ("K", (1, 1, 1, 65537))])
+    def test_save_refuses_what_load_refuses_and_writes_nothing(self, tmp_path, field, header):
+        height, width, channels, k = header
+        ds = data.Dataset(pixels=np.zeros((2, height * width * channels), dtype=np.float32),
+                          labels=np.array([0, 0]), height=height, width=width,
+                          channels=channels, k=k)
+        path = tmp_path / "bad.uds"
+        with pytest.raises(ValidationError, match=f"UDS header {field} must be"):
+            data.save_raw(ds, str(path))
+        assert not path.exists()
+
+    def test_largest_header_roundtrips(self, tmp_path):
+        ds = data.Dataset(pixels=np.zeros((2, 1), dtype=np.float32),
+                          labels=np.array([0, 65535]), height=1, width=1, channels=1,
+                          k=65536)
+        path = tmp_path / "wide.uds"
+        data.save_raw(ds, str(path))
+        loaded = data.load_raw(str(path))
+        assert loaded.k == 65536 and loaded.labels.tolist() == [0, 65535]
+
     def test_empty_dataset_roundtrip(self, tmp_path):
         ds = small_blobs().subset(np.array([], dtype=int))
         path = tmp_path / "empty.uds"

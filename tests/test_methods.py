@@ -371,24 +371,84 @@ class TestJoinedSets:
         assert np.array_equal(trained["joined"].flat, trained["whole"].flat)
 
 
+def columns(dataset):
+    """The columns of `dataset` (joined or not) as one `Dataset`'s, or None."""
+    if dataset is None:
+        return None
+    whole = dataset.subset(np.arange(len(dataset)))
+    return whole.pixels, whole.labels, whole.ids, whole.soft_labels
+
+
+def same_columns(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return all(x is y if x is None or y is None else np.array_equal(x, y)
+               for x, y in zip(columns(a), columns(b)))
+
+
+class TestMethodTable:
+    """`METHODS`: one record per method, the retrain included."""
+
+    def test_the_unlearners_are_the_table_without_the_retrain(self):
+        assert list(methods.UNLEARN_METHODS) == [m for m in methods.METHODS if m != "retrain"]
+
+    @pytest.mark.parametrize("method", [m for m, record in methods.METHODS.items()
+                                        if not record.reads_model])
+    def test_a_set_that_does_not_read_the_model_is_built_without_it(self, world, method):
+        on_model, without = make_request(world), make_request(world, model=None)
+        assert same_columns(methods.unlearning_dataset(method, on_model),
+                            methods.unlearning_dataset(method, without))
+        training_set = methods.METHODS[method].training_set
+        if training_set is not None:
+            assert same_columns(training_set(on_model)[0], training_set(without)[0])
+
+    @pytest.mark.parametrize("method, column", [("natmu", "labels"),
+                                                ("badteacher", "soft_labels")])
+    def test_a_set_that_reads_the_model_changes_with_it(self, world, method, column):
+        """Another model ranks other hybrid categories (natmu) and gives the
+        remaining set other soft labels (badteacher)."""
+        ds = world[0]
+        other = nn.init_model(methods.default_dims(ds.dim, ds.k), seed=45)
+        assert methods.METHODS[method].reads_model
+        sets = [columns(methods.METHODS[method].training_set(make_request(world, model=m))[0])
+                for m in (world[3], other)]
+        index = ("pixels", "labels", "ids", "soft_labels").index(column)
+        assert not np.array_equal(sets[0][index], sets[1][index])
+
+    @pytest.mark.parametrize("method, builder, calls", [
+        ("natmu", "natmu_finetune_set", 1), ("natmu", "natmu_hybrids", 2),
+        ("amnesiac", "amnesiac_relabeled", 2), ("badteacher", "badteacher_targets", 2)])
+    def test_the_records_call_the_builders_by_their_module_names(
+            self, world, monkeypatch, method, builder, calls):
+        """A builder patched on the module (as a tracer patches it) is the one
+        the training set and the KL set call."""
+        seen = []
+        real = getattr(methods, builder)
+        monkeypatch.setattr(methods, builder, lambda request: seen.append(1) or real(request))
+        request = make_request(world)
+        methods.unlearn_job(method, request)
+        methods.unlearning_dataset(method, request)
+        assert len(seen) == calls
+
+
 class TestMethodParams:
-    """`METHOD_PARAMS` names the `MethodParams` fields each method reads."""
+    """`METHODS` names the `MethodParams` fields each method reads."""
 
     OTHER = {"n": 2, "delta": -0.1, "mask_family": "constant", "cutmix_edge": 2,
              "shuffle_masks": True, "variant": "multi_label", "temperature": 3.0,
              "ascent_coefficient": 0.5, "reinit_final_layer": True}
 
     def test_table_names_every_method_and_only_fields(self):
-        assert set(methods.METHOD_PARAMS) == set(methods.METHOD_NAMES)
+        assert set(methods.METHODS) == {"retrain", *methods.UNLEARN_METHODS}
         names = {f.name for f in fields(methods.MethodParams)}
         assert set(self.OTHER) == names
-        assert all(set(read) <= names for read in methods.METHOD_PARAMS.values())
-        assert sum(map(len, methods.METHOD_PARAMS.values())) == 12
+        assert all(set(m.params) <= names for m in methods.METHODS.values())
+        assert sum(len(m.params) for m in methods.METHODS.values()) == 12
 
     @pytest.mark.parametrize("method", list(methods.UNLEARN_METHODS))
     def test_fields_a_method_does_not_read_change_nothing(self, world, method):
         unread = {name: value for name, value in self.OTHER.items()
-                  if name not in methods.METHOD_PARAMS[method]}
+                  if name not in methods.METHODS[method].params}
         base = make_request(world)
         other = make_request(world, params=replace(methods.MethodParams(), **unread))
         assert np.array_equal(methods.UNLEARN_METHODS[method](base).flat,

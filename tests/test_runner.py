@@ -25,7 +25,7 @@ from natmu.errors import (
     RetrainIsolationError,
     ValidationError,
 )
-from natmu.methods import METHOD_NAMES, MethodParams
+from natmu.methods import METHODS, MethodParams
 from natmu.nn import predict_logits
 
 REPO = Path(__file__).resolve().parents[1]
@@ -308,6 +308,42 @@ class TestConfigParsing:
                          "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
         assert calls == []
 
+    @pytest.mark.parametrize("params, match", [
+        ("variant = bogus", "unknown variant 'bogus'"),
+        ("mask_family = bogus", "unknown mask family 'bogus'"),
+        ("delta = nan", "delta must be finite, got nan"),
+        ("mask_family = cutmix-corner\ncutmix_edge = 99",
+         r"cutmix_edge = 99 is outside \[0, 4\]"),
+        ("mask_family = cutmix-corner\ncutmix_edge = -1",
+         r"cutmix_edge = -1 is outside \[0, 4\]")])
+    def test_bad_natmu_params_fail_before_any_data(self, tmp_path, monkeypatch, params, match):
+        calls = []
+        monkeypatch.setattr(runner, "synth_blobs", lambda *a, **k: calls.append(a))
+        path = tmp_path / "bad.cfg"
+        path.write_text("[dataset]\nk = 3\nheight = 4\nwidth = 4\nper_class = 20\n"
+                        f"[run]\nmethods = retrain,natmu\n[method.natmu]\nn = 2\n{params}\n")
+        with pytest.raises(ConfigError, match=match):
+            runner.load_config(str(path))
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+        assert calls == []
+
+    def test_cutmix_edge_past_the_uds_images_fails_before_the_pretrain(self, tmp_path,
+                                                                       monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner, "pretrain_model", lambda *a, **k: calls.append(a))
+        for split in ("train", "test"):
+            data.save_raw(data.synth_blobs(6, 10, 4, 3, 1, seed=1, split=split),
+                          str(tmp_path / f"{split}.uds"))
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[dataset]\nkind = uds\ntrain_path = {tmp_path / 'train.uds'}\n"
+                        f"test_path = {tmp_path / 'test.uds'}\n[run]\nmethods = retrain,natmu\n"
+                        "[method.natmu]\nmask_family = cutmix-corner\ncutmix_edge = 4\n")
+        runner.load_config(str(path))  # the image size is known only once the files are read
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+        assert calls == []
+
     @pytest.mark.parametrize("superclass_map", [None, "0,0,1,1,2,2"])  # K = 6, K = 3
     def test_natmu_n_above_k_minus_1_over_uds_fails_before_the_pretrain(
             self, tmp_path, monkeypatch, superclass_map):
@@ -394,7 +430,7 @@ class TestConfigParsing:
         for f in fields(runner.ExperimentConfig):
             if f.name not in run_fields:
                 assert getattr(desk, f.name) == getattr(default, f.name), f.name
-        for method in METHOD_NAMES:
+        for method in METHODS:
             assert desk.params_for(method) == default.params_for(method), method
 
     def test_hash_tracks_semantic_fields_only(self, mini_config):
