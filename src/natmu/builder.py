@@ -21,7 +21,6 @@ import numpy as np
 
 from .data import Dataset, concat
 from .errors import CategoryExhaustedError, ShapeMismatchError, ValidationError
-from .masks import WeightingMask
 from .nn import Model, predict_logits
 from .seeding import derive_seed
 
@@ -117,7 +116,7 @@ def _mask_plan(n: int, family_size: int, seed: int, shuffle: bool) -> np.ndarray
 
 
 def build_unlearning_set(d_f: Dataset, d_r: Dataset, model_o: Model,
-                         mask_set: list[WeightingMask], variant: str = NATMU,
+                         mask_set: list[np.ndarray], variant: str = NATMU,
                          seed: int = 0, n: int | None = None,
                          shuffle_masks: bool = False) -> HybridSet:
     """n hybrids per forgetting sample, in forgetting-set order.
@@ -140,7 +139,7 @@ def build_unlearning_set(d_f: Dataset, d_r: Dataset, model_o: Model,
     if variant == MULTI_LABEL:
         pixels = np.repeat(d_f.pixels, n, axis=0)
     else:
-        family = np.stack([mask.flat(d_f.channels) for mask in mask_set])
+        family = np.repeat(np.stack(mask_set).reshape(len(mask_set), -1), d_f.channels, axis=1)
         pixels = np.empty((len(d_f) * n, d_f.dim), dtype=np.float32)
         blended = pixels.reshape(len(d_f), n, d_f.dim)
         for start in range(0, len(d_f), BLEND_CHUNK):

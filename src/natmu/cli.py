@@ -111,6 +111,10 @@ def build_parser() -> _Parser:
 
 def _cmd_dataset(args) -> int:
     if args.dataset_command == "synth":
+        # synth's rules, then the header rule `save_raw` keeps, before any data is made
+        data.check_synth(args.k, args.height, args.width, args.channels, args.spread,
+                         per_class=args.per_class)
+        data.check_header(args.height, args.width, args.channels, args.k)
         ds = data.synth_blobs(args.k, args.per_class, args.height, args.width,
                               args.channels, spread=args.spread, seed=args.seed,
                               split=args.split)

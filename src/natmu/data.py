@@ -383,7 +383,7 @@ def split_forget(dataset: Dataset, spec: ForgettingSpec,
         rng = np.random.default_rng(spec.seed)
         chosen = np.sort(rng.choice(n, size=size, replace=False))
     elif spec.mode == "class":
-        chosen = _class_rows(dataset, spec, "instances")
+        chosen = class_rows(dataset, spec, "instances")
     else:
         if counts is None:
             raise MissingTraceError("difficult-sample forgetting needs a training trace")
@@ -401,10 +401,10 @@ def forgetting_test_subset(test_set: Dataset, spec: ForgettingSpec) -> Dataset:
     """Test instances of the forgetting class (class-wise scenarios only)."""
     if spec.mode != "class":
         raise ValidationError("test subset of the forgetting class needs class mode")
-    return test_set.subset(_class_rows(test_set, spec, "test instances"))
+    return test_set.subset(class_rows(test_set, spec, "test instances"))
 
 
-def _class_rows(dataset: Dataset, spec: ForgettingSpec, what: str) -> np.ndarray:
+def class_rows(dataset: Dataset, spec: ForgettingSpec, what: str) -> np.ndarray:
     """Row positions of the forgetting class in `dataset`, by fine label under
     sub scope; an EmptyClassError says the class has no `what`."""
     if spec.scope == "sub":

@@ -219,9 +219,12 @@ def backward(model: Model, batch: np.ndarray, labels=None, soft_targets=None,
 # bit-identical to it.
 
 
+MOMENTUM = 0.9  # SgdMomentum
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW
+
+
 class SgdMomentum:
-    def __init__(self, flat: np.ndarray, momentum: float = 0.9):
-        self.momentum = momentum
+    def __init__(self, flat: np.ndarray):
         self.velocity = np.zeros_like(flat)
         self._scratch = np.empty_like(flat)
 
@@ -231,7 +234,7 @@ class SgdMomentum:
     def step(self, model: Model, grads: Model, lr: float, weight_decay: float):
         p, g = model.flat, grads.flat
         v, s = self.velocity, self._scratch
-        v *= self.momentum
+        v *= MOMENTUM
         v += g
         p -= np.multiply(v, lr, out=s)  # p -= lr * v
         if weight_decay:
@@ -241,11 +244,7 @@ class SgdMomentum:
 class AdamW:
     """Adaptive moments with decoupled weight decay applied after the step."""
 
-    def __init__(self, flat: np.ndarray, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, flat: np.ndarray):
         self.t = 0
         self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
         self._scratch = (np.empty_like(flat), np.empty_like(flat))
@@ -258,16 +257,16 @@ class AdamW:
         m, v = self.m, self.v
         s, d = self._scratch
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=s)  # m += (1 - b1) * g
-        v *= self.beta2
-        v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=s), g, out=s)  # (1 - b2) * g * g
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=s)  # m += (1 - b1) * g
+        v *= BETA2
+        v += np.multiply(np.multiply(g, 1.0 - BETA2, out=s), g, out=s)  # (1 - b2) * g * g
         # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
         np.multiply(np.divide(m, c1, out=s), lr, out=s)
         np.sqrt(np.divide(v, c2, out=d), out=d)
-        d += self.eps
+        d += EPS
         p -= np.divide(s, d, out=s)
         if weight_decay:
             p -= np.multiply(p, lr * weight_decay, out=s)  # p -= lr * wd * p
@@ -374,7 +373,8 @@ def train(model: Model, dataset, config: TrainConfig, temperature: float = 1.0,
     bit-identical parameters. Soft-labeled datasets are trained with the
     tempered KL loss. A step whose loss (descent minus alpha times ascent)
     or, with an ascent stream, whose combined gradient is not finite raises
-    DivergenceError before the update.
+    DivergenceError before the update, and so do weights that are not finite
+    after an epoch's last update.
 
     epoch_callback(epoch_index, model) gets a private copy of the model
     after each epoch's last step and subnormal flush, the one place
@@ -540,6 +540,8 @@ def _train_in_place(model: Model, dataset, config: TrainConfig, temperature: flo
             opt.step(model, grads, lr, config.weight_decay)
             step += 1
         _flush_subnormals(opt.state())
+        if not np.isfinite(model.flat).all():
+            raise DivergenceError(f"non-finite weights after epoch {epoch}")
         if epoch_callback is not None:
             epoch_callback(epoch, model.copy())
 
@@ -549,6 +551,10 @@ def _train_in_place(model: Model, dataset, config: TrainConfig, temperature: flo
 
 
 def save_model(model: Model, path: str) -> None:
+    """Write `model` as a checkpoint; a non-finite arena, which `load_model`
+    refuses, is refused before the file is opened."""
+    if not np.isfinite(model.flat).all():
+        raise CheckpointFormatError(f"non-finite parameters; not writing checkpoint {path}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(model.layers)))

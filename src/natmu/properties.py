@@ -33,8 +33,7 @@ class CheckResult:
 
 
 def check_mask_golden() -> CheckResult:
-    m1 = masks.gradual_base(32, 32)
-    v = m1.values
+    v = masks.gradual_base(32, 32)
     ok = True
     problems = []
     expected = {0: np.float32(0.0), 1: np.float32(2.0 / 30.0),
@@ -48,8 +47,7 @@ def check_mask_golden() -> CheckResult:
             ok = False
             problems.append(f"symmetry broken at column {i + 1}")
             break
-    m2 = masks.complement(m1)
-    if not (m1.values + m2.values == np.float32(1.0)).all():
+    if not (v + masks.complement(v) == np.float32(1.0)).all():
         ok = False
         problems.append("ramp + complement != 1 elementwise")
     detail = "; ".join(problems) if problems else \
@@ -66,17 +64,16 @@ def check_scaling_law(cases: int = 1000) -> CheckResult:
     for case in range(cases):
         h = int(rng.integers(1, 12))
         w = int(rng.integers(1, 12))
-        base = masks.WeightingMask(
-            rng.random((h, w)).astype(np.float32), masks.CONSTANT)
+        base = rng.random((h, w)).astype(np.float32)
         delta = float(rng.uniform(-2.0, 2.0))
-        out = masks.scale(base, delta).values
+        out = masks.scale(base, delta)
         if out.min() < 0.0 or out.max() > 1.0:
             return CheckResult("2 scaling law", False,
                                f"case {case}: delta {delta} left [0,1]")
-        if not np.array_equal(masks.scale(base, 0.0).values, base.values):
+        if not np.array_equal(masks.scale(base, 0.0), base):
             return CheckResult("2 scaling law", False,
                                f"case {case}: delta 0 is not the identity")
-        if not (masks.scale(base, 1.0).values == np.float32(1.0)).all():
+        if not (masks.scale(base, 1.0) == np.float32(1.0)).all():
             return CheckResult("2 scaling law", False,
                                f"case {case}: delta 1 did not saturate")
     return CheckResult("2 scaling law", True,

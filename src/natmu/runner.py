@@ -34,6 +34,7 @@ from .data import (
     ForgettingSpec,
     check_superclass_map,
     check_synth,
+    class_rows,
     forget_count,
     forgetting_test_subset,
     load_raw,
@@ -139,8 +140,29 @@ class ExperimentConfig:
             if not Path(path).exists():
                 raise ConfigError(f"dataset not found: {path}")
         spec = self.forget_spec()
-        if self.synth is not None and spec.mode != "class":
+        if spec.mode == "class":
+            self.check_forget_class()
+        elif self.synth is not None:
             forget_count(spec.ratio, self.synth.k * self.synth.per_class)
+
+    def check_forget_class(self) -> None:
+        """Refuse sub scope without a superclass map, whose fine labels it
+        reads, and a class-mode `forget_class` no training row can carry:
+        one below 0, or one outside the classes it indexes where the config
+        fixes them (the map's fine classes under sub scope, the superclasses
+        the map maps to, else a synth set's k)."""
+        mapping, c = self.superclass_map, self.forget_class
+        if self.forget_scope == "sub":
+            if mapping is None:
+                raise ConfigError("[forget] scope = sub needs a [dataset] superclass_map")
+            classes = range(len(mapping))
+        elif mapping is not None:
+            classes = set(mapping)
+        else:
+            classes = None if self.synth is None else range(self.synth.k)
+        if c < 0 or (classes is not None and c not in classes):
+            raise ConfigError(f"[forget] class_index = {c} names no class of the "
+                              f"{'fine' if self.forget_scope == 'sub' else 'training'} labels")
 
     def check_natmu(self, k: int, height: int, width: int) -> None:
         """Refuse a natmu `n` above K-1, the categories a hybrid can take
@@ -517,9 +539,10 @@ def prepare_seed(config: ExperimentConfig, root: int,
     beside `checkpoints` when given, with the original model from the
     checkpoint the first record names as its `source`, if any; else lenient
     over the records in `record_dir`, if given. Without a trace from there,
-    the original model is pretrained here, with its trace, when the split
-    ranks samples by it (difficult mode) or `with_trace` is set; else on
-    first use. `stage(name)` is a context manager around each step."""
+    the original model is pretrained here, with its trace, before the split
+    when the split ranks samples by it (difficult mode), after the split
+    when `with_trace` is set; else on first use. `stage(name)` is a context
+    manager around each step."""
     seeds = {name: derive_seed(root, name) for name in ("dataset", "pretrain", "forget")}
     spec = config.forget_spec(seeds["forget"])
     with stage("dataset"):
@@ -534,11 +557,18 @@ def prepare_seed(config: ExperimentConfig, root: int,
         paths = ([checkpoint + RECORD_SUFFIX for checkpoint in checkpoints]
                  or sorted(Path(record_dir).glob("*" + RECORD_SUFFIX)))
         counts, original_path = _read_trace(paths, key, strict=bool(checkpoints))
-    if counts is None and (with_trace or spec.mode == "difficult"):
+
+    def pretrain():
         with stage("pretrain"):
-            model_o, counts = pretrain_model(config, train_ds, root, with_trace=True)
+            return pretrain_model(config, train_ds, root, with_trace=True)
+    if counts is None and spec.mode == "difficult":
+        model_o, counts = pretrain()
     with stage("forget"):
         d_f, d_r = split_forget(train_ds, spec, counts)
+        if spec.mode == "class":  # FATest's rows, refused now if there are none
+            class_rows(test_ds, spec, "test instances")
+    if counts is None and with_trace:
+        model_o, counts = pretrain()
     return PreparedSeed(config, root, train_ds, test_ds, spec, d_f, d_r, seeds,
                         counts, model_o, original_path, key)
 

@@ -43,7 +43,7 @@ def reference_build(d_f, d_r, logits, mask_set, variant, seed, n, shuffle_masks)
         if shuffle_masks:
             plan = [plan[j] for j in mask_rng.permutation(n)]
         for j, ((pos, category), m) in enumerate(zip(picks, plan)):
-            w = mask_set[m].flat(d_f.channels)
+            w = np.repeat(mask_set[m].reshape(-1), d_f.channels)
             x_r = d_r.pixels[pos] if variant == builder.NATMU else np.zeros_like(x_f)
             pixels = (x_f.copy() if variant == builder.MULTI_LABEL
                       else (x_f * w + x_r * (1.0 - w)).astype(np.float32))
@@ -138,11 +138,10 @@ class TestInject:
         np.testing.assert_allclose(builder.inject(x, x.copy(), weights), x, atol=1e-7)
 
     def test_channels_broadcast(self):
-        mask = masks.WeightingMask(np.array([[1.0, 0.0]], dtype=np.float32),
-                                   masks.CONSTANT)
+        mask = np.array([[1.0, 0.0]], dtype=np.float32)
         x_f = np.array([0.1, 0.2, 0.3, 0.4], dtype=np.float32)  # (1,2,2) image
         x_r = np.array([[0.5, 0.6, 0.7, 0.8], [0.9, 0.9, 0.9, 0.9]], dtype=np.float32)
-        weights = np.stack([mask.flat(2)] * 2)
+        weights = np.stack([np.repeat(mask.reshape(-1), 2)] * 2)
         out = builder.inject(x_f, x_r, weights)  # one forgetting row, two hybrids
         np.testing.assert_allclose(out, [[0.1, 0.2, 0.7, 0.8], [0.1, 0.2, 0.9, 0.9]],
                                    atol=1e-7)
@@ -243,7 +242,7 @@ class TestBuildUnlearningSet:
         by_id = {int(i): k for k, i in enumerate(d_f.ids)}
         for pixels, fid, m in zip(hybrids.data.pixels, hybrids.forget_ids,
                                   hybrids.mask_index):
-            expected = d_f.pixels[by_id[int(fid)]] * mask_set[m].flat(1)
+            expected = d_f.pixels[by_id[int(fid)]] * np.repeat(mask_set[m].reshape(-1), 1)
             np.testing.assert_allclose(pixels, expected, atol=1e-7)
 
     def test_reassigned_labels_valid(self, blob_world):

@@ -89,6 +89,17 @@ class TestDatasetCommands:
         assert not out.exists()
         assert "UDS header K must be <= 65536" in capsys.readouterr().err
 
+    def test_synth_checks_the_header_before_making_the_data(self, tmp_path, monkeypatch,
+                                                            capsys):
+        calls = []
+        monkeypatch.setattr(data, "synth_blobs", lambda *a, **k: calls.append(a))
+        out = tmp_path / "wide.uds"
+        assert cli.main(["dataset", "synth", "--out", str(out), "--k", "65537",
+                         "--per-class", "20", "--height", "4", "--width", "4"]) == \
+            cli.EXIT_VALIDATION
+        assert calls == [] and list(tmp_path.iterdir()) == []
+        assert "UDS header K must be <= 65536" in capsys.readouterr().err
+
     @pytest.mark.parametrize("blob", [
         b"JUNKJUNKJUNK" + b"\x00" * 30,
         data.MAGIC + struct.pack("<IIIII", 3, 4, 0, 1, 2) + bytes(3 * 2),  # W = 0
@@ -114,7 +125,7 @@ class TestMaskDump:
         for j in range(1, 5):
             rows = (tmp_path / f"masks_{j}.csv").read_text().splitlines()
             parsed = np.array([[float(x) for x in r.split(",")] for r in rows])
-            np.testing.assert_allclose(parsed, expected[j - 1].values, atol=5e-7)
+            np.testing.assert_allclose(parsed, expected[j - 1], atol=5e-7)
 
     def test_bad_family_is_validation_error(self, tmp_path):
         code = cli.main(["mask", "dump", "--family", "nope",

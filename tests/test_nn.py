@@ -424,6 +424,16 @@ class TestTrain:
         with pytest.raises(DivergenceError):
             nn.train(model, ds, cfg)
 
+    def test_non_finite_weights_after_the_last_step_stop_training(self):
+        # the step's loss and gradient are finite; the update overflows
+        ds = synth_blobs(3, 10, 3, 3, 1, spread=0.3, seed=5)
+        model = nn.init_model([9, 4, 3], seed=6)
+        cfg = nn.TrainConfig(epochs=1, batch_size=len(ds), base_lr=1e38, weight_decay=5e-4,
+                             optimizer="sgd", seed=1)
+        with np.errstate(over="ignore"), \
+                pytest.raises(DivergenceError, match="non-finite weights after epoch 0"):
+            nn.train(model, ds, cfg)
+
     def test_empty_dataset_rejected(self):
         ds = synth_blobs(2, 1, 3, 3, 1, spread=0.1, seed=0).subset(np.array([], dtype=int))
         with pytest.raises(ValidationError):
@@ -766,6 +776,14 @@ class TestCheckpoint:
         for a, b in zip(model.params(), loaded.params()):
             assert np.array_equal(a, b)
 
+    def test_save_refuses_non_finite_parameters_before_opening_the_file(self, tmp_path):
+        model = nn.init_model([6, 5, 4], seed=10)
+        model.layers[1].bias[2] = np.nan
+        path = tmp_path / "model.nmu"
+        with pytest.raises(CheckpointFormatError, match="non-finite parameters"):
+            nn.save_model(model, str(path))
+        assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.nmu"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
@@ -811,9 +829,11 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameters_rejected(self, tmp_path, value):
-        model = nn.init_model([6, 5, 4], seed=10)
-        model.layers[1].bias[2] = value
+        # `save_model` refuses such a model, so the file is patched after it
         path = tmp_path / "model.nmu"
-        nn.save_model(model, str(path))
+        nn.save_model(nn.init_model([6, 5, 4], seed=10), str(path))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, len(blob) - 8, value)  # layer 1's bias[2]
+        path.write_bytes(blob)
         with pytest.raises(CheckpointFormatError, match="non-finite"):
             nn.load_model(str(path))

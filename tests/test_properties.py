@@ -17,10 +17,9 @@ def test_mask_golden_detects_tampered_constant(monkeypatch):
     real = masks.gradual_base
 
     def tampered(height, width):
-        mask = real(height, width)
-        values = mask.values.copy()
-        values[:, 1] = np.float32(2.0 / 31.0)
-        return masks.WeightingMask(values, mask.family)
+        mask = real(height, width).copy()
+        mask[:, 1] = np.float32(2.0 / 31.0)
+        return mask
 
     monkeypatch.setattr(masks, "gradual_base", tampered)
     result = properties.check_mask_golden()

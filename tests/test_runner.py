@@ -308,6 +308,40 @@ class TestConfigParsing:
                          "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
         assert calls == []
 
+    @pytest.mark.parametrize("kind, dataset, forget, match", [
+        ("synth", "k = 3\n", "class_index = -1", "class_index = -1 names no class"),
+        ("synth", "k = 3\n", "class_index = 7", "class_index = 7 names no class"),
+        ("synth", "k = 6\nsuperclass_map = 0,0,2,2,3,3\n", "class_index = 1",
+         "class_index = 1 names no class"),  # no fine class maps to superclass 1
+        ("synth", "k = 6\nsuperclass_map = 0,0,1,1,2,2\n", "class_index = 6\nscope = sub",
+         "class_index = 6 names no class of the fine"),
+        ("synth", "k = 3\n", "scope = sub", "scope = sub needs a \\[dataset\\] superclass_map"),
+        ("uds", "", "scope = sub", "scope = sub needs a \\[dataset\\] superclass_map"),
+        ("uds", "", "class_index = -1", "class_index = -1 names no class"),
+        ("uds", "superclass_map = 0,0,1\n", "class_index = 3\nscope = sub",
+         "class_index = 3 names no class of the fine")])
+    def test_bad_class_mode_settings_fail_before_any_data(self, tmp_path, monkeypatch, kind,
+                                                          dataset, forget, match):
+        if kind == "uds":
+            for split in ("train", "test"):
+                data.save_raw(data.synth_blobs(3, 10, 4, 4, 1, seed=1, split=split),
+                              str(tmp_path / f"{split}.uds"))
+            dataset = (f"kind = uds\ntrain_path = {tmp_path / 'train.uds'}\n"
+                       f"test_path = {tmp_path / 'test.uds'}\n{dataset}")
+        calls = []
+        monkeypatch.setattr(runner, "synth_blobs", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(runner, "load_raw", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(runner, "pretrain_model", lambda *a, **k: calls.append(a))
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[dataset]\n{dataset}[forget]\nmode = class\n{forget}\n"
+                        "[run]\nmethods = retrain\n")
+        with pytest.raises(ConfigError, match=match):
+            runner.load_config(str(path))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(out)]) == cli.EXIT_VALIDATION
+        assert calls == [] and not (out / "seed_1").exists()
+
     @pytest.mark.parametrize("params, match", [
         ("variant = bogus", "unknown variant 'bogus'"),
         ("mask_family = bogus", "unknown mask family 'bogus'"),
@@ -587,6 +621,35 @@ class TestFailureHandling:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == f"failed at seed1/method:retrain: {message}"
         assert manifest["error"] == {"stage": "seed1/method:retrain", "type": error}
+
+    def test_uds_test_set_without_the_forgetting_class_fails_before_any_training(
+            self, tmp_path, monkeypatch):
+        train_ds = data.synth_blobs(3, 20, 4, 4, 1, seed=1)
+        test_ds = data.synth_blobs(3, 20, 4, 4, 1, seed=1, split="test")
+        data.save_raw(train_ds, str(tmp_path / "train.uds"))
+        data.save_raw(test_ds.subset(np.nonzero(test_ds.labels != 1)[0]),
+                      str(tmp_path / "test.uds"))
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[dataset]\nkind = uds\ntrain_path = {tmp_path / 'train.uds'}\n"
+                        f"test_path = {tmp_path / 'test.uds'}\n[pretrain]\nepochs = 1\n"
+                        "[unlearn]\nepochs = 1\n[forget]\nmode = class\nclass_index = 1\n"
+                        "[run]\nmethods = retrain,amnesiac,natmu\n[method.natmu]\nn = 1\n")
+        calls = []
+        for name in ("train", "submit"):  # the pretrain here, every other job through submit
+            real = getattr(runner, name)
+            monkeypatch.setattr(runner, name, lambda *a, real=real, **k:
+                                calls.append(a) or real(*a, **k))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(out)]) == cli.EXIT_VALIDATION
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed at seed1/forget: class 1 has no test instances"
+        assert calls == [] and not (out / "seed_1").exists()
+        # the stage commands make the same check at the same stage, before a
+        # pretrain that is asked for its trace
+        assert cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "o.nmu"),
+                         "--trace", str(tmp_path / "o.trace")]) == cli.EXIT_VALIDATION
+        assert calls == [] and list(tmp_path.glob("o.*")) == []
 
 
 def scenario_config(tmp_path, mode: str) -> runner.ExperimentConfig:
