@@ -149,6 +149,7 @@ def _wrote(what: str, path: str, records=()) -> None:
 def _cmd_pretrain(args) -> int:
     prep = prepare_seed(load_config(args.config), args.seed,
                         with_trace=args.trace is not None)
+    prep.release_train(original=True)
     records = prep.save(prep.original, args.out)
     if args.trace is not None:
         prep.write_trace_record(args.trace)
@@ -165,6 +166,7 @@ def _cmd_build(args) -> int:
                                                         **overrides)
     config.validate()
     prep = prepare_seed(config, args.seed, checkpoints=[args.model])
+    prep.release_train()  # --model is the original
     request = prep.request("natmu", prep.load(args.model))
     hybrids = natmu_hybrids(request)
     finetune = natmu_finetune_set(request)
@@ -191,6 +193,7 @@ def _cmd_unlearn(args) -> int:
     source = None if args.method == "retrain" else args.model
     prep = prepare_seed(config, args.seed, checkpoints=checkpoints,
                         record_dir=Path(args.out).parent)
+    prep.release_train()  # --model is the original, which the retrain never reads
     request = None if source is None else prep.request(args.method, prep.load(source))
     model, _ = prep.unlearn(args.method, request)
     _wrote(f"{args.method} model", args.out, prep.save(model, args.out, source))
@@ -203,6 +206,9 @@ def _cmd_evaluate(args) -> int:
     config = load_config(args.config)
     prep = prepare_seed(config, args.seed, checkpoints=[args.model, args.retrain])
     model, model_r = prep.load(args.model), prep.load(args.retrain)
+    # the report's KL set reads the original if the method's sets read a model
+    record = METHODS.get(args.method)
+    prep.release_train(original=record is not None and record.reads_model)
     reference, _ = prep.report(model_r, model_r, "retrain")
     write_report_csv(Path(args.out), *prep.report(model, model_r, args.method), reference)
     print(f"wrote report to {args.out}")

@@ -13,6 +13,7 @@ their rows: training reads a batch from both parts (`rows`), and
 `save_raw` writes them one after the other.
 """
 
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -216,9 +217,10 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("label", "<u2"), ("pixels", "<f4", (dim,))])
 
 
-# Rows per write in `save_raw`: one record buffer of this many rows is filled
-# and written at a time, so no whole-set copy is made. The bytes written do
-# not depend on it.
+# Rows per chunk in `save_raw` and `load_raw`: one record buffer of this many
+# rows is filled and written, or read into and decoded, at a time, so no
+# whole-set copy of the records is made. The bytes written and the arrays
+# read do not depend on it.
 SAVE_CHUNK = 1024
 
 
@@ -242,28 +244,48 @@ def save_raw(dataset: Dataset | Joined, path: str) -> None:
 
 
 def load_raw(path: str) -> Dataset:
+    """The dataset of the UDS file at `path`, which must be seekable. The
+    header, and the payload's size against it, are checked before any
+    record is read."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise BadMagicError(f"not a UDS file: {path}")
-    if len(blob) < 24:
-        raise TruncatedPayloadError(f"truncated UDS header in {path}")
-    n, height, width, channels, k = struct.unpack_from("<IIIII", blob, 4)
-    check_header(height, width, channels, k, f" in {path}", DatasetFormatError)
-    dim = height * width * channels
-    record = 2 + 4 * dim
-    if len(blob) != 24 + n * record:
-        raise TruncatedPayloadError(
-            f"UDS payload is {len(blob) - 24} bytes, expected {n * record}"
-        )
-    records = np.frombuffer(blob, dtype=_record_dtype(dim), count=n, offset=24)
-    labels = records["label"].astype(np.int64)
-    pixels = records["pixels"].astype(np.float32)
+        head = fh.read(24)
+        if head[:4] != MAGIC:
+            raise BadMagicError(f"not a UDS file: {path}")
+        if len(head) < 24:
+            raise TruncatedPayloadError(f"truncated UDS header in {path}")
+        n, height, width, channels, k = struct.unpack_from("<IIIII", head, 4)
+        check_header(height, width, channels, k, f" in {path}", DatasetFormatError)
+        dim = height * width * channels
+        record = 2 + 4 * dim
+        payload = fh.seek(0, os.SEEK_END) - 24  # a pipe, which cannot seek, is refused
+        fh.seek(24)
+        if payload != n * record:
+            raise TruncatedPayloadError(f"UDS payload is {payload} bytes, expected {n * record}")
+        labels, pixels = _read_records(fh, n, dim)
     if n and labels.max() >= k:
         raise LabelRangeError(f"label {labels.max()} >= K={k} in {path}")
     check_pixels(pixels, f" in {path}")
     return Dataset(pixels=pixels, labels=labels, height=height, width=width,
                    channels=channels, k=k)
+
+
+def _read_records(fh, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 labels and float32 pixels of the `n` records of `dim` pixels
+    that follow in `fh`. They are read SAVE_CHUNK rows at a time into one
+    reused buffer, each chunk decoded into the final arrays; a short read,
+    of a file that shrank after its size was checked, is refused."""
+    labels = np.empty(n, dtype=np.int64)
+    pixels = np.empty((n, dim), dtype=np.float32)
+    records = np.empty(min(n, SAVE_CHUNK), dtype=_record_dtype(dim))
+    for start in range(0, n, SAVE_CHUNK):
+        chunk = records[:n - start]
+        got = fh.readinto(chunk)
+        if got != chunk.nbytes:
+            raise TruncatedPayloadError(f"UDS payload is {start * records.itemsize + got} "
+                                        f"bytes, expected {n * records.itemsize}")
+        labels[start:start + len(chunk)] = chunk["label"]
+        pixels[start:start + len(chunk)] = chunk["pixels"]
+    return labels, pixels
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +337,7 @@ def check_superclass_map(mapping, k: int) -> np.ndarray:
                               f"{len(mapping)} entries for k = {k}")
     if (mapping < 0).any():
         raise ValidationError(f"superclass labels must be >= 0, got {mapping.min()}")
-    _check_least("superclass mapping", {"classes": (len(np.unique(mapping)), MIN_CLASSES)})
+    _check_least("superclass mapping", {"classes": (len(set(mapping.tolist())), MIN_CLASSES)})
     return mapping
 
 

@@ -535,9 +535,10 @@ def _train_in_place(model: Model, dataset, config: TrainConfig, temperature: flo
                     # alpha times a gradient can overflow where alpha times its loss does not
                     if not np.isfinite(grads.flat).all():
                         raise DivergenceError(f"non-finite training gradient at epoch {epoch}")
-            if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-            opt.step(model, grads, lr, config.weight_decay)
+                if not math.isfinite(loss):
+                    raise DivergenceError(f"non-finite training loss at epoch {epoch}")
+                # a step can overflow the weights: the check after the epoch raises
+                opt.step(model, grads, lr, config.weight_decay)
             step += 1
         _flush_subnormals(opt.state())
         if not np.isfinite(model.flat).all():

@@ -423,11 +423,12 @@ def _read_trace(paths, key: dict, strict: bool) -> tuple[np.ndarray | None, str 
 
 @dataclass
 class PreparedSeed:
-    """A root seed's data, split and stage seeds, as `run` and the stage CLI use them."""
+    """A root seed's data, split and stage seeds, as `run` and the stage CLI
+    use them. The full training set is held only until `release_train`."""
 
     config: ExperimentConfig
     root: int
-    train: Dataset
+    train: Dataset | None  # None once released (`release_train`)
     test: Dataset
     spec: ForgettingSpec
     d_f: Dataset
@@ -455,14 +456,25 @@ class PreparedSeed:
             self.key = _trace_key(self.config, self.root, self.train)
         return self.key
 
+    def release_train(self, original: bool = False) -> None:
+        """Drop the full training set once nothing can read it: only the
+        original's pretrain and the trace key do. With `original` the
+        original model is made first (`original`); with a trace at hand,
+        which a trace record may still hold, its key is computed first."""
+        if original:
+            self.original
+        if self.counts is not None:
+            self.trace_key()
+        self.train = None
+
     def load(self, path: str) -> Model:
         """The checkpoint at `path`, refused with a CheckpointFormatError
         unless it maps this seed's training rows to its classes."""
         model = load_model(path)
-        if (model.input_dim, model.class_count) != (self.train.dim, self.train.k):
+        if (model.input_dim, model.class_count) != (self.d_r.dim, self.d_r.k):
             raise CheckpointFormatError(
                 f"checkpoint {path} maps {model.input_dim} inputs to {model.class_count} "
-                f"classes, but the data has {self.train.dim} and {self.train.k}")
+                f"classes, but the data has {self.d_r.dim} and {self.d_r.k}")
         return model
 
     def write_trace_record(self, path: str, source: str | None = None) -> None:
@@ -890,7 +902,7 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, stages: _
         if prep.model_o is None:  # in difficult mode the split's pretrain made it
             with stage("pretrain"):
                 prep.original  # trained here, so no method's clock counts it
-        prep.train = None  # read by the pretrain alone: release it before the methods' sets
+        prep.release_train()  # before the methods' sets
         for method in queued:
             attempt(send, method, worker, (prep.d_f, prep.d_r))
         for method in unlearners[1::2]:

@@ -228,6 +228,24 @@ class TestPipelineCommands:
                          "--out", str(tmp_path / "report.csv")]) == 0
         assert len(calls) == pretrains
 
+    @pytest.mark.parametrize("method", ["natmu", "badteacher"])
+    def test_evaluate_pretrains_before_releasing_the_training_set(
+            self, tmp_path, config_path, monkeypatch, method):
+        # the same report, from one pretrain, whether the full set is released or kept
+        model = str(tmp_path / "m.nmu")
+        assert cli.main(["pretrain", "--config", config_path, "--out", model]) == 0
+        calls = []
+        pretrain = runner.pretrain_model
+        monkeypatch.setattr(runner, "pretrain_model",
+                            lambda *a, **k: calls.append(a) or pretrain(*a, **k))
+        argv = ["evaluate", "--config", config_path, "--model", model, "--retrain", model,
+                "--method", method, "--out"]
+        assert cli.main([*argv, str(tmp_path / "released.csv")]) == 0
+        monkeypatch.setattr(runner.PreparedSeed, "release_train", lambda self, original=False: None)
+        assert cli.main([*argv, str(tmp_path / "kept.csv")]) == 0
+        assert len(calls) == 2
+        assert filecmp.cmp(tmp_path / "released.csv", tmp_path / "kept.csv", shallow=False)
+
     def test_bad_hist_bins_exit_before_any_work(self, tmp_path, config_path, monkeypatch):
         model = str(tmp_path / "m.nmu")
         assert cli.main(["pretrain", "--config", config_path, "--out", model]) == 0
@@ -380,6 +398,24 @@ class TestTraceRecord:
     def test_only_evaluate_of_the_pretrain_checkpoint_pretrains(self, stage, name, pretrains):
         assert cli.main(self.command(stage, name)) == 0
         assert len(stage["calls"]) == pretrains
+
+    @pytest.mark.parametrize("name", [
+        "pretrain", "build natmu", *(f"unlearn {m}" for m in METHODS),
+        *(f"evaluate {m}" for m in METHODS)])
+    def test_commands_hold_no_full_training_set_beside_the_split(
+            self, stage, monkeypatch, name):
+        # the pretrain and the trace key are the only readers of the full set
+        held = []
+        for step in ("request", "unlearn", "report", "save"):
+            def traced(self, *args, _step=getattr(runner.PreparedSeed, step), **kwargs):
+                held.append(self.train is not None)
+                return _step(self, *args, **kwargs)
+            monkeypatch.setattr(runner.PreparedSeed, step, traced)
+        argv = (["pretrain", "--config", stage["config"], "--seed", "1",
+                 "--out", str(stage["dir"] / "out")] if name == "pretrain"
+                else self.command(stage, name))
+        assert cli.main(argv) == 0
+        assert held and not any(held)
 
     def test_records_beside_checkpoints_equal_the_trace_file(self, stage):
         record = stage["original"] + runner.RECORD_SUFFIX

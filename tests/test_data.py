@@ -1,3 +1,4 @@
+import io
 import struct
 from dataclasses import replace
 
@@ -36,7 +37,72 @@ def reference_uds(dataset) -> bytes:
     return blob
 
 
+def reference_load(path) -> tuple[np.ndarray, np.ndarray]:
+    """The labels and pixels of the UDS file at `path`, decoded from its
+    bytes as one record array."""
+    blob = path.read_bytes()
+    n, height, width, channels, _ = struct.unpack_from("<IIIII", blob, 4)
+    records = np.frombuffer(blob, count=n, offset=24, dtype=[
+        ("label", "<u2"), ("pixels", "<f4", (height * width * channels,))])
+    return records["label"].astype(np.int64), records["pixels"].astype(np.float32)
+
+
 class TestUdsFormat:
+    @pytest.mark.parametrize("chunk", [1, 7, 120])  # a row, an odd size, the whole set
+    @pytest.mark.parametrize("rows", [0, 1, 120])
+    def test_chunked_reads_give_the_arrays_of_one_record_array(
+            self, tmp_path, monkeypatch, chunk, rows):
+        monkeypatch.setattr(data, "SAVE_CHUNK", chunk)
+        ds = small_blobs().subset(np.arange(rows))
+        path = tmp_path / "chunked.uds"
+        path.write_bytes(reference_uds(ds))
+        loaded = data.load_raw(str(path))
+        labels, pixels = reference_load(path)
+        assert (loaded.height, loaded.width, loaded.channels, loaded.k) == (4, 4, 1, 6)
+        assert loaded.labels.dtype == labels.dtype and loaded.pixels.dtype == pixels.dtype
+        assert loaded.pixels.shape == pixels.shape == (rows, 16)
+        assert loaded.labels.tobytes() == labels.tobytes()
+        assert loaded.pixels.tobytes() == pixels.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 120])
+    @pytest.mark.parametrize("cut, size", [(slice(None, -10), 7910), (slice(None, -66), 7854),
+                                           (slice(None, None), 7923)])
+    def test_payload_of_another_size_refused_with_its_size(
+            self, tmp_path, monkeypatch, chunk, cut, size):
+        # 120 records of 66 bytes: cut inside a record, a whole record off, 3 bytes on
+        monkeypatch.setattr(data, "SAVE_CHUNK", chunk)
+        path = tmp_path / "sized.uds"
+        blob = reference_uds(small_blobs())[cut]
+        path.write_bytes(blob if size < 7920 else blob + b"xyz")
+        with pytest.raises(TruncatedPayloadError,
+                           match=f"^UDS payload is {size} bytes, expected 7920$"):
+            data.load_raw(str(path))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 120])
+    def test_short_read_refused_as_truncation(self, monkeypatch, chunk):
+        blob = reference_uds(small_blobs())
+
+        class Shrunk(io.BytesIO):
+            """A file that lost its last 10 bytes after its size was read."""
+            def seek(self, offset, whence=io.SEEK_SET):
+                end = super().seek(offset, whence)
+                return len(blob) if whence == io.SEEK_END else end
+
+        monkeypatch.setattr(data, "SAVE_CHUNK", chunk)
+        monkeypatch.setattr(data, "open", lambda path, mode: Shrunk(blob[:-10]), raising=False)
+        with pytest.raises(TruncatedPayloadError,
+                           match="^UDS payload is 7910 bytes, expected 7920$"):
+            data.load_raw("shrunk.uds")
+
+    def test_reading_keeps_no_copy_of_the_file(self, tmp_path, traced_peak):
+        # 6500 rows of 16x16 pixels, 6.7 MB on disk: more than six chunks
+        path = tmp_path / "set.uds"
+        data.save_raw(data.synth_blobs(10, 650, 16, 16, 1, seed=1), str(path))
+        loaded, peak = traced_peak(lambda: data.load_raw(str(path)))
+        arrays = loaded.pixels.nbytes + loaded.labels.nbytes + loaded.ids.nbytes
+        # the whole file beside its decoded arrays took 2 times the file
+        assert peak < arrays + data.SAVE_CHUNK * (2 + 4 * loaded.dim)
+
     @pytest.mark.parametrize("chunk", [1, 7, 120])  # a row, an odd size, the whole set
     @pytest.mark.parametrize("rows, joined_at", [(0, None), (120, None), (120, 0),
                                                  (120, 45), (120, 120)])

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +134,31 @@ class TestMia:
         reject = metrics.MiaClassifier(tau=float("-inf"), balanced_accuracy=0.5)
         assert metrics.mia_ratio(accept, metrics.entropies(model, d_f)) == 100.0
         assert metrics.mia_ratio(reject, metrics.entropies(model, d_f)) == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_candidates_are_bitwise_those_of_np_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so most repeat, and zeros of both signs
+        values = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.5, np.log(3.0)], size=40)
+        values[rng.permutation(40)[:5]] = rng.random(5)
+        distinct = np.unique(values)
+        expected = np.concatenate([[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0,
+                                   [distinct[-1] + 1.0]])
+        got = metrics.threshold_candidates(values)
+        assert got.dtype == expected.dtype
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    def test_mia_fit_and_superclass_check_leave_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma, about 1 MB, on its first call
+        code = ("import sys; import numpy as np; from natmu import data, metrics; "
+                "metrics.mia_fit(np.array([0.1, 0.2, 0.2]), np.array([0.2, 0.9])); "
+                "data.check_superclass_map([0, 0, 1], 3); "
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=False)
+        assert result.returncode == 0, result.stderr
 
     def test_mia_fit_needs_data(self):
         model = fixed_logits_model([1.0, 0.0])

@@ -6,6 +6,7 @@ import struct
 import tempfile
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -430,9 +431,21 @@ class TestTrain:
         model = nn.init_model([9, 4, 3], seed=6)
         cfg = nn.TrainConfig(epochs=1, batch_size=len(ds), base_lr=1e38, weight_decay=5e-4,
                              optimizer="sgd", seed=1)
-        with np.errstate(over="ignore"), \
-                pytest.raises(DivergenceError, match="non-finite weights after epoch 0"):
+        with pytest.raises(DivergenceError, match="non-finite weights after epoch 0"):
             nn.train(model, ds, cfg)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+    def test_overflowing_step_raises_divergence_and_no_warning(self, optimizer):
+        # the weight decay's product overflows first; the step runs with its
+        # floating-point warnings off, as the forward and backward do
+        ds = synth_blobs(3, 10, 3, 3, 1, spread=0.3, seed=5)
+        model = nn.init_model([9, 4, 3], seed=6)
+        cfg = nn.TrainConfig(epochs=2, batch_size=10, base_lr=1e38, weight_decay=5e-4,
+                             optimizer=optimizer, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                nn.train(model, ds, cfg)
 
     def test_empty_dataset_rejected(self):
         ds = synth_blobs(2, 1, 3, 3, 1, spread=0.1, seed=0).subset(np.array([], dtype=int))
