@@ -94,7 +94,10 @@ def cutmix_corner_masks(height: int, width: int, edge_len: int) -> list[np.ndarr
 
 def build_mask_set(family: str, height: int, width: int, delta: float = 0.0,
                    edge_len: int | None = None) -> list[np.ndarray]:
-    """Build the four-mask set for a named family."""
+    """Build the four-mask set for a named family; only cutmix-corner takes
+    an `edge_len`."""
+    if edge_len is not None and family in (GRADUAL, CONSTANT):
+        raise ValidationError(f"the {family} mask family takes no edge length, got {edge_len}")
     if family == GRADUAL:
         return four_masks(height, width, delta)
     if family == CONSTANT:

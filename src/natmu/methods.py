@@ -17,7 +17,7 @@ import numpy as np
 from .builder import NATMU, VARIANTS, HybridSet, build_finetune_dataset, build_unlearning_set
 from .data import Dataset, concat
 from .errors import RetrainIsolationError, ValidationError
-from .masks import MASK_FAMILIES, build_mask_set
+from .masks import CUTMIX_CORNER, MASK_FAMILIES, build_mask_set
 from .nn import (
     Ascent,
     Job,
@@ -65,6 +65,9 @@ class MethodParams:
                                    ("variant", self.variant, VARIANTS)):
             if value not in known:
                 raise ValidationError(f"unknown {name} {value!r}; expected one of {known}")
+        if self.cutmix_edge is not None and self.mask_family != CUTMIX_CORNER:
+            raise ValidationError(f"cutmix_edge = {self.cutmix_edge} needs mask family "
+                                  f"{CUTMIX_CORNER!r}; {self.mask_family!r} takes no edge")
 
 
 @dataclass

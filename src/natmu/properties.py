@@ -231,8 +231,8 @@ def check_kl_conventions() -> CheckResult:
     config = ExperimentConfig(synth=SynthSpec(k=6, per_class=12, test_per_class=6, height=4,
                                               width=4, spread=0.4), forget_ratio=0.2)
     prep = prepare_seed(config, 3)
-    model_o = nn.init_model([prep.train.dim, 8, prep.train.k], seed=5)
-    model_r = nn.init_model([prep.train.dim, 8, prep.train.k], seed=6)
+    model_o = nn.init_model([prep.d_r.dim, 8, prep.d_r.k], seed=5)
+    model_r = nn.init_model([prep.d_r.dim, 8, prep.d_r.k], seed=6)
     _, retrain_kl = prep.report(model_r, model_r, "retrain")
     if retrain_kl != 0.0:
         return CheckResult("6 KL conventions", False,

@@ -49,7 +49,6 @@ from .errors import (
     ValidationError,
     WorkerDiedError,
 )
-from .masks import CUTMIX_CORNER
 from .metrics import (
     accuracy,
     accuracy_of_logits,
@@ -167,7 +166,8 @@ class ExperimentConfig:
     def check_natmu(self, k: int, height: int, width: int) -> None:
         """Refuse a natmu `n` above K-1, the categories a hybrid can take
         among the training set's `k` classes, and a cutmix-corner edge outside
-        [0, min(height, width)], the patches its images can hold."""
+        [0, min(height, width)], the patches its images can hold (only that
+        family takes one: `MethodParams`)."""
         if "natmu" not in (*self.methods, *self.method_params):
             return
         p = self.params_for("natmu")
@@ -175,8 +175,7 @@ class ExperimentConfig:
             raise ConfigError(f"[method.natmu] n = {p.n} exceeds K-1 = {k - 1}, "
                               "the categories a hybrid can take")
         edge = min(height, width)
-        if (p.mask_family == CUTMIX_CORNER and p.cutmix_edge is not None
-                and not 0 <= p.cutmix_edge <= edge):
+        if p.cutmix_edge is not None and not 0 <= p.cutmix_edge <= edge:
             raise ConfigError(f"[method.natmu] cutmix_edge = {p.cutmix_edge} is outside "
                               f"[0, {edge}], the patches a {height}x{width} image can hold")
 
@@ -424,11 +423,12 @@ def _read_trace(paths, key: dict, strict: bool) -> tuple[np.ndarray | None, str 
 @dataclass
 class PreparedSeed:
     """A root seed's data, split and stage seeds, as `run` and the stage CLI
-    use them. The full training set is held only until `release_train`."""
+    use them. The full training set is held only while the original model
+    still has to be pretrained from it (`prepare_seed`)."""
 
     config: ExperimentConfig
     root: int
-    train: Dataset | None  # None once released (`release_train`)
+    train: Dataset | None  # None once the original is made, or if never pretrained here
     test: Dataset
     spec: ForgettingSpec
     d_f: Dataset
@@ -437,35 +437,20 @@ class PreparedSeed:
     counts: np.ndarray | None = None  # the pretrain's trace (`pretrain_model`)
     model_o: Model | None = None
     original_path: str | None = None
-    key: dict | None = None  # the trace's `_trace_key`, once computed (`trace_key`)
+    key: dict | None = None  # the trace's `_trace_key`, with `counts`
 
     @property
     def original(self) -> Model:
         """The pretrained model; on first use, loaded from `original_path`
-        when a trace record named it, else trained, unless the split needed it."""
+        when a trace record named it, else trained, unless the split needed
+        it. The full training set is dropped once the model is at hand."""
         if self.model_o is None:
             if self.original_path is not None:
                 self.model_o = self.load(self.original_path)
             else:
                 self.model_o, _ = pretrain_model(self.config, self.train, self.root)
+            self.train = None
         return self.model_o
-
-    def trace_key(self) -> dict:
-        """`_trace_key` of this seed's training set, computed once."""
-        if self.key is None:
-            self.key = _trace_key(self.config, self.root, self.train)
-        return self.key
-
-    def release_train(self, original: bool = False) -> None:
-        """Drop the full training set once nothing can read it: only the
-        original's pretrain and the trace key do. With `original` the
-        original model is made first (`original`); with a trace at hand,
-        which a trace record may still hold, its key is computed first."""
-        if original:
-            self.original
-        if self.counts is not None:
-            self.trace_key()
-        self.train = None
 
     def load(self, path: str) -> Model:
         """The checkpoint at `path`, refused with a CheckpointFormatError
@@ -483,7 +468,7 @@ class PreparedSeed:
         `data_sha256`, `ids`, `counts` and `epochs`. `source`, the checkpoint
         the model at hand started from, adds a `source` key: that file's path
         relative to the record's directory and the SHA-256 of its bytes."""
-        record = {**self.trace_key(), "counts": self.counts.tolist(),
+        record = {**self.key, "counts": self.counts.tolist(),
                   "epochs": self.config.pretrain.epochs}
         if source is not None:
             record["source"] = {"path": os.path.relpath(source, Path(path).parent),
@@ -545,7 +530,8 @@ class PreparedSeed:
 
 def prepare_seed(config: ExperimentConfig, root: int,
                  stage=lambda name: contextlib.nullcontext(),
-                 with_trace: bool = False, checkpoints=(), record_dir=None) -> PreparedSeed:
+                 with_trace: bool = False, checkpoints=(), record_dir=None,
+                 original: bool = False) -> PreparedSeed:
     """Data, forgetting split and stage seeds of one root seed. In difficult
     mode one call of `_read_trace` gives the trace: strict over the records
     beside `checkpoints` when given, with the original model from the
@@ -553,8 +539,10 @@ def prepare_seed(config: ExperimentConfig, root: int,
     over the records in `record_dir`, if given. Without a trace from there,
     the original model is pretrained here, with its trace, before the split
     when the split ranks samples by it (difficult mode), after the split
-    when `with_trace` is set; else on first use. `stage(name)` is a context
-    manager around each step."""
+    when `with_trace` is set; else on first use. With a trace, its key is
+    computed here. The full training set is kept only if the caller will
+    use the `original` model and it is still to be pretrained from it.
+    `stage(name)` is a context manager around each step."""
     seeds = {name: derive_seed(root, name) for name in ("dataset", "pretrain", "forget")}
     spec = config.forget_spec(seeds["forget"])
     with stage("dataset"):
@@ -581,6 +569,10 @@ def prepare_seed(config: ExperimentConfig, root: int,
             class_rows(test_ds, spec, "test instances")
     if counts is None and with_trace:
         model_o, counts = pretrain()
+    if counts is not None and key is None:
+        key = _trace_key(config, root, train_ds)
+    if not (original and model_o is None and original_path is None):
+        train_ds = None
     return PreparedSeed(config, root, train_ds, test_ds, spec, d_f, d_r, seeds,
                         counts, model_o, original_path, key)
 
@@ -690,12 +682,13 @@ class _Stages:
     """`stages(name)` times the stage `name` into `clock` (summed over its
     entries) and keeps in `failed` the stage the propagating exception
     escaped. `job` enters a model's training span in `jobs`, the run's
-    timeline, in seconds from this object's creation; `stages(name,
+    timeline, in seconds from this object's creation, and `peaks` takes each
+    collected job's `nn.Pending.worker_peak_rss_mb` beside it; `stages(name,
     job=(seed, model))` enters the stage's own, as a model trained in it on
     this thread."""
 
     def __init__(self, clock: dict, jobs: dict):
-        self.clock, self.jobs, self.failed = clock, jobs, None
+        self.clock, self.jobs, self.failed, self.peaks = clock, jobs, None, []
         self.start = time.monotonic()
 
     @contextlib.contextmanager
@@ -751,14 +744,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
         "status": "running",
     }
     stage = _Stages(manifest["wall_clock"], manifest["jobs"])
-    worker, peaks = None, []
+    worker = None
     try:
         # started before seed 1's data is made, so the two overlap
         worker = process_worker() if processes else None
         per_seed_rows = {}
         for root in config.seeds:
             rows, audit, files, stage_seeds = _run_one_seed(config, root, out_root, stage,
-                                                            worker, peaks)
+                                                            worker)
             per_seed_rows[root] = rows
             manifest["retrain_audit"][str(root)] = audit
             manifest["files"] += files
@@ -785,7 +778,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> dict
     finally:
         if worker is not None:
             worker.shutdown(cancel_futures=True)
-            manifest["environment"]["worker_peak_rss_mb"] = max(filter(None, peaks), default=None)
+            peaks = filter(None, stage.peaks)  # None: a job kept here
+            manifest["environment"]["worker_peak_rss_mb"] = max(peaks, default=None)
         if manifest["status"] != "running":
             _write_manifest(out_root, manifest)
     return manifest
@@ -834,7 +828,7 @@ class _CurveRows:
 
 
 def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, stages: _Stages,
-                  worker, peaks: list):
+                  worker):
     """The pretrain, the retrain oracle and each method, through
     `PreparedSeed.job`, `unlearn` and `report`, on one path for any CPU
     count. The retrain's job is submitted (`nn.submit`) to `worker` (None:
@@ -847,15 +841,14 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, stages: _
     from their epoch copies here. Of two failures the earlier in the order
     pretrain, retrain, methods in config order is raised, and the jobs of
     the methods after a failure are dropped if the worker has not started
-    them. Writes the seed's CSVs, enters each model's span in `stages`'
-    timeline and adds each worker job's peak RSS to `peaks`; returns the
-    report rows by method, the retrain audit, the files written and the
-    stage seeds."""
+    them. Writes the seed's CSVs and enters each model's span, and each
+    collected job's worker peak RSS, in `stages`; returns the report rows by
+    method, the retrain audit, the files written and the stage seeds."""
     def stage(name):
         # the pretrain trains in its stage, here or in `prepare_seed`
         return stages(f"seed{root}/{name}", job=(root, name) if name == "pretrain" else None)
 
-    prep = prepare_seed(config, root, stage)
+    prep = prepare_seed(config, root, stage, original=True)
     unlearners = [method for method in config.methods if method != "retrain"]
     order, queued = ["retrain", *unlearners], unlearners[0::2]
     sent, made, reports, failures = {}, {}, {}, {}  # by method
@@ -872,8 +865,8 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, stages: _
         """`method`'s model, audit, request and curve rows, from its sent job."""
         request, pending, slot = sent[method]
         model, audit = prep.unlearn(method, request, pending)
-        peaks.append(pending.worker_peak_rss_mb)
         stages.job(root, method, slot, pending.span)
+        stages.peaks.append(pending.worker_peak_rss_mb)
         made[method] = model, audit, request, pending.job.epoch_callback.rows(prep.d_f, prep.d_r)
 
     def report(method):
@@ -902,7 +895,6 @@ def _run_one_seed(config: ExperimentConfig, root: int, out_root: Path, stages: _
         if prep.model_o is None:  # in difficult mode the split's pretrain made it
             with stage("pretrain"):
                 prep.original  # trained here, so no method's clock counts it
-        prep.release_train()  # before the methods' sets
         for method in queued:
             attempt(send, method, worker, (prep.d_f, prep.d_r))
         for method in unlearners[1::2]:

@@ -132,6 +132,14 @@ class TestMaskDump:
                          "--out", str(tmp_path / "m.csv")])
         assert code == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("family", ["gradual", "constant"])
+    def test_edge_for_a_family_without_one_writes_nothing(self, tmp_path, capsys, family):
+        code = cli.main(["mask", "dump", "--family", family, "--edge-len", "2",
+                         "--out", str(tmp_path / "m.csv")])
+        assert code == cli.EXIT_VALIDATION
+        assert list(tmp_path.iterdir()) == []
+        assert "takes no edge length" in capsys.readouterr().err
+
 
 class TestPipelineCommands:
     def test_pretrain_build_unlearn_evaluate(self, tmp_path, config_path):
@@ -241,7 +249,14 @@ class TestPipelineCommands:
         argv = ["evaluate", "--config", config_path, "--model", model, "--retrain", model,
                 "--method", method, "--out"]
         assert cli.main([*argv, str(tmp_path / "released.csv")]) == 0
-        monkeypatch.setattr(runner.PreparedSeed, "release_train", lambda self, original=False: None)
+        made = runner.PreparedSeed.original.fget
+
+        def kept(self):  # the original, made with the full set held on
+            train = self.train
+            model = made(self)
+            self.train = train
+            return model
+        monkeypatch.setattr(runner.PreparedSeed, "original", property(kept))
         assert cli.main([*argv, str(tmp_path / "kept.csv")]) == 0
         assert len(calls) == 2
         assert filecmp.cmp(tmp_path / "released.csv", tmp_path / "kept.csv", shallow=False)
@@ -291,6 +306,20 @@ class TestPipelineCommands:
                          str(tmp_path / "m.nmu"), "--n", n, "--out", str(out)]) == \
             cli.EXIT_VALIDATION
         assert calls == [] and not out.exists()
+
+    def test_build_family_without_the_configs_edge_exits_before_any_work(
+            self, tmp_path, monkeypatch, capsys):
+        # the config's edge is its cutmix-corner family's; --mask-family takes none
+        path = tmp_path / "exp.cfg"
+        path.write_text(CONFIG + "mask_family = cutmix-corner\ncutmix_edge = 2\n")
+        calls = []
+        monkeypatch.setattr(cli, "prepare_seed", lambda *a, **k: calls.append(a))
+        out = tmp_path / "finetune.uds"
+        assert cli.main(["build", "--config", str(path), "--model", str(tmp_path / "m.nmu"),
+                         "--mask-family", "gradual", "--out", str(out)]) == \
+            cli.EXIT_VALIDATION
+        assert calls == [] and not out.exists()
+        assert "cutmix_edge = 2 needs mask family" in capsys.readouterr().err
 
     def test_bad_build_delta_exits_before_any_work(self, tmp_path, config_path, monkeypatch):
         calls = []
@@ -666,6 +695,40 @@ class TestStageRunParity:
                              "--out", str(report)]) == 0
             assert filecmp.cmp(report, tmp_path / "run" / "seed_1" / f"report_{method}.csv",
                                shallow=False), method
+
+
+class TestHeldTrainingSet:
+    """In random and class mode no trace record holds the original: a
+    command that uses it pretrains it through `PreparedSeed.original`, which
+    drops the full training set, and the others never keep the set."""
+
+    @pytest.mark.parametrize("name", [
+        "pretrain", "pretrain --trace", "build natmu", *(f"unlearn {m}" for m in METHODS),
+        *(f"evaluate {m}" for m in METHODS)])
+    @pytest.mark.parametrize("mode", ["random", "class"])
+    def test_commands_hold_no_full_training_set_beside_the_split(
+            self, tmp_path, monkeypatch, mode, name):
+        text = CONFIG
+        for old, new in TestStageRunParity.MODES[mode].items():
+            text = text.replace(old, new)
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        original = str(tmp_path / "original.nmu")
+        assert cli.main(["pretrain", "--config", str(path), "--out", original]) == 0
+        held = []
+        for step in ("request", "unlearn", "report", "save"):
+            def traced(self, *args, _step=getattr(runner.PreparedSeed, step), **kwargs):
+                held.append(self.train is not None)
+                return _step(self, *args, **kwargs)
+            monkeypatch.setattr(runner.PreparedSeed, step, traced)
+        stage = {"dir": tmp_path, "config": str(path), "original": original}
+        if name.startswith("pretrain"):
+            argv = ["pretrain", "--config", str(path), "--out", str(tmp_path / "out")]
+            argv += ["--trace", str(tmp_path / "trace.json")] if "--trace" in name else []
+        else:
+            argv = TestTraceRecord.command(stage, name)
+        assert cli.main(argv) == 0
+        assert held and not any(held)
 
 
 class TestCheckCommand:

@@ -174,6 +174,11 @@ class TestOtherFamilies:
         with pytest.raises(ValidationError):
             masks.build_mask_set("learned", 8, 8)
 
+    @pytest.mark.parametrize("family", [masks.GRADUAL, masks.CONSTANT])
+    def test_edge_for_a_family_without_one_rejected(self, family):
+        with pytest.raises(ValidationError, match="takes no edge length, got 2"):
+            masks.build_mask_set(family, 8, 8, edge_len=2)
+
 
 def test_dump_csv_roundtrip(tmp_path):
     mask_set = masks.four_masks(4, 4, -0.031)

@@ -434,9 +434,15 @@ class TestMethodTable:
 class TestMethodParams:
     """`METHODS` names the `MethodParams` fields each method reads."""
 
-    OTHER = {"n": 2, "delta": -0.1, "mask_family": "constant", "cutmix_edge": 2,
+    OTHER = {"n": 2, "delta": -0.1, "mask_family": "cutmix-corner", "cutmix_edge": 2,
              "shuffle_masks": True, "variant": "multi_label", "temperature": 3.0,
              "ascent_coefficient": 0.5, "reinit_final_layer": True}
+
+    @pytest.mark.parametrize("family", ["gradual", "constant"])
+    def test_an_edge_for_a_family_without_one_refused(self, family):
+        with pytest.raises(ValidationError, match=f"{family!r} takes no edge"):
+            methods.MethodParams(mask_family=family, cutmix_edge=2)
+        methods.MethodParams(mask_family="cutmix-corner", cutmix_edge=2)
 
     def test_table_names_every_method_and_only_fields(self):
         assert set(methods.METHODS) == {"retrain", *methods.UNLEARN_METHODS}

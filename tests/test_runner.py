@@ -349,7 +349,10 @@ class TestConfigParsing:
         ("mask_family = cutmix-corner\ncutmix_edge = 99",
          r"cutmix_edge = 99 is outside \[0, 4\]"),
         ("mask_family = cutmix-corner\ncutmix_edge = -1",
-         r"cutmix_edge = -1 is outside \[0, 4\]")])
+         r"cutmix_edge = -1 is outside \[0, 4\]"),
+        ("mask_family = gradual\ncutmix_edge = 3",
+         "cutmix_edge = 3 needs mask family 'cutmix-corner'"),
+        ("mask_family = constant\ncutmix_edge = 0", "'constant' takes no edge")])
     def test_bad_natmu_params_fail_before_any_data(self, tmp_path, monkeypatch, params, match):
         calls = []
         monkeypatch.setattr(runner, "synth_blobs", lambda *a, **k: calls.append(a))
