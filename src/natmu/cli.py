@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, builder, data, masks, metrics
-from .errors import NatmuError, ValidationError
+from .errors import NatmuError, ValidationError, check_least
 from .methods import METHODS, natmu_finetune_set, natmu_hybrids
 from .runner import SynthSpec, load_config, prepare_seed, run_experiment, write_report_csv
 
@@ -198,8 +198,7 @@ def _cmd_unlearn(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if args.hist_bins < 1:
-        raise ValidationError(f"--hist-bins must be >= 1, got {args.hist_bins}")
+    check_least("", {"--hist-bins": (args.hist_bins, 1)})
     config = load_config(args.config)
     # the report's KL set reads the original if the method's sets read a model
     record = METHODS.get(args.method)

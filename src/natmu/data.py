@@ -28,6 +28,7 @@ from .errors import (
     PixelRangeError,
     TruncatedPayloadError,
     ValidationError,
+    check_least,
 )
 from .seeding import derive_seed
 
@@ -120,20 +121,12 @@ def check_pixels(pixels: np.ndarray, where: str = "") -> None:
         raise PixelRangeError(f"pixel outside [0, 1] or not finite{where}")
 
 
-def _check_least(what: str, least: dict, where: str = "", error=ValidationError) -> None:
-    """Refuse the first of `least`'s {name: (value, bound)} whose value is not
-    >= its bound, with `error` naming `what` and the field."""
-    for name, (value, bound) in least.items():
-        if not value >= bound:
-            raise error(f"{what} {name} must be >= {bound}, got {value}{where}")
-
-
 def check_header(height: int, width: int, channels: int, k: int, where: str = "",
                  error=ValidationError) -> None:
     """The UDS header rule, kept by the files `save_raw` writes and `load_raw`
     reads: H, W and C at least 1, and K from 2 to MAX_UDS_CLASSES."""
-    _check_least("UDS header", {"H": (height, 1), "W": (width, 1), "C": (channels, 1),
-                               "K": (k, MIN_CLASSES)}, where, error)
+    check_least("UDS header", {"H": (height, 1), "W": (width, 1), "C": (channels, 1),
+                              "K": (k, MIN_CLASSES)}, where, error)
     if k > MAX_UDS_CLASSES:
         raise error(f"UDS header K must be <= {MAX_UDS_CLASSES}, got {k}{where}")
 
@@ -296,10 +289,10 @@ def check_synth(k: int, height: int, width: int, channels: int, spread: float,
                 **per_class: int) -> None:
     """The synth parameters' rules, checked before any data is made;
     `per_class` gives each per-class sample count by its name."""
-    _check_least("synth", {"k": (k, MIN_CLASSES),
-                          **{name: (n, 1) for name, n in per_class.items()},
-                          "height": (height, 1), "width": (width, 1),
-                          "channels": (channels, 1), "spread": (spread, 0)})
+    check_least("synth", {"k": (k, MIN_CLASSES),
+                         **{name: (n, 1) for name, n in per_class.items()},
+                         "height": (height, 1), "width": (width, 1),
+                         "channels": (channels, 1), "spread": (spread, 0)})
 
 
 def synth_blobs(k: int, per_class: int, height: int, width: int, channels: int,
@@ -337,7 +330,7 @@ def check_superclass_map(mapping, k: int) -> np.ndarray:
                               f"{len(mapping)} entries for k = {k}")
     if (mapping < 0).any():
         raise ValidationError(f"superclass labels must be >= 0, got {mapping.min()}")
-    _check_least("superclass mapping", {"classes": (len(set(mapping.tolist())), MIN_CLASSES)})
+    check_least("superclass mapping", {"classes": (len(set(mapping.tolist())), MIN_CLASSES)})
     return mapping
 
 

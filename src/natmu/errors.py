@@ -1,8 +1,11 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and `check_least`, the one bound check of every
+parameter rule.
 
 ValidationError subclasses signal bad inputs (CLI exit code 1); everything
 else under NatmuError is a runtime failure (exit code 2).
 """
+
+import math
 
 
 class NatmuError(Exception):
@@ -71,3 +74,12 @@ class RetrainIsolationError(NatmuError):
 
 class WorkerDiedError(NatmuError):
     pass
+
+
+def check_least(what: str, least: dict, where: str = "", error=ValidationError) -> None:
+    """Refuse the first of `least`'s {name: (value, bound)} whose value is not
+    a finite number >= its bound, with `error` naming `what` and the field.
+    The comparison is written so that it holds: NaN fails it."""
+    for name, (value, bound) in least.items():
+        if not bound <= value < math.inf:
+            raise error(f"{what} {name} must be >= {bound}, got {value}{where}".lstrip())

@@ -7,7 +7,7 @@ pixel, weight 0 replaces it with the second (remaining) image's pixel.
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_least
 
 GRADUAL = "gradual"
 CONSTANT = "constant"
@@ -25,10 +25,7 @@ def gradual_base(height: int, width: int) -> np.ndarray:
     second branch would exceed 1 there); odd widths additionally saturate
     the middle column at 1.
     """
-    if width < 3:
-        raise ValidationError(f"gradual mask needs width >= 3, got {width}")
-    if height < 1:
-        raise ValidationError(f"gradual mask needs height >= 1, got {height}")
+    check_least("gradual mask", {"width": (width, 3)})
     cols = np.arange(1, width + 1, dtype=np.float64)
     half = width // 2
     ramp = np.where(cols <= half, 2.0 * (cols - 1), 2.0 * (width - cols)) / (width - 2)
@@ -77,10 +74,9 @@ def cutmix_corner_masks(height: int, width: int, edge_len: int) -> list[np.ndarr
     The patch is where the second image shows through. Corner order:
     top-left, top-right, bottom-left, bottom-right.
     """
-    if edge_len < 0 or edge_len > min(height, width):
-        raise ValidationError(
-            f"cutmix edge_len must be in [0, {min(height, width)}], got {edge_len}"
-        )
+    if not 0 <= edge_len <= min(height, width):
+        raise ValidationError(f"cutmix_edge = {edge_len} is outside [0, {min(height, width)}], "
+                              f"the patches a {height}x{width} image can hold")
     masks = []
     corners = [(0, 0), (0, width - edge_len), (height - edge_len, 0),
                (height - edge_len, width - edge_len)]
@@ -95,7 +91,9 @@ def cutmix_corner_masks(height: int, width: int, edge_len: int) -> list[np.ndarr
 def build_mask_set(family: str, height: int, width: int, delta: float = 0.0,
                    edge_len: int | None = None) -> list[np.ndarray]:
     """Build the four-mask set for a named family; only cutmix-corner takes
-    an `edge_len`."""
+    an `edge_len`. Every rule a mask set keeps is checked here, so a caller
+    that builds one refuses what training would."""
+    check_least("mask", {"height": (height, 1), "width": (width, 1)})
     if edge_len is not None and family in (GRADUAL, CONSTANT):
         raise ValidationError(f"the {family} mask family takes no edge length, got {edge_len}")
     if family == GRADUAL:

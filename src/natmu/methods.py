@@ -16,7 +16,7 @@ import numpy as np
 
 from .builder import NATMU, VARIANTS, HybridSet, build_finetune_dataset, build_unlearning_set
 from .data import Dataset, concat
-from .errors import RetrainIsolationError, ValidationError
+from .errors import RetrainIsolationError, ValidationError, check_least
 from .masks import CUTMIX_CORNER, MASK_FAMILIES, build_mask_set
 from .nn import (
     Ascent,
@@ -52,13 +52,9 @@ class MethodParams:
     reinit_final_layer: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if self.temperature <= 0:
-            raise ValidationError(f"temperature must be > 0, got {self.temperature}")
-        if self.ascent_coefficient < 0:
-            raise ValidationError(
-                f"ascent coefficient must be >= 0, got {self.ascent_coefficient}")
+        check_least("", {"n": (self.n, 1), "ascent_coefficient": (self.ascent_coefficient, 0)})
+        if not 0 < self.temperature < math.inf:
+            raise ValidationError(f"temperature must be finite and > 0, got {self.temperature}")
         if not math.isfinite(self.delta):
             raise ValidationError(f"delta must be finite, got {self.delta}")
         for name, value, known in (("mask family", self.mask_family, MASK_FAMILIES),

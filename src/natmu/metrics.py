@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import MetricSetMismatchError, ValidationError
+from .errors import MetricSetMismatchError, ValidationError, check_least
 from .nn import Model, plogp, predict_logits, softmax
 
 KL_SMOOTHING_EPS = 1e-6
@@ -155,8 +155,7 @@ def avg_gap(report: dict, reference: dict) -> float:
 
 def entropy_histogram(model: Model, ds: Dataset, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Counts over equal-width bins spanning [0, ln K]; counts sum to |ds|."""
-    if bins < 1:
-        raise ValidationError(f"bins must be >= 1, got {bins}")
+    check_least("", {"bins": (bins, 1)})
     top = math.log(ds.k)
     h = np.clip(entropies(model, ds), 0.0, top)
     counts, edges = np.histogram(h, bins=bins, range=(0.0, top))

@@ -38,7 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CheckpointFormatError, DivergenceError, ShapeMismatchError, ValidationError
+from .errors import (CheckpointFormatError, DivergenceError, ShapeMismatchError,
+                     ValidationError, check_least)
 
 MAGIC = b"NMU1"
 
@@ -305,12 +306,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.base_lr <= 0:
-            raise ValidationError(f"base_lr must be > 0, got {self.base_lr}")
+        check_least("", {"epochs": (self.epochs, 0), "batch_size": (self.batch_size, 1),
+                         "weight_decay": (self.weight_decay, 0)})
+        if not 0 < self.base_lr < math.inf:
+            raise ValidationError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if self.optimizer not in OPTIMIZERS:
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
 

@@ -49,6 +49,7 @@ from .errors import (
     ValidationError,
     WorkerDiedError,
 )
+from .masks import build_mask_set
 from .metrics import (
     accuracy,
     accuracy_of_logits,
@@ -165,19 +166,19 @@ class ExperimentConfig:
 
     def check_natmu(self, k: int, height: int, width: int) -> None:
         """Refuse a natmu `n` above K-1, the categories a hybrid can take
-        among the training set's `k` classes, and a cutmix-corner edge outside
-        [0, min(height, width)], the patches its images can hold (only that
-        family takes one: `MethodParams`)."""
+        among the training set's `k` classes, and mask parameters that
+        `build_mask_set`, the owner of the mask rules, refuses for images of
+        `height` x `width`."""
         if "natmu" not in (*self.methods, *self.method_params):
             return
         p = self.params_for("natmu")
         if p.n > k - 1:
             raise ConfigError(f"[method.natmu] n = {p.n} exceeds K-1 = {k - 1}, "
                               "the categories a hybrid can take")
-        edge = min(height, width)
-        if p.cutmix_edge is not None and not 0 <= p.cutmix_edge <= edge:
-            raise ConfigError(f"[method.natmu] cutmix_edge = {p.cutmix_edge} is outside "
-                              f"[0, {edge}], the patches a {height}x{width} image can hold")
+        try:
+            build_mask_set(p.mask_family, height, width, p.delta, p.cutmix_edge)
+        except ValidationError as exc:
+            raise ConfigError(f"[method.natmu] {exc}") from exc
 
     def forget_spec(self, seed: int = 0) -> ForgettingSpec:
         return ForgettingSpec(mode=self.forget_mode, ratio=self.forget_ratio,

@@ -140,6 +140,19 @@ class TestMaskDump:
         assert list(tmp_path.iterdir()) == []
         assert "takes no edge length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", masks.MASK_FAMILIES)
+    @pytest.mark.parametrize("size, match", [
+        (["--h", "0"], "error: mask height must be >= 1, got 0"),
+        (["--w", "0"], "error: mask width must be >= 1, got 0"),
+        (["--h", "-1"], "error: mask height must be >= 1, got -1")])
+    def test_empty_or_negative_size_writes_nothing(self, tmp_path, capsys, family, size,
+                                                   match):
+        code = cli.main(["mask", "dump", "--family", family, *size,
+                         "--out", str(tmp_path / "m.csv")])
+        assert code == cli.EXIT_VALIDATION
+        assert list(tmp_path.iterdir()) == []
+        assert match in capsys.readouterr().err.splitlines()
+
 
 class TestPipelineCommands:
     def test_pretrain_build_unlearn_evaluate(self, tmp_path, config_path):

@@ -402,6 +402,12 @@ class TestSuperclass:
         subset = data.forgetting_test_subset(test, spec)
         assert (subset.subclass_labels == 3).all()
 
+    @pytest.mark.parametrize("mode", ["random", "difficult"])
+    def test_forgetting_test_subset_needs_class_mode(self, mode):
+        with pytest.raises(ValidationError, match="needs class mode"):
+            data.forgetting_test_subset(small_blobs(split="test"),
+                                        data.ForgettingSpec(mode=mode, ratio=0.1))
+
     @pytest.mark.parametrize("select, what", [
         (lambda ds, spec: data.split_forget(ds, spec)[0], "instances"),
         (data.forgetting_test_subset, "test instances")],

@@ -180,6 +180,33 @@ class TestOtherFamilies:
             masks.build_mask_set(family, 8, 8, edge_len=2)
 
 
+class TestBuildMaskSet:
+    def test_gradual_of_height_one(self):
+        m1, m2, m3, m4 = masks.build_mask_set(masks.GRADUAL, 1, 5)
+        assert np.array_equal(m1, np.float32([[0.0, 2 / 3, 1.0, 2 / 3, 0.0]]))
+        assert np.array_equal(m1, masks.gradual_base(1, 5))
+        assert m3.shape == m4.shape == (5, 1)
+        assert np.array_equal(m2, masks.complement(m1))
+
+    def test_constant_family_is_four_flat_masks(self):
+        built = masks.build_mask_set(masks.CONSTANT, 3, 5, -0.25)
+        assert len(built) == 4
+        for m in built:
+            assert m.shape == (3, 5) and (m == np.float32(0.25)).all()
+
+    def test_cutmix_edge_of_one_zeroes_one_pixel_per_corner(self):
+        built = masks.build_mask_set(masks.CUTMIX_CORNER, 3, 4, edge_len=1)
+        assert [np.argwhere(m == 0.0).tolist() for m in built] == [
+            [[0, 0]], [[0, 3]], [[2, 0]], [[2, 3]]]
+        assert all(m.sum() == 11 for m in built)
+
+    def test_default_cutmix_edge_is_half_the_shorter_side(self):
+        built = masks.build_mask_set(masks.CUTMIX_CORNER, 6, 9)
+        for got, want in zip(built, masks.cutmix_corner_masks(6, 9, 3)):
+            assert np.array_equal(got, want)
+        assert (built[0][:3, :3] == 0.0).all() and built[0].sum() == 6 * 9 - 9
+
+
 def test_dump_csv_roundtrip(tmp_path):
     mask_set = masks.four_masks(4, 4, -0.031)
     paths = masks.dump_csv(mask_set, str(tmp_path / "masks"))

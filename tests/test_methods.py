@@ -149,6 +149,12 @@ class TestAmnesiac:
         b = methods.amnesiac_relabeled(request)
         assert np.array_equal(a.labels, b.labels)
 
+    def test_one_class_refused(self, world):
+        _, d_f, _, _ = world
+        request = make_request(world, d_f=replace(d_f, k=1))
+        with pytest.raises(ValidationError, match="needs at least 2 classes"):
+            methods.amnesiac_relabeled(request)
+
     def test_finetune_size(self, world):
         _, d_f, d_r, _ = world
         request = make_request(world)
@@ -277,6 +283,12 @@ class TestNegGradPlus:
     def test_negative_ascent_rejected(self):
         with pytest.raises(ValidationError):
             methods.MethodParams(ascent_coefficient=-0.1)
+
+    def test_empty_forgetting_set_refused(self, world):
+        _, d_f, _, _ = world
+        request = make_request(world, d_f=d_f.subset(np.array([], dtype=np.int64)))
+        with pytest.raises(ValidationError, match="non-empty remaining and forgetting"):
+            methods.ascent_training_set(request)
 
     def test_deterministic(self, world):
         request = make_request(world, params=methods.MethodParams(

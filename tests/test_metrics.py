@@ -160,6 +160,21 @@ class TestMia:
                                 text=True, check=False)
         assert result.returncode == 0, result.stderr
 
+    def test_one_row_member_non_member_and_forgetting_sets(self):
+        clf = metrics.mia_fit(np.array([0.3]), np.array([1.5]))
+        assert clf.balanced_accuracy == 1.0
+        assert metrics.mia_ratio(clf, np.array([0.3])) == 100.0
+        assert metrics.mia_ratio(clf, np.array([1.5])) == 0.0
+
+    def test_entropy_exactly_at_tau_is_not_a_member(self):
+        clf = metrics.MiaClassifier(tau=0.5, balanced_accuracy=1.0)
+        assert clf.is_member(np.array([np.nextafter(0.5, 0.0), 0.5])).tolist() == [True, False]
+
+    def test_mia_ratio_of_an_empty_set_refused(self):
+        clf = metrics.MiaClassifier(tau=0.5, balanced_accuracy=1.0)
+        with pytest.raises(ValidationError, match="MIA ratio of an empty set"):
+            metrics.mia_ratio(clf, np.array([]))
+
     def test_mia_fit_needs_data(self):
         model = fixed_logits_model([1.0, 0.0])
         empty = tiny_dataset(np.zeros((0, 2)), [], k=2)
@@ -263,6 +278,13 @@ class TestEntropyHistogram:
         ds = tiny_dataset(rng.random((23, 3)), rng.integers(0, 4, 23), k=4)
         counts, _ = metrics.entropy_histogram(model, ds, bins=5)
         assert counts.sum() == 23
+
+    def test_one_bin_holds_the_whole_set(self):
+        model = fixed_logits_model([1.0, 0.0, 0.0])
+        ds = tiny_dataset(np.zeros((3, 2)), [0] * 3, k=3)
+        counts, edges = metrics.entropy_histogram(model, ds, bins=1)
+        assert counts.tolist() == [3]
+        assert edges.tolist() == [0.0, math.log(3)]
 
     def test_bins_validated(self):
         model = fixed_logits_model([0.0, 0.0])

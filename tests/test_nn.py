@@ -104,6 +104,11 @@ class TestForward:
         layer = nn.PREDICT_CHUNK * 64 * 4
         assert peak < logits.nbytes + 2.5 * layer
 
+    @pytest.mark.parametrize("dims", [[], [4]])
+    def test_model_of_fewer_than_two_dims_refused(self, dims):
+        with pytest.raises(ValidationError, match="at least input and output dims"):
+            nn.init_model(dims, seed=0)
+
     def test_dimension_mismatch_raises(self):
         model = nn.init_model([4, 3], seed=0)
         with pytest.raises(ShapeMismatchError):

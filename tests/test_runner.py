@@ -175,7 +175,22 @@ class TestConfigParsing:
         ("[method.natmu]\nshuffle_masks = maybe\n", "shuffle_masks = maybe"),
         ("[dataset]\nkind = csv\n", "unknown dataset kind 'csv'"),
         ("[dataset]\nkind = uds\ntrain_path = {missing}\ntest_path = {missing}\n",
-         "dataset not found")])
+         "dataset not found"),
+        ("[pretrain]\nbase_lr = nan\n", "base_lr must be finite and > 0, got nan"),
+        ("[unlearn]\nbase_lr = inf\n", "base_lr must be finite and > 0, got inf"),
+        ("[pretrain]\nweight_decay = nan\n", "weight_decay must be >= 0, got nan"),
+        ("[unlearn]\nweight_decay = -1\n", "weight_decay must be >= 0, got -1.0"),
+        ("[run]\nmethods = badteacher\n[method.badteacher]\ntemperature = nan\n",
+         "temperature must be finite and > 0, got nan"),
+        ("[run]\nmethods = badteacher\n[method.badteacher]\ntemperature = inf\n",
+         "temperature must be finite and > 0, got inf"),
+        ("[run]\nmethods = neggrad\n[method.neggrad]\nascent_coefficient = nan\n",
+         "ascent_coefficient must be >= 0, got nan"),
+        ("[run]\nmethods = neggrad\n[method.neggrad]\nascent_coefficient = inf\n",
+         "ascent_coefficient must be >= 0, got inf"),
+        ("[dataset]\nspread = inf\n", "synth spread must be >= 0, got inf"),
+        ("[dataset]\nwidth = 2\n[run]\nmethods = retrain,natmu\n",
+         "[method.natmu] gradual mask width must be >= 3, got 2")])
     def test_bad_value_refused_by_run(self, tmp_path, capsys, text, match):
         path = tmp_path / "bad.cfg"
         path.write_text(text.format(missing=tmp_path / "missing.uds"))
@@ -365,21 +380,30 @@ class TestConfigParsing:
                          "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
         assert calls == []
 
-    def test_cutmix_edge_past_the_uds_images_fails_before_the_pretrain(self, tmp_path,
-                                                                       monkeypatch):
+    @pytest.mark.parametrize("width, params, match", [
+        (3, "mask_family = cutmix-corner\ncutmix_edge = 4\n",
+         "cutmix_edge = 4 is outside [0, 3]"),
+        (2, "", "gradual mask width must be >= 3, got 2")],  # natmu's default family
+        ids=["cutmix-edge-4", "gradual-width-2"])
+    def test_cutmix_edge_past_the_uds_images_fails_before_the_pretrain(
+            self, tmp_path, monkeypatch, capsys, width, params, match):
         calls = []
         monkeypatch.setattr(runner, "pretrain_model", lambda *a, **k: calls.append(a))
         for split in ("train", "test"):
-            data.save_raw(data.synth_blobs(6, 10, 4, 3, 1, seed=1, split=split),
+            data.save_raw(data.synth_blobs(6, 10, 4, width, 1, seed=1, split=split),
                           str(tmp_path / f"{split}.uds"))
         path = tmp_path / "bad.cfg"
         path.write_text(f"[dataset]\nkind = uds\ntrain_path = {tmp_path / 'train.uds'}\n"
                         f"test_path = {tmp_path / 'test.uds'}\n[run]\nmethods = retrain,natmu\n"
-                        "[method.natmu]\nmask_family = cutmix-corner\ncutmix_edge = 4\n")
+                        f"[method.natmu]\n{params}")
         runner.load_config(str(path))  # the image size is known only once the files are read
+        out = tmp_path / "out"
         assert cli.main(["run", "--config", str(path),
-                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+                         "--out-dir", str(out)]) == cli.EXIT_VALIDATION
         assert calls == []
+        assert match in capsys.readouterr().err
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert status.startswith("failed at seed1/dataset: [method.natmu] "), status
 
     @pytest.mark.parametrize("superclass_map", [None, "0,0,1,1,2,2"])  # K = 6, K = 3
     def test_natmu_n_above_k_minus_1_over_uds_fails_before_the_pretrain(
